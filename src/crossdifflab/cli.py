@@ -10,13 +10,11 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .kolmo import CflViolation, NumericalBlowUp
-from .lab import ConfigError, RunManifest, parse_config, run, sweep
-from .torus import Field, load_slices, make_grid
+from .lab import (ConfigError, RunManifest, build_field, parse_config, run,
+                  sweep)
+from .torus import Field, dump_field, load_slices, make_grid
 from .weights import Weight, a2_constant, maximal_function
-from .torus import dump_field
 
 
 def _load_config(path: str, kind: str):
@@ -49,30 +47,23 @@ def _config_command(sub, kind):
 
 
 def _weight_from_arg(arg: str, n: int, dim: int) -> Weight:
-    grid = make_grid(dim, n, 1.0, 1)
-    if ":" in arg:
-        name, _, params = arg.partition(":")
-        vals = [float(x) for x in params.split(",")] if params else []
-        if name == "constant":
-            return Weight(Field.constant(grid, vals[0] if vals else 1.0))
-        if name == "twolevel":
-            lo, hi = vals
-            half = np.where(np.arange(grid.size) < grid.size // 2, lo, hi)
-            return Weight(Field(grid, half))
-        if name == "spike":
-            base, peak, width = vals
-            x = np.arange(grid.n) * grid.h
-            d = np.minimum(x, 1.0 - x)
-            line = base + (peak - base) * np.exp(-(d / width) ** 2)
-            if dim == 2:
-                field = np.sqrt(line[:, None] * line[None, :])
-            else:
-                field = line
-            return Weight(Field(grid, np.ascontiguousarray(field).reshape(-1)))
-        raise ConfigError(f"unknown weight family {name!r}")
-    fdim, fn, data = load_slices(arg)
-    grid = make_grid(fdim, fn, 1.0, 1)
-    return Weight(Field(grid, data[0]))
+    """A weight from a field dump path or a family shorthand:
+    constant[:c], twolevel:lo,hi or spike:base,peak,width."""
+    if ":" not in arg:
+        fdim, fn, data = load_slices(arg)
+        return Weight(Field(make_grid(fdim, fn, 1.0, 1), data[0]))
+    name, _, params = arg.partition(":")
+    vals = [float(x) for x in params.split(",")] if params else []
+    if name == "constant" and len(vals) <= 1:
+        spec = {"family": "constant", "value": vals[0] if vals else 1.0}
+    elif name == "twolevel" and len(vals) == 2:
+        spec = {"family": "piecewise", "levels": vals}
+    elif name == "spike" and len(vals) == 3:
+        spec = dict(zip(("base", "peak", "width"), vals), family="spike")
+    else:
+        raise ConfigError(f"bad weight {arg!r}: expected constant[:c], "
+                          "twolevel:lo,hi or spike:base,peak,width")
+    return Weight(build_field(make_grid(dim, n, 1.0, 1), spec, "--weight"))
 
 
 def main(argv=None) -> int:

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kolmo import (CflViolation, KolmogorovProblem, NumericalBlowUp,
-                    cfl_timestep, solve_forward)
+from .kolmo import KolmogorovProblem, _check_cfl, _guard, solve_forward
 from .mollify import Kernel, convolve_array, make_kernel
-from .torus import (Field, Grid, Trajectory, lap_array, spacetime_norm,
-                    traj_grad_sq, traj_lap)
+from .torus import (Field, Grid, Trajectory, grad_sq_stack, lap_array,
+                    lap_stack, spacetime_norm)
 
 
 @dataclass(frozen=True)
@@ -47,10 +46,7 @@ class EstimateReport:
 
 def solve_dual(p: DualProblem) -> Trajectory:
     g = p.grid
-    bound = cfl_timestep(g, p.mu_sup())
-    if g.tau > bound:
-        raise CflViolation(
-            f"tau={g.tau:g} exceeds CFL bound {bound:g}")
+    _check_cfl(g, p.mu_sup())
     tau = g.tau
     mu = p.mu.data
     s = p.s.data
@@ -59,8 +55,7 @@ def solve_dual(p: DualProblem) -> Trajectory:
     phi = out[g.steps]
     for k in range(g.steps - 1, -1, -1):
         phi = phi + tau * mu[k] * lap_array(phi, g) - tau * s[k]
-        if not np.all(np.isfinite(phi)):
-            raise NumericalBlowUp(k)
+        _guard(phi, k)
         out[k] = phi
     return Trajectory(g, out)
 
@@ -95,7 +90,7 @@ def duality_residual(z: Trajectory, p_forward: KolmogorovProblem,
 def mu_half_delta_phi_sq(p: DualProblem, phi: Trajectory) -> float:
     """Squared L2(Q_T) norm of mu^{1/2} Lap(Phi), left-endpoint in time."""
     g = p.grid
-    lp = traj_lap(phi.data[:-1], g)
+    lp = lap_stack(phi.data[:-1], g)
     return float(g.tau * g.cell_volume()
                  * np.sum(p.mu.data[:-1] * lp * lp))
 
@@ -112,7 +107,7 @@ def verify_apriori(p: DualProblem, phi: Trajectory,
     g = p.grid
     vol = g.cell_volume()
     tau = g.tau
-    grad_sup = float(traj_grad_sq(phi.data, g).max())
+    grad_sup = float(grad_sq_stack(phi.data, g).max())
     lap_term = mu_half_delta_phi_sq(p, phi)
     rhs1 = float(tau * vol * np.sum(p.s.data[:-1] ** 2 / p.mu.data[:-1]))
     lhs1 = grad_sup + lap_term

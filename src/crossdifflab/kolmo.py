@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .torus import Field, Grid, Trajectory, lap_array
+from .torus import Field, Grid, Trajectory, lap_array, make_grid
 
 BLOWUP_LIMIT = 1e12
 CFL_SAFETY = 0.9
@@ -26,7 +26,8 @@ class CflViolation(ValueError):
 
 class NumericalBlowUp(RuntimeError):
     def __init__(self, step: int):
-        super().__init__(f"solution exceeded {BLOWUP_LIMIT:g} at step {step}")
+        super().__init__(f"solution is non-finite or exceeds "
+                         f"{BLOWUP_LIMIT:g} in magnitude at step {step}")
         self.step = step
 
 
@@ -72,12 +73,13 @@ def cfl_timestep(grid: Grid, mu_sup: float) -> float:
 
 def steps_for(grid_dim: int, n: int, t_final: float, mu_sup: float) -> int:
     """Number of time steps needed to satisfy the CFL bound."""
-    h = 1.0 / n
-    tau_max = CFL_SAFETY * h ** 2 / (2.0 * grid_dim * mu_sup)
+    tau_max = cfl_timestep(make_grid(grid_dim, n, t_final, 1), mu_sup)
     return int(np.ceil(t_final / tau_max))
 
 
 def _check_cfl(grid: Grid, mu_sup: float) -> float:
+    """Raise CflViolation if grid.tau exceeds the bound for the largest
+    diffusion coefficient; returns tau as a fraction of the raw bound."""
     bound = cfl_timestep(grid, mu_sup)
     if grid.tau > bound:
         raise CflViolation(
@@ -86,39 +88,37 @@ def _check_cfl(grid: Grid, mu_sup: float) -> float:
     return grid.tau * 2.0 * grid.dim * mu_sup / grid.h ** 2
 
 
+def _guard(state: np.ndarray, step: int) -> None:
+    """Raise NumericalBlowUp unless every value of the state is within
+    BLOWUP_LIMIT in magnitude; NaN fails the comparison too."""
+    if not np.abs(state).max() <= BLOWUP_LIMIT:
+        raise NumericalBlowUp(step)
+
+
 def solve_forward(p: KolmogorovProblem) -> SolveReport:
     g = p.grid
     cfl_used = _check_cfl(g, p.mu_sup())
     tau = g.tau
     mu = p.mu.data
-    z = p.z0.values.copy()
+    src = p.source.data if p.mode == "source" else None
+    z = p.z0.values
     out = np.empty((g.steps + 1, g.size))
     out[0] = z
-    if p.mode == "source":
-        src = p.source.data
-        for k in range(g.steps):
-            z = z + tau * lap_array(mu[k] * z, g) + tau * src[k]
-            if np.abs(z).max() > BLOWUP_LIMIT:
-                raise NumericalBlowUp(k + 1)
-            out[k + 1] = z
-    else:
-        rea = p.reaction.data
-        for k in range(g.steps):
-            z = (z + tau * lap_array(mu[k] * z, g)) * np.exp(tau * rea[k])
-            if np.abs(z).max() > BLOWUP_LIMIT:
-                raise NumericalBlowUp(k + 1)
-            out[k + 1] = z
-    if not np.all(np.isfinite(out)):
-        raise NumericalBlowUp(g.steps)
-    traj = Trajectory(g, out)
-    report = SolveReport(
-        trajectory=traj,
+    for k in range(g.steps):
+        z = z + tau * lap_array(mu[k] * z, g)
+        if src is not None:
+            z = z + tau * src[k]
+        else:
+            z = z * np.exp(tau * p.reaction.data[k])
+        _guard(z, k + 1)
+        out[k + 1] = z
+    return SolveReport(
+        trajectory=Trajectory(g, out),
         min_value=float(out.min()),
-        mass_drift=check_mass_array(out, p) if p.mode == "source" else np.nan,
+        mass_drift=check_mass_array(out, p) if src is not None else np.nan,
         cfl_used=cfl_used,
         steps_taken=g.steps,
     )
-    return report
 
 
 def check_mass_array(data: np.ndarray, p: KolmogorovProblem) -> float:

@@ -12,7 +12,7 @@ import difflib
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,9 +21,9 @@ from . import dual as dual_mod
 from . import kolmo as kolmo_mod
 from . import skt as skt_mod
 from . import weights as weights_mod
-from .mollify import kernel_sequence, make_kernel
-from .torus import (Field, Grid, Trajectory, dump_trajectory, load_slices,
-                    make_grid, norm, spacetime_norm)
+from .mollify import make_kernel
+from .torus import (Field, Grid, Trajectory, atomic_write, dump_trajectory,
+                    load_slices, make_grid, norm, spacetime_norm)
 
 
 class ConfigError(ValueError):
@@ -44,7 +44,7 @@ def _check_keys(d: dict, allowed, required, path: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# named analytic field families
+# named field families: the one registry behind configs and `cdl a2-check`
 
 def philox_rng(seed: int, *counters: int) -> np.random.Generator:
     """Counter-based generator: reproducible per point, order-independent."""
@@ -88,6 +88,17 @@ def build_field(grid: Grid, spec: dict, path: str, seed: int = 0) -> Field:
             raise ConfigError(f"{path}: need lo < hi")
         rng = philox_rng(seed, int(spec.get("seed", 0)))
         return Field(grid, rng.uniform(lo, hi, size=grid.size))
+    if fam == "spike":
+        # periodic Gaussian bump of the given width at the origin
+        _check_keys(spec, {"family", "base", "peak", "width"},
+                    {"base", "peak", "width"}, path)
+        base, peak = float(spec["base"]), float(spec["peak"])
+        x = np.arange(grid.n) * grid.h
+        d = np.minimum(x, 1.0 - x)
+        line = base + (peak - base) * np.exp(-(d / float(spec["width"])) ** 2)
+        if grid.dim == 2:
+            line = np.sqrt(line[:, None] * line[None, :])
+        return Field(grid, line.reshape(-1))
     if fam == "dump":
         _check_keys(spec, {"family", "path"}, {"path"}, path)
         dim, n, data = load_slices(spec["path"])
@@ -117,31 +128,32 @@ class RunConfig:
     seed: int
 
 
-def _probe_grid(gd: dict, path: str) -> Grid:
-    """Throwaway 1-step grid used to evaluate fields before the CFL step
-    count is known."""
-    try:
-        return make_grid(int(gd["dim"]), int(gd["n"]),
-                         float(gd["t_final"]), 1)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
 def _build_grid(gd: dict, path: str, mu_sup_hint: float | None = None) -> Grid:
+    """The config grid; without `steps`, the step count is the CFL count
+    for a diffusion coefficient bounded by `mu_sup_hint`."""
     _check_keys(gd, {"dim", "n", "t_final", "steps"},
                 {"dim", "n", "t_final"}, path)
-    if "steps" in gd:
-        steps = int(gd["steps"])
-    else:
-        if mu_sup_hint is None:
-            raise ConfigError(f"{path}.steps required (no CFL hint)")
-        steps = kolmo_mod.steps_for(int(gd["dim"]), int(gd["n"]),
-                                    float(gd["t_final"]), mu_sup_hint)
     try:
-        return make_grid(int(gd["dim"]), int(gd["n"]),
-                         float(gd["t_final"]), steps)
+        grid = make_grid(int(gd["dim"]), int(gd["n"]), float(gd["t_final"]),
+                         int(gd.get("steps", 1)))
+        if "steps" not in gd:
+            grid = make_grid(grid.dim, grid.n, grid.t_final,
+                             kolmo_mod.steps_for(grid.dim, grid.n,
+                                                 grid.t_final, mu_sup_hint))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    return grid
+
+
+def _mu_grid(cfg: RunConfig):
+    """The config grid and config.mu on it.  A field does not depend on the
+    time axis, so mu is built once, on a one-step grid, and its sup sets
+    the CFL step count when grid.steps is not given."""
+    gd = cfg.raw["grid"]
+    probe = _build_grid(dict(gd, steps=1), "config.grid")
+    mu = build_field(probe, cfg.raw["mu"], "config.mu", cfg.seed)
+    grid = _build_grid(gd, "config.grid", mu_sup_hint=float(mu.values.max()))
+    return grid, Trajectory.constant_in_time(grid, Field(grid, mu.values))
 
 
 def parse_config(text: str) -> RunConfig:
@@ -222,10 +234,7 @@ class RunManifest:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    atomic_write(path, lambda fh: fh.write(text.encode()))
 
 
 def _fmt(x: float) -> str:
@@ -256,12 +265,7 @@ def _run_kolmogorov(cfg: RunConfig, outdir: str | None):
     if ("source" in raw) == ("reaction" in raw):
         raise ConfigError("exactly one of config.source/config.reaction "
                           "must be present")
-    # build on a throwaway 1-step grid first to learn sup mu for auto-CFL
-    probe = _probe_grid(raw["grid"], "config.grid")
-    mu_probe = build_field(probe, raw["mu"], "config.mu", cfg.seed)
-    grid = _build_grid(raw["grid"], "config.grid",
-                       mu_sup_hint=float(mu_probe.values.max()))
-    mu = _field_trajectory(grid, raw["mu"], "config.mu", cfg.seed)
+    grid, mu = _mu_grid(cfg)
     z0 = build_field(grid, raw["z0"], "config.z0", cfg.seed)
     kwargs = {}
     if "source" in raw:
@@ -296,11 +300,7 @@ def _run_dual(cfg: RunConfig, outdir: str | None):
     for key in ("mu", "s"):
         if key not in raw:
             raise ConfigError(f"missing key config.{key}")
-    probe = _probe_grid(raw["grid"], "config.grid")
-    mu_probe = build_field(probe, raw["mu"], "config.mu", cfg.seed)
-    grid = _build_grid(raw["grid"], "config.grid",
-                       mu_sup_hint=float(mu_probe.values.max()))
-    mu = _field_trajectory(grid, raw["mu"], "config.mu", cfg.seed)
+    grid, mu = _mu_grid(cfg)
     s = _field_trajectory(grid, raw["s"], "config.s", cfg.seed)
     p = dual_mod.DualProblem(grid=grid, mu=mu, s=s)
     phi = dual_mod.solve_dual(p)
@@ -353,11 +353,7 @@ def _run_stability(cfg: RunConfig, outdir: str | None):
     for key in ("mu", "z0", "eps"):
         if key not in raw:
             raise ConfigError(f"missing key config.{key}")
-    probe = _probe_grid(raw["grid"], "config.grid")
-    mu_probe = build_field(probe, raw["mu"], "config.mu", cfg.seed)
-    grid = _build_grid(raw["grid"], "config.grid",
-                       mu_sup_hint=float(mu_probe.values.max()))
-    mu = _field_trajectory(grid, raw["mu"], "config.mu", cfg.seed)
+    grid, mu = _mu_grid(cfg)
     z0 = build_field(grid, raw["z0"], "config.z0", cfg.seed)
     if "g" in raw:
         g = _field_trajectory(grid, raw["g"], "config.g", cfg.seed)
@@ -378,13 +374,14 @@ def _run_stability(cfg: RunConfig, outdir: str | None):
     return grid, checks, constants, artifacts
 
 
-def _build_skt_spec(cfg: RunConfig, grid: Grid, identity_kernels=False):
+def _skt_spec(cfg: RunConfig, identity_kernels=False) -> skt_mod.SktSpec:
+    """The cross-diffusion system of a config; without grid.steps, the step
+    count is the CFL count for the largest coefficient bound `hi`."""
     raw = cfg.raw
     species = raw.get("species")
     if not species:
         raise ConfigError("missing key config.species")
-    count = len(species)
-    coeffs, reactions, kernels, init = [], [], [], []
+    coeffs, reactions = [], []
     for i, sp in enumerate(species):
         path = f"config.species[{i}]"
         _check_keys(sp, {"coeff", "reaction", "kernel_eps", "init"},
@@ -392,22 +389,29 @@ def _build_skt_spec(cfg: RunConfig, grid: Grid, identity_kernels=False):
         cd = dict(sp["coeff"])
         _check_keys(cd, {"kind", "d", "c", "lo", "hi", "kink", "pivot"},
                     {"kind", "d"}, path + ".coeff")
-        coeffs.append(skt_mod.CoeffFamily(
-            kind=cd["kind"], d=float(cd["d"]),
-            c=tuple(float(x) for x in cd.get("c", [])),
-            lo=float(cd.get("lo", 0.0)), hi=float(cd.get("hi", np.inf)),
-            kink=float(cd.get("kink", 0.0)),
-            pivot=float(cd.get("pivot", 0.0))))
         rd = dict(sp["reaction"])
         _check_keys(rd, {"rho", "s"}, {"rho", "s"}, path + ".reaction")
-        reactions.append(skt_mod.ReactionFamily(
-            rho=float(rd["rho"]), s=tuple(float(x) for x in rd["s"])))
-        eps = sp.get("kernel_eps")
-        if identity_kernels or eps is None:
-            kernels.append(None)
-        else:
-            kernels.append(make_kernel(grid, float(eps)))
-        init.append(build_field(grid, sp["init"], path + ".init", cfg.seed))
+        try:
+            coeffs.append(skt_mod.CoeffFamily(
+                kind=cd["kind"], d=float(cd["d"]),
+                c=tuple(float(x) for x in cd.get("c", [])),
+                lo=float(cd.get("lo", 0.0)), hi=float(cd.get("hi", np.inf)),
+                kink=float(cd.get("kink", 0.0)),
+                pivot=float(cd.get("pivot", 0.0))))
+            reactions.append(skt_mod.ReactionFamily(
+                rho=float(rd["rho"]), s=tuple(float(x) for x in rd["s"])))
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+    hi_max = max(cf.hi for cf in coeffs)
+    if not np.isfinite(hi_max):
+        raise ConfigError("config.species: every coefficient needs a finite "
+                          "hi, the bound the CFL step is set from")
+    grid = _build_grid(raw["grid"], "config.grid", mu_sup_hint=hi_max)
+    kernels = [None if identity_kernels or sp.get("kernel_eps") is None
+               else make_kernel(grid, float(sp["kernel_eps"]))
+               for sp in species]
+    init = [build_field(grid, sp["init"], f"config.species[{i}].init",
+                        cfg.seed) for i, sp in enumerate(species)]
     try:
         return skt_mod.SktSpec(grid=grid, coeffs=tuple(coeffs),
                                reactions=tuple(reactions),
@@ -416,24 +420,9 @@ def _build_skt_spec(cfg: RunConfig, grid: Grid, identity_kernels=False):
         raise ConfigError(f"config.species: {exc}") from exc
 
 
-def _skt_grid(cfg: RunConfig):
-    raw = cfg.raw
-    species = raw.get("species")
-    if not species:
-        raise ConfigError("missing key config.species")
-    hi_max = 0.0
-    for sp in species:
-        cd = sp.get("coeff", {})
-        hi = cd.get("hi", cd.get("d"))
-        if hi is None:
-            raise ConfigError("coefficient needs hi or d for the CFL bound")
-        hi_max = max(hi_max, float(hi))
-    return _build_grid(raw["grid"], "config.grid", mu_sup_hint=hi_max)
-
-
 def _run_skt(cfg: RunConfig, outdir: str | None):
-    grid = _skt_grid(cfg)
-    spec = _build_skt_spec(cfg, grid)
+    spec = _skt_spec(cfg)
+    grid = spec.grid
     sols = skt_mod.solve_system(spec)
     min_val = min(float(t.data.min()) for t in sols)
     checks = {"non_negative": min_val >= 0.0}
@@ -454,8 +443,8 @@ def _run_converge(cfg: RunConfig, outdir: str | None):
     eps_list = [float(e) for e in raw.get("eps", [])]
     if not eps_list:
         raise ConfigError("missing key config.eps")
-    grid = _skt_grid(cfg)
-    spec = _build_skt_spec(cfg, grid, identity_kernels=True)
+    spec = _skt_spec(cfg, identity_kernels=True)
+    grid = spec.grid
     table = skt_mod.converge_study(spec, eps_list)
     count = spec.species_count
     dists = np.array([r.distances for r in table.rows])

@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 
-from .torus import Field, Grid, dump_field
+from .torus import Field, Grid, atomic_write, dump_field
 
 N_IMAGES = 3  # wrap images per axis; enough for eps <= 0.5 to 1e-12
 
@@ -121,6 +121,5 @@ def dump_kernel(path, k: Kernel) -> None:
     dump_field(path, k.values)
     sidecar = {"eps": k.eps, "n": k.grid.n, "dim": k.grid.dim,
                "family": "wrapped_gaussian"}
-    with open(str(path) + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2)
-        fh.write("\n")
+    text = json.dumps(sidecar, indent=2) + "\n"
+    atomic_write(f"{path}.json", lambda fh: fh.write(text.encode()))

@@ -10,15 +10,14 @@ distance between the two as the kernels shrink toward a Dirac mass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import erf
 
-from .kolmo import BLOWUP_LIMIT, CFL_SAFETY, CflViolation, NumericalBlowUp
-from .mollify import Kernel, KernelSequence, convolve_array, dirac_defect, \
-    make_kernel
-from .torus import Field, Grid, Trajectory, lap_array, spacetime_norm
+from .kolmo import _check_cfl, _guard
+from .mollify import convolve_array, dirac_defect, make_kernel
+from .torus import Grid, Trajectory, lap_array, spacetime_norm
 
 
 def _smoothed_abs(y: np.ndarray, sigma: float) -> np.ndarray:
@@ -39,8 +38,6 @@ class CoeffFamily:
       rational_saturating -- a = clip(d / (1 + sum_j c_j * v_j), lo, hi)
       kinked_affine       -- a = clip(d + kink*|v_1 - pivot|, lo, hi);
                              sigma > 0 smooths the |.| kink in its argument
-      affine_floor_only   -- a = max(d + sum_j c_j * v_j, lo); no upper
-                             clamp, admissible for I=2 with bounded prey
     """
 
     kind: str
@@ -54,8 +51,7 @@ class CoeffFamily:
 
     def __post_init__(self):
         if self.kind not in ("constant", "clamped_affine",
-                             "rational_saturating", "kinked_affine",
-                             "affine_floor_only"):
+                             "rational_saturating", "kinked_affine"):
             raise ValueError(f"unknown coefficient kind {self.kind!r}")
         if self.kind == "constant":
             if self.d <= 0:
@@ -85,13 +81,9 @@ class CoeffFamily:
         elif self.kind == "rational_saturating":
             raw = self.d / (1.0 + sum(cj * aj
                                       for cj, aj in zip(self.c, args)))
-        elif self.kind == "kinked_affine":
+        else:  # kinked_affine
             raw = self.d + self.kink * _smoothed_abs(args[0] - self.pivot,
                                                      self.sigma)
-        else:  # affine_floor_only
-            return np.maximum(
-                self.d + sum(cj * aj for cj, aj in zip(self.c, args)),
-                self.lo)
         return np.clip(raw, self.lo, self.hi)
 
 
@@ -159,14 +151,12 @@ def _smoothed_state(spec: SktSpec, state) -> list:
             for u, k in zip(state, spec.kernels)]
 
 
-def evaluate_coeff(spec: SktSpec, i: int, state, t_index: int = 0):
+def evaluate_coeff(spec: SktSpec, i: int, state):
     """Coefficient field for species i (0-based) at the given state."""
-    smoothed = _smoothed_state(spec, state)
-    raw = spec.coeffs[i].evaluate(smoothed[i + 1:])
-    return raw
+    return spec.coeffs[i].evaluate(_smoothed_state(spec, state)[i + 1:])
 
 
-def step(spec: SktSpec, state, t_index: int = 0) -> list:
+def step(spec: SktSpec, state) -> list:
     """One explicit step; coefficients frozen at the incoming state."""
     g = spec.grid
     tau = g.tau
@@ -185,22 +175,16 @@ def solve_system(spec: SktSpec):
     """March the system over all time steps; returns one Trajectory per
     species.  Positivity is exact under the global CFL bound."""
     g = spec.grid
-    bound = CFL_SAFETY * g.h ** 2 / (2.0 * g.dim * spec.hi_max())
-    if g.tau > bound:
-        raise CflViolation(
-            f"tau={g.tau:g} exceeds CFL bound {bound:g} "
-            f"(hi_max={spec.hi_max():g})")
-    I = spec.species_count
-    out = [np.empty((g.steps + 1, g.size)) for _ in range(I)]
-    state = [f.values.copy() for f in spec.init]
-    for i in range(I):
-        out[i][0] = state[i]
+    _check_cfl(g, spec.hi_max())
+    out = [np.empty((g.steps + 1, g.size)) for _ in spec.init]
+    state = [f.values for f in spec.init]
+    for o, u in zip(out, state):
+        o[0] = u
     for k in range(g.steps):
-        state = step(spec, state, k)
-        for i in range(I):
-            if np.abs(state[i]).max() > BLOWUP_LIMIT:
-                raise NumericalBlowUp(k + 1)
-            out[i][k + 1] = state[i]
+        state = step(spec, state)
+        for o, u in zip(out, state):
+            _guard(u, k + 1)
+            o[k + 1] = u
     return [Trajectory(g, o) for o in out]
 
 
@@ -222,9 +206,7 @@ class ConvergenceTable:
 
 
 def _with_kernels(spec: SktSpec, kernels) -> SktSpec:
-    return SktSpec(grid=spec.grid, coeffs=spec.coeffs,
-                   reactions=spec.reactions, kernels=tuple(kernels),
-                   init=spec.init)
+    return replace(spec, kernels=tuple(kernels))
 
 
 def converge_study(spec_template: SktSpec, eps_list) -> ConvergenceTable:
@@ -259,31 +241,20 @@ def regularization_study(spec: SktSpec, kink_strength: float,
     """Solve with a kinked (merely Lipschitz) coefficient and with
     argument-smoothed versions of it; returns per-sigma distances plus
     the reference solution norms."""
-    kinked = []
-    for cf in spec.coeffs:
-        if cf.kind == "kinked_affine":
-            kinked.append(CoeffFamily(
-                kind="kinked_affine", d=cf.d, lo=cf.lo, hi=cf.hi,
-                kink=float(kink_strength), pivot=cf.pivot, sigma=0.0))
-        else:
-            kinked.append(cf)
     if all(cf.kind != "kinked_affine" for cf in spec.coeffs):
         raise ValueError("spec has no kinked coefficient family")
-    base_spec = SktSpec(grid=spec.grid, coeffs=tuple(kinked),
-                        reactions=spec.reactions, kernels=spec.kernels,
-                        init=spec.init)
+
+    def kinked(base: SktSpec, **changes) -> SktSpec:
+        return replace(base, coeffs=tuple(
+            replace(cf, **changes) if cf.kind == "kinked_affine" else cf
+            for cf in base.coeffs))
+
+    base_spec = kinked(spec, kink=float(kink_strength), sigma=0.0)
     ref = solve_system(base_spec)
     ref_norms = tuple(spacetime_norm(t, "L2Q") for t in ref)
     rows = []
     for sigma in sigmas:
-        coeffs = tuple(
-            CoeffFamily(kind="kinked_affine", d=cf.d, lo=cf.lo, hi=cf.hi,
-                        kink=cf.kink, pivot=cf.pivot, sigma=float(sigma))
-            if cf.kind == "kinked_affine" else cf
-            for cf in base_spec.coeffs)
-        sol = solve_system(SktSpec(grid=spec.grid, coeffs=coeffs,
-                                   reactions=spec.reactions,
-                                   kernels=spec.kernels, init=spec.init))
+        sol = solve_system(kinked(base_spec, sigma=float(sigma)))
         dists = tuple(
             spacetime_norm(Trajectory(spec.grid, s.data - r.data), "L2Q")
             for s, r in zip(sol, ref))

@@ -10,12 +10,11 @@ mollify module, for convolutions.
 
 from __future__ import annotations
 
+import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-MAGIC = b"CDL1"
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -123,10 +122,6 @@ class Trajectory:
     def slice(self, k: int) -> Field:
         return Field(self.grid, self.data[k])
 
-    @property
-    def slices(self) -> list:
-        return [self.slice(k) for k in range(self.grid.steps + 1)]
-
     @staticmethod
     def constant_in_time(grid: Grid, f: Field) -> "Trajectory":
         # broadcast view; read-only, never mutated by the solvers
@@ -139,19 +134,43 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# discrete operators (array-level kernels reused by the solvers)
+# discrete operators: each acts on a (..., grid.size) array, that is one
+# flat slice or a stack of them, and treats every slice alike
+
+def lap_stack(v: np.ndarray, grid: Grid) -> np.ndarray:
+    """Centered periodic Laplacian of every slice."""
+    w = v.reshape(v.shape[:-1] + grid.shape)
+    out = -2.0 * grid.dim * w
+    for ax in range(-grid.dim, 0):
+        out += np.roll(w, 1, axis=ax)
+        out += np.roll(w, -1, axis=ax)
+    out /= grid.h ** 2
+    return out.reshape(v.shape)
+
 
 def lap_array(v: np.ndarray, grid: Grid) -> np.ndarray:
-    """Centered periodic Laplacian acting on a flat or shaped array."""
-    w = v.reshape(grid.shape)
-    out = -2.0 * grid.dim * w
-    for ax in range(grid.dim):
-        out = out + np.roll(w, 1, axis=ax) + np.roll(w, -1, axis=ax)
-    return (out / grid.h ** 2).reshape(v.shape)
+    """The solvers' per-step Laplacian of one flat slice.  A name of its
+    own, so that a tracer counts stencil applications per time step apart
+    from the whole-trajectory uses of `lap_stack`."""
+    return lap_stack(v, grid)
+
+
+def grad_sq_stack(v: np.ndarray, grid: Grid) -> np.ndarray:
+    """Squared L2 norm of the forward-difference gradient of every slice."""
+    w = v.reshape(v.shape[:-1] + grid.shape)
+    axes = tuple(range(-grid.dim, 0))
+    total = 0.0
+    for ax in axes:
+        d = np.roll(w, -1, axis=ax)
+        d -= w
+        d /= grid.h
+        d *= d
+        total = total + d.sum(axis=axes)
+    return total * grid.cell_volume()
 
 
 def laplacian(f: Field) -> Field:
-    return Field(f.grid, lap_array(f.values, f.grid))
+    return Field(f.grid, lap_stack(f.values, f.grid))
 
 
 def integrate(f: Field) -> float:
@@ -159,37 +178,7 @@ def integrate(f: Field) -> float:
 
 
 def gradient_norm_sq(f: Field) -> float:
-    return float(grad_sq_array(f.values, f.grid))
-
-
-def grad_sq_array(v: np.ndarray, grid: Grid) -> float:
-    """Squared L2 norm of the forward-difference gradient."""
-    w = v.reshape(grid.shape)
-    total = 0.0
-    for ax in range(grid.dim):
-        d = (np.roll(w, -1, axis=ax) - w) / grid.h
-        total += float(np.sum(d * d))
-    return total * grid.cell_volume()
-
-
-def traj_lap(data: np.ndarray, grid: Grid) -> np.ndarray:
-    """Laplacian applied to every slice of a (slices, size) array."""
-    w = data.reshape((-1,) + grid.shape)
-    out = -2.0 * grid.dim * w
-    for ax in range(1, grid.dim + 1):
-        out = out + np.roll(w, 1, axis=ax) + np.roll(w, -1, axis=ax)
-    return (out / grid.h ** 2).reshape(data.shape)
-
-
-def traj_grad_sq(data: np.ndarray, grid: Grid) -> np.ndarray:
-    """Per-slice squared gradient norms of a (slices, size) array."""
-    w = data.reshape((-1,) + grid.shape)
-    axes = tuple(range(1, grid.dim + 1))
-    total = np.zeros(w.shape[0])
-    for ax in axes:
-        d = (np.roll(w, -1, axis=ax) - w) / grid.h
-        total += (d * d).sum(axis=axes)
-    return total * grid.cell_volume()
+    return float(grad_sq_stack(f.values, f.grid))
 
 
 def _fourier_weights(grid: Grid) -> np.ndarray:
@@ -217,7 +206,7 @@ def norm(f: Field, kind: str) -> float:
     if kind == "Linf":
         return float(np.abs(v).max())
     if kind == "H1":
-        return float(np.sqrt(vol * np.dot(v, v) + grad_sq_array(v, f.grid)))
+        return float(np.sqrt(vol * np.dot(v, v) + grad_sq_stack(v, f.grid)))
     if kind == "Hminus1":
         fhat = fourier_coefficients(f)
         w = _fourier_weights(f.grid)
@@ -249,26 +238,49 @@ def spacetime_norm(traj: Trajectory, kind: str) -> float:
 
 
 # ---------------------------------------------------------------------------
+# artifacts
+
+def atomic_write(path, write) -> None:
+    """Write-temp-rename: `write(fh)` fills a temporary binary file next to
+    `path`, which then replaces `path` in one step, so a reader never sees
+    a partial file."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 # binary field dumps: magic "CDL1", u8 dim, u32 n, u32 slice_count,
 # little-endian float64, row-major within a slice, slice-major overall.
+MAGIC = b"CDL1"
+HEADER = struct.Struct("<4sBII")
+
 
 def dump_slices(path, dim: int, n: int, slices: np.ndarray) -> None:
     slices = np.ascontiguousarray(slices, dtype="<f8").reshape(len(slices), -1)
     if slices.shape[1] != n ** dim:
         raise ValueError("slice length does not match dim/n")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<BII", dim, n, slices.shape[0]))
+
+    def write(fh):
+        fh.write(HEADER.pack(MAGIC, dim, n, slices.shape[0]))
         fh.write(slices.tobytes())
+
+    atomic_write(path, write)
 
 
 def load_slices(path):
     """Returns (dim, n, array of shape (slice_count, n**dim))."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
+        head = fh.read(HEADER.size)
+        if len(head) < HEADER.size:
+            raise ValueError("truncated field dump")
+        magic, dim, n, count = HEADER.unpack(head)
         if magic != MAGIC:
             raise ValueError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        dim, n, count = struct.unpack("<BII", fh.read(9))
         data = np.frombuffer(fh.read(), dtype="<f8")
     if data.size != count * n ** dim:
         raise ValueError("truncated field dump")

@@ -13,10 +13,9 @@ import numpy as np
 from scipy.ndimage import uniform_filter
 from scipy.stats import spearmanr
 
-from .dual import DualProblem, EstimateReport, mu_half_delta_phi_sq, solve_dual
+from .dual import DualProblem, EstimateReport, solve_dual
 from .mollify import KernelSequence, convolve_array
-from .torus import (Field, Grid, Trajectory, grad_sq_array, traj_grad_sq,
-                    traj_lap)
+from .torus import Field, Grid, Trajectory, grad_sq_stack, lap_stack
 
 
 @dataclass(frozen=True)
@@ -113,7 +112,7 @@ def energy_identity_case_ii(mu_x: Field, s: Trajectory,
     vol = g.cell_volume()
     inv_mu = 1.0 / mu_x.values
     lhs = 0.5 * vol * float(np.sum(inv_mu * phi.data[0] ** 2))
-    lhs += float(g.tau * traj_grad_sq(phi.data[:-1], g).sum())
+    lhs += float(g.tau * grad_sq_stack(phi.data[:-1], g).sum())
     rhs = -g.tau * vol * float(
         np.sum(phi.data[:-1] * inv_mu[None, :] * s.data[:-1]))
     scale = abs(lhs) + abs(rhs)
@@ -134,8 +133,8 @@ def energy_identity_case_iii(mu_t, s: Trajectory,
     p = DualProblem(grid=g, mu=mu, s=s)
     phi = solve_dual(p)
     vol = g.cell_volume()
-    lhs = 0.5 * grad_sq_array(phi.data[0], g)
-    lp = traj_lap(phi.data[:-1], g)
+    lhs = 0.5 * float(grad_sq_stack(phi.data[0], g))
+    lp = lap_stack(phi.data[:-1], g)
     lhs += float(g.tau * vol * np.sum(mu_t[:-1, None] * lp * lp))
     rhs = float(g.tau * vol * np.sum(lp * s.data[:-1]))
     scale = abs(lhs) + abs(rhs)

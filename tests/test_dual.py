@@ -6,8 +6,8 @@ import pytest
 from crossdifflab.dual import (DualProblem, duality_pairings,
                                duality_residual, smooth_mu, solve_dual,
                                stability_study, verify_apriori)
-from crossdifflab.kolmo import (CflViolation, KolmogorovProblem, solve_forward,
-                                steps_for)
+from crossdifflab.kolmo import (CflViolation, KolmogorovProblem,
+                                NumericalBlowUp, solve_forward, steps_for)
 from crossdifflab.mollify import make_kernel
 from crossdifflab.torus import Field, Trajectory, make_grid, spacetime_norm
 
@@ -41,6 +41,15 @@ def test_dual_cfl_and_validation():
     with pytest.raises(ValueError, match="lower-bounded"):
         DualProblem(grid=g, mu=Trajectory.constant(g, -1.0),
                     s=Trajectory.constant(g, 0.0))
+
+
+def test_dual_blowup_detected():
+    g = _grid()
+    p = DualProblem(grid=g, mu=Trajectory.constant(g, 1.0),
+                    s=Trajectory.constant(g, 1e20))
+    with pytest.raises(NumericalBlowUp) as exc:
+        solve_dual(p)
+    assert exc.value.step == g.steps - 1
 
 
 def test_dual_sign_property():

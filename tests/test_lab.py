@@ -197,6 +197,19 @@ def test_run_skt_and_converge(tmp_path):
     assert len(lines) == 3
 
 
+def test_skt_coeff_without_hi_is_config_error(tmp_path, capsys):
+    # without hi a clamped_affine coefficient has no CFL step: it must be
+    # refused as a config error, not abort the solve
+    species = json.loads(json.dumps(SKT_SPECIES))
+    del species[0]["coeff"]["hi"]
+    raw = {"kind": "skt", "grid": dict(GRID), "species": species}
+    with pytest.raises(ConfigError, match="finite hi"):
+        run(parse_config(json.dumps(raw)))
+    cfgp = _write(tmp_path, "skt.json", raw)
+    assert main(["skt-run", "--config", cfgp]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_run_weights():
     cfg = parse_config(json.dumps({
         "kind": "weights", "grid": {"dim": 1, "n": 32, "t_final": 1.0},

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from crossdifflab.kolmo import CflViolation, steps_for
+from crossdifflab.kolmo import CflViolation, NumericalBlowUp, steps_for
 from crossdifflab.mollify import convolve_array, make_kernel
 from crossdifflab.skt import (CoeffFamily, ConvergenceTable, ReactionFamily,
                               SktSpec, _smoothed_abs, converge_study,
@@ -66,8 +66,9 @@ def test_coeff_families_evaluate():
                        lo=0.5, hi=10.0)
     assert np.allclose(kink.evaluate([v]), [3.0, 1.0, 7.0])
 
-    floor = CoeffFamily(kind="affine_floor_only", d=1.0, c=(-1.0,), lo=0.25)
-    assert np.allclose(floor.evaluate([v]), [1.0, 0.25, 0.25])
+    # no upper bound means no CFL step: the kind is gone
+    with pytest.raises(ValueError, match="unknown coefficient kind"):
+        CoeffFamily(kind="affine_floor_only", d=1.0, c=(-1.0,), lo=0.25)
 
 
 def test_coeff_validation():
@@ -148,6 +149,23 @@ def test_solve_system_cfl_guard():
         solve_system(spec)
 
 
+def test_solve_system_blowup_guard():
+    # exp(tau*rho) overflows: 0*inf is NaN where the prey is absent, and
+    # NaN fails every comparison, so the guard must test "within the limit"
+    g = _grid()
+    spec = _two_species(g, s1=(1.0, 1.0))
+    prey = np.where(np.arange(g.size) < g.size // 2, 0.0, 1.0)
+    spec = SktSpec(grid=g, coeffs=spec.coeffs,
+                   reactions=(ReactionFamily(rho=1e7, s=(1.0, 1.0)),
+                              spec.reactions[1]),
+                   kernels=spec.kernels,
+                   init=(Field(g, prey), spec.init[1]))
+    with pytest.raises(NumericalBlowUp) as exc, \
+            np.errstate(over="ignore", invalid="ignore"):
+        solve_system(spec)
+    assert exc.value.step == 1
+
+
 def test_logistic_spatially_uniform_oracle():
     # uniform data, no diffusion effect: each step multiplies by
     # exp(tau*(rho - u1 - u2)); compare against the scalar recursion
@@ -188,7 +206,7 @@ def test_step_matches_solve_system():
     g = _grid()
     spec = _two_species(g, eps1=0.15)
     state = [f.values.copy() for f in spec.init]
-    state = step(spec, state, 0)
+    state = step(spec, state)
     sols = solve_system(spec)
     assert np.allclose(sols[0].data[1], state[0], atol=1e-15)
     assert np.allclose(sols[1].data[1], state[1], atol=1e-15)

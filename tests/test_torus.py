@@ -5,9 +5,9 @@ import pytest
 
 from crossdifflab.torus import (Field, Grid, Trajectory, dump_field,
                                 dump_trajectory, fourier_coefficients,
-                                grad_sq_array, gradient_norm_sq, integrate,
-                                lap_array, laplacian, load_slices, make_grid,
-                                norm, spacetime_norm, traj_grad_sq, traj_lap)
+                                grad_sq_stack, gradient_norm_sq, integrate,
+                                lap_array, lap_stack, laplacian, load_slices,
+                                make_grid, norm, spacetime_norm)
 
 
 def test_grid_validation():
@@ -61,7 +61,9 @@ def test_trajectory_shape_and_slices():
     tr = Trajectory.constant(g, 2.5)
     assert tr.data.shape == (4, 8)
     assert tr.slice(2).values[0] == 2.5
-    assert len(tr.slices) == 4
+    assert tr.slice(3).values[0] == 2.5     # slices 0..steps, no more
+    with pytest.raises(IndexError):
+        tr.slice(4)
 
 
 def test_laplacian_eigenfunction_exact():
@@ -125,7 +127,7 @@ def test_gradient_sawtooth_brute_force():
     g = make_grid(1, 16, 1.0, 1)
     v = np.tile([0.0, 1.0], 8)
     expect = 16 * (1.0 / g.h) ** 2 * g.cell_volume()
-    assert abs(grad_sq_array(v, g) - expect) < 1e-9
+    assert abs(grad_sq_stack(v, g) - expect) < 1e-9
     assert abs(gradient_norm_sq(Field(g, v)) - expect) < 1e-9
 
 
@@ -191,11 +193,11 @@ def test_traj_helpers_match_per_slice():
     rng = np.random.default_rng(5)
     g = make_grid(2, 8, 1.0, 3)
     data = rng.standard_normal((4, g.size))
-    tl = traj_lap(data, g)
-    tg = traj_grad_sq(data, g)
+    tl = lap_stack(data, g)
+    tg = grad_sq_stack(data, g)
     for k in range(4):
         assert np.allclose(tl[k], lap_array(data[k], g))
-        assert abs(tg[k] - grad_sq_array(data[k], g)) < 1e-10
+        assert abs(tg[k] - grad_sq_stack(data[k], g)) < 1e-10
 
 
 def test_dump_roundtrip(tmp_path):
@@ -227,4 +229,7 @@ def test_dump_bad_magic_and_truncation(tmp_path):
     clipped = tmp_path / "clipped.cdl"
     clipped.write_bytes(good.read_bytes()[:-8])
     with pytest.raises(ValueError, match="truncated"):
+        load_slices(clipped)
+    clipped.write_bytes(good.read_bytes()[:12])     # header is 13 bytes
+    with pytest.raises(ValueError, match="truncated field dump"):
         load_slices(clipped)

@@ -51,19 +51,27 @@ def _weight_from_arg(arg: str, n: int, dim: int) -> Weight:
     constant[:c], twolevel:lo,hi or spike:base,peak,width."""
     if ":" not in arg:
         fdim, fn, data = load_slices(arg)
-        return Weight(Field(make_grid(fdim, fn, 1.0, 1), data[0]))
-    name, _, params = arg.partition(":")
-    vals = [float(x) for x in params.split(",")] if params else []
-    if name == "constant" and len(vals) <= 1:
-        spec = {"family": "constant", "value": vals[0] if vals else 1.0}
-    elif name == "twolevel" and len(vals) == 2:
-        spec = {"family": "piecewise", "levels": vals}
-    elif name == "spike" and len(vals) == 3:
-        spec = dict(zip(("base", "peak", "width"), vals), family="spike")
+        field = Field(make_grid(fdim, fn, 1.0, 1), data[0])
     else:
-        raise ConfigError(f"bad weight {arg!r}: expected constant[:c], "
-                          "twolevel:lo,hi or spike:base,peak,width")
-    return Weight(build_field(make_grid(dim, n, 1.0, 1), spec, "--weight"))
+        name, _, params = arg.partition(":")
+        try:
+            vals = [float(x) for x in params.split(",")] if params else []
+        except ValueError:
+            name, vals = "", []  # unparsable numbers: the usage error below
+        if name == "constant" and len(vals) <= 1:
+            spec = {"family": "constant", "value": vals[0] if vals else 1.0}
+        elif name == "twolevel" and len(vals) == 2:
+            spec = {"family": "piecewise", "levels": vals}
+        elif name == "spike" and len(vals) == 3:
+            spec = dict(zip(("base", "peak", "width"), vals), family="spike")
+        else:
+            raise ConfigError(f"bad weight {arg!r}: expected constant[:c], "
+                              "twolevel:lo,hi or spike:base,peak,width")
+        field = build_field(make_grid(dim, n, 1.0, 1), spec, "--weight")
+    try:
+        return Weight(field)
+    except ValueError as exc:
+        raise ConfigError(f"bad weight {arg!r}: {exc}") from exc
 
 
 def main(argv=None) -> int:

@@ -52,11 +52,18 @@ def solve_dual(p: DualProblem) -> Trajectory:
     s = p.s.data
     out = np.empty((g.steps + 1, g.size))
     out[g.steps] = 0.0
-    phi = out[g.steps]
+    lap, work = np.empty((2, g.size))
+    # Phi^k = Phi^{k+1} + (tau*mu^k)*Lap(Phi^{k+1}) - tau*S^k, written
+    # straight into out[k]
     for k in range(g.steps - 1, -1, -1):
-        phi = phi + tau * mu[k] * lap_array(phi, g) - tau * s[k]
-        _guard(phi, k)
-        out[k] = phi
+        phi, phinew = out[k + 1], out[k]
+        lap_array(phi, g, lap)
+        np.multiply(mu[k], tau, out=work)
+        np.multiply(work, lap, out=work)
+        np.add(phi, work, out=phinew)
+        np.multiply(s[k], tau, out=work)
+        np.subtract(phinew, work, out=phinew)
+        _guard(phinew, k)
     return Trajectory(g, out)
 
 

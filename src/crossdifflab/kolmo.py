@@ -101,17 +101,23 @@ def solve_forward(p: KolmogorovProblem) -> SolveReport:
     tau = g.tau
     mu = p.mu.data
     src = p.source.data if p.mode == "source" else None
-    z = p.z0.values
     out = np.empty((g.steps + 1, g.size))
-    out[0] = z
+    out[0] = p.z0.values
+    flux, work = np.empty((2, g.size))
+    # z^{k+1} = z^k + tau*Lap(mu^k z^k), then + tau*G^k or * exp(tau*R^k),
+    # written straight into out[k+1]
     for k in range(g.steps):
-        z = z + tau * lap_array(mu[k] * z, g)
+        z, znew = out[k], out[k + 1]
+        np.multiply(mu[k], z, out=flux)
+        np.multiply(lap_array(flux, g, work), tau, out=work)
+        np.add(z, work, out=znew)
         if src is not None:
-            z = z + tau * src[k]
+            np.multiply(src[k], tau, out=work)
+            np.add(znew, work, out=znew)
         else:
-            z = z * np.exp(tau * p.reaction.data[k])
-        _guard(z, k + 1)
-        out[k + 1] = z
+            np.multiply(p.reaction.data[k], tau, out=work)
+            np.multiply(znew, np.exp(work, out=work), out=znew)
+        _guard(znew, k + 1)
     return SolveReport(
         trajectory=Trajectory(g, out),
         min_value=float(out.min()),

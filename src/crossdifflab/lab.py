@@ -185,19 +185,17 @@ def _validate_kernel_eps(cfg: RunConfig) -> None:
     if n is None:
         return
     h = 1.0 / int(n)
-    for eps in cfg.raw.get("eps", []) or []:
+    widths = [("config.eps", eps) for eps in cfg.raw.get("eps", []) or []]
+    widths += [(f"config.species[{i}].kernel_eps", sp["kernel_eps"])
+               for i, sp in enumerate(cfg.raw.get("species", []) or [])
+               if isinstance(sp, dict) and sp.get("kernel_eps") is not None]
+    for path, eps in widths:
         if float(eps) < 2 * h:
             raise ConfigError(
-                f"config.eps: kernel width {eps} is under-resolved "
+                f"{path}: kernel width {eps} is under-resolved "
                 f"(needs eps >= 2h = {2 * h})")
         if float(eps) > 0.5:
-            raise ConfigError(f"config.eps: kernel width {eps} exceeds 0.5")
-    for i, sp in enumerate(cfg.raw.get("species", []) or []):
-        eps = sp.get("kernel_eps") if isinstance(sp, dict) else None
-        if eps is not None and float(eps) < 2 * h:
-            raise ConfigError(
-                f"config.species[{i}].kernel_eps: width {eps} is "
-                f"under-resolved (needs eps >= 2h = {2 * h})")
+            raise ConfigError(f"{path}: kernel width {eps} exceeds 0.5")
 
 
 # ---------------------------------------------------------------------------

@@ -156,18 +156,25 @@ def evaluate_coeff(spec: SktSpec, i: int, state):
     return spec.coeffs[i].evaluate(_smoothed_state(spec, state)[i + 1:])
 
 
-def step(spec: SktSpec, state) -> list:
-    """One explicit step; coefficients frozen at the incoming state."""
+def step(spec: SktSpec, state, out=None) -> list:
+    """One explicit step; coefficients frozen at the incoming state.  The
+    new state is written into `out` (one array per species, none of them
+    overlapping the state) when given, and returned."""
     g = spec.grid
     tau = g.tau
+    if out is None:
+        out = [np.empty(g.size) for _ in state]
     smoothed = _smoothed_state(spec, state)
-    out = []
-    for i, u in enumerate(state):
+    flux, work = np.empty((2, g.size))
+    # u_i <- (u_i + tau*Lap(a_i u_i)) * exp(tau*r_i)
+    for i, (u, unew) in enumerate(zip(state, out)):
         a = spec.coeffs[i].evaluate(smoothed[i + 1:])
-        unew = u + tau * lap_array(a * u, g)
+        np.multiply(a, u, out=flux)
+        np.multiply(lap_array(flux, g, work), tau, out=work)
+        np.add(u, work, out=unew)
         r = spec.reactions[i].evaluate(smoothed)
-        unew = unew * np.exp(tau * r)
-        out.append(unew)
+        np.multiply(r, tau, out=work)
+        np.multiply(unew, np.exp(work, out=work), out=unew)
     return out
 
 
@@ -177,14 +184,11 @@ def solve_system(spec: SktSpec):
     g = spec.grid
     _check_cfl(g, spec.hi_max())
     out = [np.empty((g.steps + 1, g.size)) for _ in spec.init]
-    state = [f.values for f in spec.init]
-    for o, u in zip(out, state):
-        o[0] = u
+    for o, f in zip(out, spec.init):
+        o[0] = f.values
     for k in range(g.steps):
-        state = step(spec, state)
-        for o, u in zip(out, state):
+        for u in step(spec, [o[k] for o in out], [o[k + 1] for o in out]):
             _guard(u, k + 1)
-            o[k + 1] = u
     return [Trajectory(g, o) for o in out]
 
 

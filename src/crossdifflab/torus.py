@@ -10,6 +10,7 @@ mollify module, for convolutions.
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 from dataclasses import dataclass
@@ -137,22 +138,50 @@ class Trajectory:
 # discrete operators: each acts on a (..., grid.size) array, that is one
 # flat slice or a stack of them, and treats every slice alike
 
-def lap_stack(v: np.ndarray, grid: Grid) -> np.ndarray:
-    """Centered periodic Laplacian of every slice."""
-    w = v.reshape(v.shape[:-1] + grid.shape)
-    out = -2.0 * grid.dim * w
-    for ax in range(-grid.dim, 0):
-        out += np.roll(w, 1, axis=ax)
-        out += np.roll(w, -1, axis=ax)
-    out /= grid.h ** 2
-    return out.reshape(v.shape)
+@functools.cache
+def _shifts(ndim: int, dim: int) -> tuple:
+    """(destination, source) index pairs that add the two neighbours along
+    each of the last `dim` axes of an `ndim`-dimensional array: per axis,
+    w[i-1] into the body and then across the wrap, then w[i+1] likewise."""
+    pairs = []
+    for ax in range(ndim - dim, ndim):
+        lead = (slice(None),) * ax
+        tail, head = lead + (slice(1, None),), lead + (slice(None, -1),)
+        first, last = lead + (slice(0, 1),), lead + (slice(-1, None),)
+        pairs += [(tail, head), (first, last), (head, tail), (last, first)]
+    return tuple(pairs)
 
 
-def lap_array(v: np.ndarray, grid: Grid) -> np.ndarray:
+def lap_stack(v: np.ndarray, grid: Grid, out: np.ndarray | None = None
+              ) -> np.ndarray:
+    """Centered periodic Laplacian of every slice, by slice-adds.
+
+    Each value is -2 dim w, plus w[i-1], plus w[i+1], axis by axis, over
+    h^2.  Written into `out` (C-contiguous, of v's shape, not overlapping
+    v) when one is given; that array is returned."""
+    if out is None:
+        out = np.empty(v.shape)
+    if grid.dim == 1:
+        w, o = v, out
+    elif out.flags.c_contiguous:
+        w = v.reshape(v.shape[:-1] + grid.shape)
+        o = out.reshape(w.shape)
+    else:
+        raise ValueError("out must be C-contiguous")
+    np.multiply(w, -2.0 * grid.dim, out=o)
+    for dst, src in _shifts(w.ndim, grid.dim):
+        d = o[dst]
+        np.add(d, w[src], out=d)
+    np.divide(o, grid.h ** 2, out=o)
+    return out
+
+
+def lap_array(v: np.ndarray, grid: Grid, out: np.ndarray | None = None
+              ) -> np.ndarray:
     """The solvers' per-step Laplacian of one flat slice.  A name of its
     own, so that a tracer counts stencil applications per time step apart
     from the whole-trajectory uses of `lap_stack`."""
-    return lap_stack(v, grid)
+    return lap_stack(v, grid, out)
 
 
 def grad_sq_stack(v: np.ndarray, grid: Grid) -> np.ndarray:
@@ -228,12 +257,21 @@ def spacetime_norm(traj: Trajectory, kind: str) -> float:
         per_slice = np.sqrt(vol * np.sum(traj.data * traj.data, axis=1))
         return float(per_slice.max())
     if kind == "L1Hminus1":
+        # per-slice H^-1 norms, in blocks of about 2^15 values so that no
+        # trajectory-size spectrum is ever held; a C-contiguous block keeps
+        # each slice's sum pairwise, as for one slice, and the slices are
+        # summed in order
         w = _fourier_weights(g)
-        total = 0.0
-        for k in range(g.steps):
-            fhat = np.fft.fftn(body[k].reshape(g.shape)) / g.size
-            total += np.sqrt(np.sum(np.abs(fhat) ** 2 * w))
-        return float(tau * total)
+        axes = tuple(range(1, g.dim + 1))
+        per = max(1, 2 ** 15 // g.size)
+        per_slice = np.empty(g.steps)
+        for k in range(0, g.steps, per):
+            block = np.ascontiguousarray(body[k:k + per]).reshape(
+                (-1,) + g.shape)
+            fhat = np.fft.fftn(block, axes=axes) / g.size
+            energy = (np.abs(fhat) ** 2 * w).reshape(len(block), -1)
+            per_slice[k:k + per] = np.sqrt(np.sum(energy, axis=1))
+        return float(tau * np.cumsum(per_slice)[-1])
     raise ValueError(f"unknown spacetime norm kind {kind!r}")
 
 

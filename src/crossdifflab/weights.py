@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import uniform_filter
-from scipy.stats import spearmanr
 
 from .dual import DualProblem, EstimateReport, solve_dual
 from .mollify import KernelSequence, convolve_array
@@ -94,6 +93,7 @@ def maximal_boundedness(w: Weight, trials: int = 20,
 def a2_ratio_correlation(weights, trials: int = 20, seed: int = 0) -> float:
     """Spearman rank correlation between A2 constants and measured maximal
     operator ratios across a family of weights."""
+    from scipy.stats import spearmanr  # costs ~0.5 s to import; only here
     a2 = [a2_constant(w) for w in weights]
     ratios = [maximal_boundedness(w, trials=trials, seed=seed).lhs
               for w in weights]

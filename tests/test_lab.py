@@ -210,6 +210,19 @@ def test_skt_coeff_without_hi_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_skt_kernel_eps_too_wide_is_config_error(tmp_path, capsys):
+    # a species kernel wider than 0.5 is refused like config.eps, not
+    # left to fail in make_kernel during the run
+    species = json.loads(json.dumps(SKT_SPECIES))
+    species[0]["kernel_eps"] = 0.7
+    raw = {"kind": "skt", "grid": dict(GRID), "species": species}
+    with pytest.raises(ConfigError, match=r"species\[0\].kernel_eps.*0.5"):
+        parse_config(json.dumps(raw))
+    cfgp = _write(tmp_path, "skt.json", raw)
+    assert main(["skt-run", "--config", cfgp]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_run_weights():
     cfg = parse_config(json.dumps({
         "kind": "weights", "grid": {"dim": 1, "n": 32, "t_final": 1.0},
@@ -359,6 +372,16 @@ def test_cli_a2_check_families(capsys):
                  "--dim", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["dim"] == 2
     assert main(["a2-check", "--weight", "wiggle:1"]) == 2
+
+
+def test_cli_a2_check_bad_weight_is_config_error(tmp_path, capsys):
+    for arg in ("constant:-1", "twolevel:0,1", "constant:abc"):
+        assert main(["a2-check", "--weight", arg, "--n", "16"]) == 2
+        assert "config error" in capsys.readouterr().err
+    path = tmp_path / "w.cdl"
+    dump_field(path, Field.constant(make_grid(1, 16, 1.0, 1), -2.0))
+    assert main(["a2-check", "--weight", str(path)]) == 2
+    assert "strictly positive" in capsys.readouterr().err
 
 
 def test_cli_a2_check_dump(tmp_path, capsys):

@@ -29,6 +29,29 @@ def problems(draw):
     return grid, mu, rng
 
 
+def _roll_laplacian(v, grid):
+    """The stencil as np.roll writes it: -2 dim w, plus w[i-1], plus w[i+1],
+    axis by axis, over h^2."""
+    w = v.reshape(v.shape[:-1] + grid.shape)
+    out = -2.0 * grid.dim * w
+    for ax in range(-grid.dim, 0):
+        out = out + np.roll(w, 1, axis=ax)
+        out = out + np.roll(w, -1, axis=ax)
+    return (out / grid.h ** 2).reshape(v.shape)
+
+
+@PROPERTY
+@given(problems(), st.sampled_from(((), (1,), (3,), (2, 3))))
+def test_slice_add_stencil_matches_roll(case, lead):
+    grid, mu, rng = case
+    data = rng.standard_normal(lead + (grid.size,))
+    ref = _roll_laplacian(data, grid)
+    assert np.array_equal(lap_stack(data, grid), ref)
+    out = np.full_like(data, np.nan)
+    assert lap_stack(data, grid, out) is out
+    assert np.array_equal(out, ref)
+
+
 @PROPERTY
 @given(problems())
 def test_stencil_on_stack_is_slice_by_slice(case):

@@ -189,6 +189,14 @@ def test_spacetime_l1hminus1_constant_in_time():
                - 0.5 * norm(f, "Hminus1")) < 1e-13
 
 
+def test_lap_out_must_be_contiguous_in_2d():
+    # a strided out could only be reshaped by a copy, losing the result
+    g = make_grid(2, 8, 1.0, 1)
+    out = np.empty((g.size, 2))[:, 0]
+    with pytest.raises(ValueError, match="C-contiguous"):
+        lap_stack(np.ones(g.size), g, out)
+
+
 def test_traj_helpers_match_per_slice():
     rng = np.random.default_rng(5)
     g = make_grid(2, 8, 1.0, 3)

@@ -1,7 +1,7 @@
 """Command-line entry points.
 
-Exit codes: 0 = all checks passed, 1 = a check failed, 2 = config error,
-3 = numerical abort (CFL violation or blow-up).
+Exit codes: 0 = all checks passed, 1 = a check failed, 2 = config error
+or unreadable input file, 3 = numerical abort (CFL violation or blow-up).
 """
 
 from __future__ import annotations
@@ -27,6 +27,14 @@ def _load_config(path: str, kind: str):
     return cfg
 
 
+def _load_dump(path: str):
+    """(dim, n, slices) of a field dump; a malformed dump is a ConfigError."""
+    try:
+        return load_slices(path)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _finish(manifest) -> int:
     if isinstance(manifest, RunManifest):
         print(manifest.to_json(), end="")
@@ -50,7 +58,7 @@ def _weight_from_arg(arg: str, n: int, dim: int) -> Weight:
     """A weight from a field dump path or a family shorthand:
     constant[:c], twolevel:lo,hi or spike:base,peak,width."""
     if ":" not in arg:
-        fdim, fn, data = load_slices(arg)
+        fdim, fn, data = _load_dump(arg)
         field = Field(make_grid(fdim, fn, 1.0, 1), data[0])
     else:
         name, _, params = arg.partition(":")
@@ -118,7 +126,7 @@ def main(argv=None) -> int:
     mx.add_argument("--out", default=None, help="output dump for Mf")
 
     def maximal_handler(args):
-        dim, n, data = load_slices(args.field)
+        dim, n, data = _load_dump(args.field)
         grid = make_grid(dim, n, 1.0, 1)
         mf = maximal_function(Field(grid, data[0]))
         if args.out:
@@ -157,6 +165,9 @@ def main(argv=None) -> int:
         return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return 2
     except (CflViolation, NumericalBlowUp) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)

@@ -18,7 +18,7 @@ import numpy as np
 from .kolmo import KolmogorovProblem, _check_cfl, _guard, solve_forward
 from .mollify import Kernel, convolve_array, make_kernel
 from .torus import (Field, Grid, Trajectory, grad_sq_stack, lap_array,
-                    lap_stack, spacetime_norm)
+                    lap_stack, spacetime_norm, stream_sum_rows)
 
 
 @dataclass(frozen=True)
@@ -79,9 +79,12 @@ def duality_pairings(z: Trajectory, p_forward: KolmogorovProblem,
         phi = solve_dual(DualProblem(grid=g, mu=p_forward.mu, s=s))
     vol = g.cell_volume()
     tau = g.tau
-    term_zs = tau * vol * np.sum(z.data[:-1] * s.data[:-1])
-    term_z0 = vol * np.dot(p_forward.z0.values, phi.data[0])
-    term_g = tau * vol * np.sum(p_forward.source.data[:-1] * phi.data[1:])
+    zd, sd, gd, pd = z.data, s.data, p_forward.source.data, phi.data
+    term_zs = tau * vol * stream_sum_rows(
+        lambda a, b: zd[a:b] * sd[a:b], g.steps, g.size)
+    term_z0 = vol * np.dot(p_forward.z0.values, pd[0])
+    term_g = tau * vol * stream_sum_rows(
+        lambda a, b: gd[a:b] * pd[a + 1:b + 1], g.steps, g.size)
     return term_zs, term_z0, term_g, phi
 
 
@@ -97,9 +100,13 @@ def duality_residual(z: Trajectory, p_forward: KolmogorovProblem,
 def mu_half_delta_phi_sq(p: DualProblem, phi: Trajectory) -> float:
     """Squared L2(Q_T) norm of mu^{1/2} Lap(Phi), left-endpoint in time."""
     g = p.grid
-    lp = lap_stack(phi.data[:-1], g)
+    mu, data = p.mu.data, phi.data
+
+    def energy(a, b):
+        lp = lap_stack(data[a:b], g)
+        return mu[a:b] * lp * lp
     return float(g.tau * g.cell_volume()
-                 * np.sum(p.mu.data[:-1] * lp * lp))
+                 * stream_sum_rows(energy, g.steps, g.size))
 
 
 def verify_apriori(p: DualProblem, phi: Trajectory,
@@ -114,9 +121,11 @@ def verify_apriori(p: DualProblem, phi: Trajectory,
     g = p.grid
     vol = g.cell_volume()
     tau = g.tau
+    mu, s = p.mu.data, p.s.data
     grad_sup = float(grad_sq_stack(phi.data, g).max())
     lap_term = mu_half_delta_phi_sq(p, phi)
-    rhs1 = float(tau * vol * np.sum(p.s.data[:-1] ** 2 / p.mu.data[:-1]))
+    rhs1 = float(tau * vol * stream_sum_rows(
+        lambda a, b: s[a:b] ** 2 / mu[a:b], g.steps, g.size))
     lhs1 = grad_sup + lap_term
     rep1 = EstimateReport(
         lhs=lhs1, rhs=rhs1,
@@ -125,7 +134,8 @@ def verify_apriori(p: DualProblem, phi: Trajectory,
         label=f"gradient+laplacian energy estimate, slack={slack}")
 
     phi_sup_sq = spacetime_norm(phi, "LinfL2") ** 2
-    mu_l1 = float(tau * vol * np.sum(np.abs(p.mu.data[:-1])))
+    mu_l1 = float(tau * vol * stream_sum_rows(
+        lambda a, b: np.abs(mu[a:b]), g.steps, g.size))
     rhs2 = (mu_l1 + 1.0) * rhs1
     measured_c = phi_sup_sq / rhs2 if rhs2 > 0 else 0.0
     rep2 = EstimateReport(
@@ -169,10 +179,8 @@ def stability_study(mu_rough: Trajectory, smoothing_eps, z0: Field,
         mu_eps = smooth_mu(mu_rough, kern)
         z_eps = solve_forward(KolmogorovProblem(
             grid=grid, mu=mu_eps, z0=z0, source=g)).trajectory
-        mu_dist = spacetime_norm(
-            Trajectory(grid, mu_eps.data - mu_rough.data), "L1Q")
-        z_dist = spacetime_norm(
-            Trajectory(grid, z_eps.data - ref.data), "L2Q")
+        mu_dist = spacetime_norm(mu_eps, "L1Q", minus=mu_rough)
+        z_dist = spacetime_norm(z_eps, "L2Q", minus=ref)
         rows.append(StabilityRow(eps=eps, mu_distance=mu_dist,
                                  z_distance=z_dist))
     return rows

@@ -23,7 +23,7 @@ from . import skt as skt_mod
 from . import weights as weights_mod
 from .mollify import make_kernel
 from .torus import (Field, Grid, Trajectory, atomic_write, dump_trajectory,
-                    load_slices, make_grid, norm, spacetime_norm)
+                    load_slices, make_grid, norm, row_blocks, spacetime_norm)
 
 
 class ConfigError(ValueError):
@@ -56,6 +56,17 @@ def philox_rng(seed: int, *counters: int) -> np.random.Generator:
 
 
 def build_field(grid: Grid, spec: dict, path: str, seed: int = 0) -> Field:
+    """The field of one family spec.  A spec whose values cannot be used (a
+    non-number, NaN or an infinity, an unreadable dump) is a ConfigError."""
+    try:
+        return _family_field(grid, spec, path, seed)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _family_field(grid: Grid, spec: dict, path: str, seed: int) -> Field:
     if not isinstance(spec, dict) or "family" not in spec:
         raise ConfigError(f"{path} must be an object with a 'family' key")
     fam = spec["family"]
@@ -274,7 +285,9 @@ def _run_kolmogorov(cfg: RunConfig, outdir: str | None):
                                                "config.reaction", cfg.seed)
     p = kolmo_mod.KolmogorovProblem(grid=grid, mu=mu, z0=z0, **kwargs)
     rep = kolmo_mod.solve_forward(p)
-    checks = {"finite": bool(np.all(np.isfinite(rep.trajectory.data)))}
+    data = rep.trajectory.data
+    checks = {"finite": all(np.isfinite(data[a:b]).all()
+                            for a, b in row_blocks(len(data), grid.size))}
     if p.mode == "source":
         checks["mass_ledger"] = rep.mass_drift <= 1e-9 * max(
             1.0, norm(z0, "L1"))

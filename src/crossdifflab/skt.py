@@ -225,10 +225,8 @@ def converge_study(spec_template: SktSpec, eps_list) -> ConvergenceTable:
         kern = make_kernel(spec_template.grid, eps)
         sol = solve_system(_with_kernels(
             spec_template, [kern] * spec_template.species_count))
-        dists = tuple(
-            spacetime_norm(Trajectory(spec_template.grid,
-                                      s.data - r.data), "L2Q")
-            for s, r in zip(sol, ref))
+        dists = tuple(spacetime_norm(s, "L2Q", minus=r)
+                      for s, r in zip(sol, ref))
         rows.append(ConvergenceRow(eps=eps, defect=dirac_defect(kern),
                                    distances=dists))
     return ConvergenceTable(rows=tuple(rows))
@@ -259,8 +257,7 @@ def regularization_study(spec: SktSpec, kink_strength: float,
     rows = []
     for sigma in sigmas:
         sol = solve_system(kinked(base_spec, sigma=float(sigma)))
-        dists = tuple(
-            spacetime_norm(Trajectory(spec.grid, s.data - r.data), "L2Q")
-            for s, r in zip(sol, ref))
+        dists = tuple(spacetime_norm(s, "L2Q", minus=r)
+                      for s, r in zip(sol, ref))
         rows.append(RegularizationRow(sigma=float(sigma), distances=dists))
     return rows, ref_norms

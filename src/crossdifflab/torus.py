@@ -135,6 +135,71 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
+# streamed reductions: sums over a whole trajectory without a second
+# trajectory-size array
+
+STREAM_BLOCK = 2 ** 15  # values per leaf sum, and per block of slices
+
+
+def row_blocks(count: int, width: int) -> list:
+    """(r0, r1) ranges of about STREAM_BLOCK values over `count` rows of
+    `width` values each."""
+    per = max(1, STREAM_BLOCK // width)
+    return [(r, min(r + per, count)) for r in range(0, count, per)]
+
+
+def _pairwise(values, lo: int, hi: int):
+    # numpy's pairwise split: half the length rounded down to a multiple of
+    # 8.  A module-level function, not a closure that calls itself: such a
+    # closure is a reference cycle that keeps `values` (and the trajectory
+    # it reads) alive until the cyclic collector runs.
+    n = hi - lo
+    if n <= STREAM_BLOCK:
+        return np.sum(values(lo, hi))
+    half = n // 2
+    half -= half % 8
+    return _pairwise(values, lo, lo + half) + _pairwise(values, lo + half, hi)
+
+
+def stream_sum(values, size: int):
+    """np.sum of a flat C-contiguous array of `size` values, bit for bit,
+    without holding it: `values(lo, hi)` returns values lo..hi-1.  The
+    range is split as numpy's pairwise sum splits it, so np.sum of each
+    leaf of at most STREAM_BLOCK values is a node of numpy's own tree; the
+    leaves are asked for left to right."""
+    return _pairwise(values, 0, size)
+
+
+class _RowReader:
+    """values(lo, hi) over the flat C order of a (count, width) array whose
+    rows r0..r1-1 `rows(r0, r1)` computes.  For consecutive ranges, each
+    row is computed once, a few rows at a time."""
+
+    def __init__(self, rows, count: int, width: int):
+        self.rows, self.count, self.width = rows, count, width
+        self.per = max(1, 2 * STREAM_BLOCK // width)
+        self.r0 = self.r1 = 0
+        self.buf = np.empty(0)
+
+    def __call__(self, lo: int, hi: int) -> np.ndarray:
+        w = self.width
+        if hi > self.r1 * w:
+            a = lo // w
+            b = min(self.count, max(-(-hi // w), a + self.per))
+            fresh = np.asarray(self.rows(self.r1, b)).reshape(-1)
+            kept = self.buf[(a - self.r0) * w:]  # rows a..r1-1, if any
+            self.buf = np.concatenate((kept, fresh)) if kept.size else fresh
+            self.r0, self.r1 = a, b
+        return self.buf[lo - self.r0 * w:hi - self.r0 * w]
+
+
+def stream_sum_rows(rows, count: int, width: int):
+    """np.sum of the C-contiguous (count, width) array whose rows r0..r1-1
+    `rows(r0, r1)` computes, bit for bit, holding a few rows at a time."""
+    return stream_sum(_RowReader(rows, count, width), count * width)
+
+
+# ---------------------------------------------------------------------------
 # discrete operators: each acts on a (..., grid.size) array, that is one
 # flat slice or a stack of them, and treats every slice alike
 
@@ -185,17 +250,23 @@ def lap_array(v: np.ndarray, grid: Grid, out: np.ndarray | None = None
 
 
 def grad_sq_stack(v: np.ndarray, grid: Grid) -> np.ndarray:
-    """Squared L2 norm of the forward-difference gradient of every slice."""
-    w = v.reshape(v.shape[:-1] + grid.shape)
+    """Squared L2 norm of the forward-difference gradient of every slice,
+    computed over blocks of slices (each slice's sum is its own, so the
+    blocking does not change a bit)."""
+    flat = v.reshape(-1, grid.size)
     axes = tuple(range(-grid.dim, 0))
-    total = 0.0
-    for ax in axes:
-        d = np.roll(w, -1, axis=ax)
-        d -= w
-        d /= grid.h
-        d *= d
-        total = total + d.sum(axis=axes)
-    return total * grid.cell_volume()
+    out = np.empty(len(flat))
+    for a, b in row_blocks(len(flat), grid.size):
+        w = flat[a:b].reshape((b - a,) + grid.shape)
+        total = 0.0
+        for ax in axes:
+            d = np.roll(w, -1, axis=ax)
+            d -= w
+            d /= grid.h
+            d *= d
+            total = total + d.sum(axis=axes)
+        out[a:b] = total
+    return (out * grid.cell_volume()).reshape(v.shape[:-1])[()]
 
 
 def laplacian(f: Field) -> Field:
@@ -243,34 +314,51 @@ def norm(f: Field, kind: str) -> float:
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
-def spacetime_norm(traj: Trajectory, kind: str) -> float:
-    """Left-endpoint time quadrature over the K intervals of the trajectory."""
+def spacetime_norm(traj: Trajectory, kind: str,
+                   minus: Trajectory | None = None) -> float:
+    """Left-endpoint time quadrature over the K intervals of the trajectory,
+    or of traj - minus when `minus` is given.  Streamed over blocks of
+    slices: neither the difference nor any other trajectory-size array is
+    formed, and the result is bit-identical to reducing the whole array."""
     g = traj.grid
     tau = g.tau
-    body = traj.data[:-1]  # slices 0..K-1
     vol = g.cell_volume()
+    data = traj.data
+    if minus is None:
+        def rows(a, b):
+            return data[a:b]
+    elif minus.grid != g:
+        raise ValueError("grid mismatch")
+    else:
+        def rows(a, b):
+            return data[a:b] - minus.data[a:b]
     if kind == "L2Q":
-        return float(np.sqrt(tau * vol * np.sum(body * body)))
+        def squares(a, b):
+            x = rows(a, b)
+            return x * x
+        return float(np.sqrt(tau * vol * stream_sum_rows(
+            squares, g.steps, g.size)))
     if kind == "L1Q":
-        return float(tau * vol * np.sum(np.abs(body)))
+        return float(tau * vol * stream_sum_rows(
+            lambda a, b: np.abs(rows(a, b)), g.steps, g.size))
     if kind == "LinfL2":
-        per_slice = np.sqrt(vol * np.sum(traj.data * traj.data, axis=1))
-        return float(per_slice.max())
+        sums = np.empty(g.steps + 1)
+        for a, b in row_blocks(g.steps + 1, g.size):
+            x = rows(a, b)
+            sums[a:b] = np.sum(x * x, axis=1)
+        return float(np.sqrt(vol * sums).max())
     if kind == "L1Hminus1":
-        # per-slice H^-1 norms, in blocks of about 2^15 values so that no
-        # trajectory-size spectrum is ever held; a C-contiguous block keeps
-        # each slice's sum pairwise, as for one slice, and the slices are
-        # summed in order
+        # per-slice H^-1 norms; a C-contiguous block keeps each slice's sum
+        # pairwise, as for one slice, and the slices are summed in order
         w = _fourier_weights(g)
         axes = tuple(range(1, g.dim + 1))
-        per = max(1, 2 ** 15 // g.size)
         per_slice = np.empty(g.steps)
-        for k in range(0, g.steps, per):
-            block = np.ascontiguousarray(body[k:k + per]).reshape(
+        for a, b in row_blocks(g.steps, g.size):
+            block = np.ascontiguousarray(rows(a, b)).reshape(
                 (-1,) + g.shape)
             fhat = np.fft.fftn(block, axes=axes) / g.size
             energy = (np.abs(fhat) ** 2 * w).reshape(len(block), -1)
-            per_slice[k:k + per] = np.sqrt(np.sum(energy, axis=1))
+            per_slice[a:b] = np.sqrt(np.sum(energy, axis=1))
         return float(tau * np.cumsum(per_slice)[-1])
     raise ValueError(f"unknown spacetime norm kind {kind!r}")
 
@@ -305,13 +393,15 @@ def dump_slices(path, dim: int, n: int, slices: np.ndarray) -> None:
 
     def write(fh):
         fh.write(HEADER.pack(MAGIC, dim, n, slices.shape[0]))
-        fh.write(slices.tobytes())
+        fh.write(slices)  # the array's own buffer, not a bytes copy
 
     atomic_write(path, write)
 
 
 def load_slices(path):
-    """Returns (dim, n, array of shape (slice_count, n**dim))."""
+    """Returns (dim, n, array of shape (slice_count, n**dim)), read straight
+    into the array it returns.  The file size is checked against the header
+    before anything is allocated."""
     with open(path, "rb") as fh:
         head = fh.read(HEADER.size)
         if len(head) < HEADER.size:
@@ -319,10 +409,14 @@ def load_slices(path):
         magic, dim, n, count = HEADER.unpack(head)
         if magic != MAGIC:
             raise ValueError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != count * n ** dim:
-        raise ValueError("truncated field dump")
-    return dim, n, data.reshape(count, n ** dim).copy()
+        size = HEADER.size + 8 * count * n ** dim
+        if os.fstat(fh.fileno()).st_size != size:
+            raise ValueError("truncated field dump")
+        data = np.empty((count, n ** dim), dtype="<f8")
+        raw = data.view(np.uint8).reshape(-1)
+        if fh.readinto(raw) != raw.size:  # the file shrank since fstat
+            raise ValueError("truncated field dump")
+    return dim, n, data
 
 
 def dump_field(path, f: Field) -> None:

@@ -14,7 +14,8 @@ from scipy.ndimage import uniform_filter
 
 from .dual import DualProblem, EstimateReport, solve_dual
 from .mollify import KernelSequence, convolve_array
-from .torus import Field, Grid, Trajectory, grad_sq_stack, lap_stack
+from .torus import (Field, Grid, Trajectory, grad_sq_stack, lap_stack,
+                    stream_sum_rows)
 
 
 @dataclass(frozen=True)
@@ -111,10 +112,11 @@ def energy_identity_case_ii(mu_x: Field, s: Trajectory,
     phi = solve_dual(p)
     vol = g.cell_volume()
     inv_mu = 1.0 / mu_x.values
-    lhs = 0.5 * vol * float(np.sum(inv_mu * phi.data[0] ** 2))
-    lhs += float(g.tau * grad_sq_stack(phi.data[:-1], g).sum())
-    rhs = -g.tau * vol * float(
-        np.sum(phi.data[:-1] * inv_mu[None, :] * s.data[:-1]))
+    pd, sd = phi.data, s.data
+    lhs = 0.5 * vol * float(np.sum(inv_mu * pd[0] ** 2))
+    lhs += float(g.tau * grad_sq_stack(pd[:-1], g).sum())
+    rhs = -g.tau * vol * float(stream_sum_rows(
+        lambda a, b: pd[a:b] * inv_mu[None, :] * sd[a:b], g.steps, g.size))
     scale = abs(lhs) + abs(rhs)
     gap = abs(lhs - rhs) / scale if scale > 0 else 0.0
     return EstimateReport(lhs=lhs, rhs=rhs, ratio=gap, passed=gap <= slack,
@@ -129,14 +131,21 @@ def energy_identity_case_iii(mu_t, s: Trajectory,
     mu_t = np.asarray(mu_t, dtype=np.float64)
     if mu_t.shape != (g.steps + 1,):
         raise ValueError(f"mu_t must have {g.steps + 1} entries")
-    mu = Trajectory(g, np.repeat(mu_t[:, None], g.size, axis=1))
+    mu = Trajectory(g, np.broadcast_to(mu_t[:, None], (g.steps + 1, g.size)))
     p = DualProblem(grid=g, mu=mu, s=s)
     phi = solve_dual(p)
     vol = g.cell_volume()
-    lhs = 0.5 * float(grad_sq_stack(phi.data[0], g))
-    lp = lap_stack(phi.data[:-1], g)
-    lhs += float(g.tau * vol * np.sum(mu_t[:-1, None] * lp * lp))
-    rhs = float(g.tau * vol * np.sum(lp * s.data[:-1]))
+    pd, sd = phi.data, s.data
+
+    def energy(a, b):
+        lp = lap_stack(pd[a:b], g)
+        return mu_t[a:b, None] * lp * lp
+
+    def pairing(a, b):
+        return lap_stack(pd[a:b], g) * sd[a:b]
+    lhs = 0.5 * float(grad_sq_stack(pd[0], g))
+    lhs += float(g.tau * vol * stream_sum_rows(energy, g.steps, g.size))
+    rhs = float(g.tau * vol * stream_sum_rows(pairing, g.steps, g.size))
     scale = abs(lhs) + abs(rhs)
     gap = abs(lhs - rhs) / scale if scale > 0 else 0.0
     return EstimateReport(lhs=lhs, rhs=rhs, ratio=gap, passed=gap <= slack,

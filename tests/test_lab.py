@@ -108,6 +108,21 @@ def test_build_field_errors(tmp_path):
         build_field(g, {"family": "dump", "path": str(path)}, "p")
 
 
+def test_non_finite_field_value_is_config_error(tmp_path, capsys):
+    g = make_grid(1, 32, 1.0, 1)
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ConfigError, match="p: field contains non-finite"):
+            build_field(g, {"family": "constant", "value": value}, "p")
+    # json writes NaN, which Python's json reads back: the config parses
+    cfgp = _write(tmp_path, "nan.json", {
+        "kind": "kolmogorov", "grid": dict(GRID),
+        "mu": {"family": "constant", "value": float("nan")},
+        "z0": {"family": "constant", "value": 1.0},
+        "source": {"family": "constant", "value": 0.0}})
+    assert main(["solve-kolmogorov", "--config", cfgp]) == 2
+    assert "config error: config.mu" in capsys.readouterr().err
+
+
 def test_philox_rng_properties():
     a = philox_rng(1, 3).standard_normal(4)
     b = philox_rng(1, 3).standard_normal(4)
@@ -382,6 +397,30 @@ def test_cli_a2_check_bad_weight_is_config_error(tmp_path, capsys):
     dump_field(path, Field.constant(make_grid(1, 16, 1.0, 1), -2.0))
     assert main(["a2-check", "--weight", str(path)]) == 2
     assert "strictly positive" in capsys.readouterr().err
+
+
+def test_cli_unreadable_inputs_are_one_line_errors(tmp_path, capsys):
+    missing = str(tmp_path / "missing")
+    bad = tmp_path / "bad.cdl"
+    bad.write_bytes(b"NOPE" + bytes(17))
+    clipped = tmp_path / "clipped.cdl"
+    dump_field(clipped, Field.constant(make_grid(1, 16, 1.0, 1), 1.0))
+    clipped.write_bytes(clipped.read_bytes()[:-8])
+    cases = [
+        (["solve-kolmogorov", "--config", missing], "No such file"),
+        (["sweep", "--config", missing, "--axis", "seed", "--values", "1"],
+         "No such file"),
+        (["a2-check", "--weight", missing], "No such file"),
+        (["maximal", "--field", missing], "No such file"),
+        (["a2-check", "--weight", str(bad)], "bad magic"),
+        (["maximal", "--field", str(bad)], "bad magic"),
+        (["a2-check", "--weight", str(clipped)], "truncated field dump"),
+        (["maximal", "--field", str(clipped)], "truncated field dump"),
+    ]
+    for argv, why in cases:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert why in err and err.count("\n") == 1, (argv, err)
 
 
 def test_cli_a2_check_dump(tmp_path, capsys):

@@ -1,0 +1,60 @@
+"""Memory ceilings: whole-trajectory reductions and .cdl dumps hold no
+second trajectory-size array.  Measured with tracemalloc, which sees
+numpy's data buffers."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from crossdifflab.dual import DualProblem, verify_apriori
+from crossdifflab.torus import (Field, Trajectory, dump_slices, load_slices,
+                                make_grid, spacetime_norm)
+
+MB = 2 ** 20
+
+
+@pytest.fixture(scope="module")
+def traj():
+    """A 2-D trajectory of about 30 MB: 229 slices of 128^2 values."""
+    grid = make_grid(2, 128, 1e-4, 228)
+    rng = np.random.default_rng(8)
+    return Trajectory(grid, rng.standard_normal((grid.steps + 1, grid.size)))
+
+
+def _peak(fn) -> int:
+    """Peak traced bytes allocated while fn runs, above what it starts with."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["L2Q", "L1Q", "LinfL2", "L1Hminus1"])
+def test_spacetime_norm_peak(traj, kind):
+    assert _peak(lambda: spacetime_norm(traj, kind)) < traj.data.nbytes / 8
+    assert _peak(lambda: spacetime_norm(traj, kind, minus=traj)) \
+        < traj.data.nbytes / 8
+
+
+def test_verify_apriori_peak(traj):
+    g = traj.grid
+    p = DualProblem(grid=g,
+                    mu=Trajectory.constant_in_time(
+                        g, Field(g, np.linspace(0.5, 2.0, g.size))),
+                    s=Trajectory.constant(g, 1.0))
+    assert _peak(lambda: verify_apriori(p, traj)) < traj.data.nbytes / 8
+
+
+def test_dump_and_load_peak(traj, tmp_path):
+    path = tmp_path / "traj.cdl"
+    g = traj.grid
+    assert (_peak(lambda: dump_slices(path, g.dim, g.n, traj.data))
+            < traj.data.nbytes / 8)
+    loaded = []
+    peak = _peak(lambda: loaded.append(load_slices(path)))
+    assert peak <= traj.data.nbytes + MB
+    assert np.array_equal(loaded[0][2], traj.data)

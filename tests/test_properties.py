@@ -5,24 +5,43 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossdifflab.dual import duality_residual
-from crossdifflab.kolmo import KolmogorovProblem, solve_forward, steps_for
-from crossdifflab.torus import (Field, Trajectory, grad_sq_stack, lap_array,
-                                lap_stack, make_grid)
+from crossdifflab.dual import (DualProblem, duality_pairings,
+                               duality_residual, solve_dual, verify_apriori)
+from crossdifflab.kolmo import (KolmogorovProblem, cfl_timestep, check_mass,
+                                comparison_check, solve_forward, steps_for)
+from crossdifflab.mollify import make_kernel
+from crossdifflab.skt import CoeffFamily, ReactionFamily, SktSpec, solve_system
+from crossdifflab.torus import (STREAM_BLOCK, Field, Trajectory,
+                                grad_sq_stack, lap_array, lap_stack,
+                                make_grid, norm, spacetime_norm, stream_sum,
+                                stream_sum_rows)
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
 
+# value counts for the streamed sums: under 8, up to 128, and within 64 of
+# one to nine leaves of STREAM_BLOCK values, most not a multiple of 8
+SIZES = st.one_of(
+    st.integers(0, 7), st.integers(8, 128),
+    st.tuples(st.integers(1, 9), st.integers(-64, 64)).map(
+        lambda t: t[0] * STREAM_BLOCK + t[1]))
+
 
 @st.composite
-def problems(draw):
+def problems(draw, long=False):
     """A grid (dim 1 or 2, n in 8/16/32) stepped for a random sup mu, with
-    a random generator for the data on it."""
+    a random generator for the data on it.  A long problem has about a
+    drawn number of SIZES values per slice stack, at the CFL step."""
     dim = draw(st.sampled_from((1, 2)))
     n = draw(st.sampled_from((8, 16, 32)))
     mu_lo = draw(st.floats(0.1, 1.0))
     mu_hi = mu_lo + draw(st.floats(0.0, 3.0))
-    t_final = draw(st.floats(0.001, 0.01))
-    grid = make_grid(dim, n, t_final, steps_for(dim, n, t_final, mu_hi))
+    if long:
+        steps = max(1, draw(SIZES) // n ** dim)
+        tau = 0.999 * cfl_timestep(make_grid(dim, n, 1.0, 1), mu_hi)
+        grid = make_grid(dim, n, steps * tau, steps)
+    else:
+        t_final = draw(st.floats(0.001, 0.01))
+        grid = make_grid(dim, n, t_final, steps_for(dim, n, t_final, mu_hi))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     mu = Trajectory(grid, rng.uniform(mu_lo, mu_hi,
                                       (grid.steps + 1, grid.size)))
@@ -89,3 +108,199 @@ def test_forward_march_stays_non_negative(case, mode):
     p = KolmogorovProblem(grid=grid, mu=mu, z0=Field(grid, z0),
                           **{mode: Trajectory(grid, rhs)})
     assert solve_forward(p).min_value >= 0.0
+
+
+@PROPERTY
+@given(problems(), st.sampled_from(("source", "reaction")))
+def test_mass_ledger_and_comparison_bound(case, mode):
+    # source mode: int z^k = int z^0 + sum_{j<k} tau int G^j to round-off;
+    # reaction mode with R <= rbar: z <= ztilde e^{rbar t}, ztilde the
+    # reaction-free solve
+    grid, mu, rng = case
+    shape = (grid.steps + 1, grid.size)
+    if mode == "source":
+        z0 = Field(grid, rng.standard_normal(grid.size))
+        g = Trajectory(grid, rng.standard_normal(shape))
+        p = KolmogorovProblem(grid=grid, mu=mu, z0=z0, source=g)
+        rep = solve_forward(p)
+        inflow = norm(z0, "L1") + spacetime_norm(g, "L1Q")
+        assert rep.mass_drift == check_mass(rep, p)
+        assert rep.mass_drift <= 1e-12 * max(1.0, inflow)
+    else:
+        z0 = rng.uniform(0.0, 1.0, grid.size)
+        z0[rng.random(grid.size) < 0.3] = 0.0
+        r_bar = rng.uniform(-1.0, 2.0)
+        rea = Trajectory(grid, rng.uniform(r_bar - 5.0, r_bar, shape))
+        rep = comparison_check(KolmogorovProblem(
+            grid=grid, mu=mu, z0=Field(grid, z0), reaction=rea), r_bar)
+        assert rep.rel_defect <= 1e-12
+
+
+@st.composite
+def skt_specs(draw):
+    """A triangular system of 2 or 3 species on a small grid whose last
+    species reacts with itself only, and random earlier-species data."""
+    dim = draw(st.sampled_from((1, 2)))
+    n = draw(st.sampled_from((8, 16, 32)))
+    count = draw(st.sampled_from((2, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    coeffs = []
+    for i in range(count - 1):
+        lo = rng.uniform(0.2, 1.0)
+        coeffs.append(CoeffFamily(
+            kind=draw(st.sampled_from(("clamped_affine",
+                                       "rational_saturating"))),
+            d=rng.uniform(0.5, 2.0),
+            c=tuple(rng.uniform(0.0, 1.0, count - 1 - i)),
+            lo=lo, hi=lo + rng.uniform(0.0, 2.0)))
+    coeffs.append(CoeffFamily(kind="constant", d=rng.uniform(0.2, 2.0)))
+    hi = max(cf.hi for cf in coeffs)
+    t_final = draw(st.floats(0.001, 0.01))
+    grid = make_grid(dim, n, t_final, steps_for(dim, n, t_final, hi))
+    reactions = [ReactionFamily(rho=rng.uniform(-1.0, 2.0),
+                                s=tuple(rng.uniform(0.0, 1.0, count)))
+                 for _ in range(count - 1)]
+    last = np.zeros(count)
+    last[-1] = rng.uniform(0.0, 1.0)
+    reactions.append(ReactionFamily(rho=rng.uniform(-1.0, 2.0),
+                                    s=tuple(last)))
+    kernels = tuple(
+        make_kernel(grid, rng.uniform(2 * grid.h, 0.5))
+        if draw(st.booleans()) else None for _ in range(count))
+    init = tuple(Field(grid, rng.uniform(0.0, 2.0, grid.size))
+                 for _ in range(count))
+    spec = SktSpec(grid=grid, coeffs=tuple(coeffs),
+                   reactions=tuple(reactions), kernels=kernels, init=init)
+    return spec, rng
+
+
+@settings(PROPERTY, max_examples=20)
+@given(skt_specs())
+def test_last_species_decoupled(case):
+    # the last species reads no earlier species, so new data for all of
+    # them leaves its trajectory bit-identical
+    spec, rng = case
+    other = [Field(spec.grid, rng.uniform(0.0, 2.0, spec.grid.size))
+             for _ in spec.init[:-1]]
+    moved = SktSpec(grid=spec.grid, coeffs=spec.coeffs,
+                    reactions=spec.reactions, kernels=spec.kernels,
+                    init=(*other, spec.init[-1]))
+    last_a = solve_system(spec)[-1].data
+    last_b = solve_system(moved)[-1].data
+    assert np.array_equal(last_a, last_b)
+
+
+# ---------------------------------------------------------------------------
+# streamed reductions against the whole-array reductions they replace
+
+def _spread(rng, shape):
+    """Values over 16 decades with both signs, so that the order of the
+    additions shows in the last bits."""
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+
+
+@PROPERTY
+@given(SIZES, st.integers(0, 2 ** 32 - 1))
+def test_stream_sum_is_np_sum(size, seed):
+    # pins numpy's pairwise split (half the length, rounded down to a
+    # multiple of 8): a numpy that sums otherwise fails here
+    v = _spread(np.random.default_rng(seed), size)
+    for x in (v, v * v, np.abs(v)):
+        assert stream_sum(lambda lo, hi: x[lo:hi], size) == np.sum(x)
+
+
+@st.composite
+def row_shapes(draw):
+    size = draw(SIZES)
+    width = draw(st.one_of(st.integers(1, 64), st.integers(1, max(1, size)),
+                           st.integers(STREAM_BLOCK, 3 * STREAM_BLOCK)))
+    return size // width, width
+
+
+@PROPERTY
+@given(row_shapes(), st.integers(0, 2 ** 32 - 1))
+def test_stream_sum_rows_is_np_sum(shape, seed):
+    count, width = shape
+    data = _spread(np.random.default_rng(seed), shape)
+    asked = []
+
+    def squares(a, b):
+        asked.append((a, b))
+        x = data[a:b]
+        return x * x
+    assert stream_sum_rows(squares, count, width) == np.sum(data * data)
+    # consecutive rows, each computed once
+    ends = [0] + [b for _, b in asked]
+    assert [a for a, _ in asked] == ends[:-1] and ends[-1] == count
+
+
+def _whole_norm(traj, kind):
+    body = traj.data[:-1]
+    tau, vol = traj.grid.tau, traj.grid.cell_volume()
+    if kind == "L2Q":
+        return float(np.sqrt(tau * vol * np.sum(body * body)))
+    if kind == "L1Q":
+        return float(tau * vol * np.sum(np.abs(body)))
+    per_slice = np.sqrt(vol * np.sum(traj.data * traj.data, axis=1))
+    return float(per_slice.max())
+
+
+def _whole_grad_sq(v, grid):
+    w = v.reshape(v.shape[:-1] + grid.shape)
+    axes = tuple(range(-grid.dim, 0))
+    total = 0.0
+    for ax in axes:
+        d = (np.roll(w, -1, axis=ax) - w) / grid.h
+        total = total + (d * d).sum(axis=axes)
+    return total * grid.cell_volume()
+
+
+@PROPERTY
+@given(problems(long=True))
+def test_streamed_norms_are_whole_array_norms(case):
+    grid, mu, rng = case
+    shape = (grid.steps + 1, grid.size)
+    a = Trajectory(grid, _spread(rng, shape))
+    b = Trajectory(grid, _spread(rng, shape))
+    diff = Trajectory(grid, a.data - b.data)
+    for kind in ("L2Q", "L1Q", "LinfL2"):
+        assert spacetime_norm(a, kind) == _whole_norm(a, kind)
+        assert spacetime_norm(mu, kind) == _whole_norm(mu, kind)
+        assert spacetime_norm(a, kind, minus=b) == _whole_norm(diff, kind)
+    const = Trajectory.constant_in_time(grid, Field(grid, a.data[0]))
+    assert spacetime_norm(const, "L1Q") == _whole_norm(const, "L1Q")
+    assert np.array_equal(grad_sq_stack(a.data, grid),
+                          _whole_grad_sq(a.data, grid))
+    assert grad_sq_stack(a.data[0], grid) == _whole_grad_sq(a.data[0], grid)
+
+
+@PROPERTY
+@given(problems(long=True), st.booleans())
+def test_streamed_apriori_and_pairings_are_whole_array(case, constant):
+    grid, mu, rng = case
+    shape = (grid.steps + 1, grid.size)
+    if constant:
+        mu = Trajectory.constant_in_time(grid, Field(grid, mu.data[0]))
+    s = Trajectory(grid, rng.standard_normal(shape))
+    p = DualProblem(grid=grid, mu=mu, s=s)
+    phi = solve_dual(p)
+    tau, vol = grid.tau, grid.cell_volume()
+    m, sd, pd = mu.data[:-1], s.data[:-1], phi.data
+    lp = _roll_laplacian(pd[:-1], grid)
+    lhs1 = (float(_whole_grad_sq(pd, grid).max())
+            + float(tau * vol * np.sum(m * lp * lp)))
+    rhs1 = float(tau * vol * np.sum(sd ** 2 / m))
+    mu_l1 = float(tau * vol * np.sum(np.abs(m)))
+    rep1, rep2 = verify_apriori(p, phi)
+    assert (rep1.lhs, rep1.rhs) == (lhs1, rhs1)
+    assert rep2.lhs == _whole_norm(phi, "LinfL2") ** 2
+    assert rep2.rhs == (mu_l1 + 1.0) * rhs1
+
+    fp = KolmogorovProblem(grid=grid, mu=mu,
+                           z0=Field(grid, rng.standard_normal(grid.size)),
+                           source=Trajectory(grid, rng.standard_normal(shape)))
+    z = solve_forward(fp).trajectory
+    zs, z0, g, _ = duality_pairings(z, fp, s, phi)
+    assert zs == tau * vol * np.sum(z.data[:-1] * sd)
+    assert z0 == vol * np.dot(fp.z0.values, pd[0])
+    assert g == tau * vol * np.sum(fp.source.data[:-1] * pd[1:])

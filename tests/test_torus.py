@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from crossdifflab.torus import (Field, Grid, Trajectory, dump_field,
-                                dump_trajectory, fourier_coefficients,
-                                grad_sq_stack, gradient_norm_sq, integrate,
-                                lap_array, lap_stack, laplacian, load_slices,
-                                make_grid, norm, spacetime_norm)
+                                dump_slices, dump_trajectory,
+                                fourier_coefficients, grad_sq_stack,
+                                gradient_norm_sq, integrate, lap_array,
+                                lap_stack, laplacian, load_slices, make_grid,
+                                norm, spacetime_norm)
 
 
 def test_grid_validation():
@@ -224,6 +225,33 @@ def test_dump_roundtrip(tmp_path):
     dim, n, data = load_slices(fpath)
     assert data.shape == (1, 64)
     assert np.array_equal(data[0], f.values)
+
+
+def test_dump_roundtrip_1d_and_2d_owns_its_data(tmp_path):
+    rng = np.random.default_rng(16)
+    for dim, n, count in ((1, 64, 300), (2, 32, 40)):
+        slices = rng.standard_normal((count, n ** dim))
+        path = tmp_path / f"d{dim}_{count}.cdl"
+        dump_slices(path, dim, n, slices)
+        assert path.stat().st_size == 13 + slices.nbytes
+        got_dim, got_n, data = load_slices(path)
+        assert (got_dim, got_n) == (dim, n)
+        assert data.dtype == np.float64 and data.flags.c_contiguous
+        assert data.flags.writeable and data.flags.owndata
+        assert np.array_equal(data, slices)
+
+
+def test_dump_with_trailing_bytes_rejected(tmp_path):
+    g = make_grid(1, 8, 1.0, 1)
+    good = tmp_path / "good.cdl"
+    dump_field(good, Field.constant(g, 1.0))
+    longer = tmp_path / "longer.cdl"
+    longer.write_bytes(good.read_bytes() + bytes(1))
+    with pytest.raises(ValueError, match="truncated field dump"):
+        load_slices(longer)
+    longer.write_bytes(good.read_bytes() + bytes(8))  # one value too many
+    with pytest.raises(ValueError, match="truncated field dump"):
+        load_slices(longer)
 
 
 def test_dump_bad_magic_and_truncation(tmp_path):

@@ -18,7 +18,7 @@ import numpy as np
 from .kolmo import KolmogorovProblem, _check_cfl, _guard, solve_forward
 from .mollify import Kernel, convolve_array, make_kernel
 from .torus import (Field, Grid, Trajectory, grad_sq_stack, lap_array,
-                    lap_stack, spacetime_norm, stream_sum_rows)
+                    lap_stack, quadrature, spacetime_norm)
 
 
 @dataclass(frozen=True)
@@ -77,14 +77,10 @@ def duality_pairings(z: Trajectory, p_forward: KolmogorovProblem,
         raise ValueError("grid mismatch")
     if phi is None:
         phi = solve_dual(DualProblem(grid=g, mu=p_forward.mu, s=s))
-    vol = g.cell_volume()
-    tau = g.tau
     zd, sd, gd, pd = z.data, s.data, p_forward.source.data, phi.data
-    term_zs = tau * vol * stream_sum_rows(
-        lambda a, b: zd[a:b] * sd[a:b], g.steps, g.size)
-    term_z0 = vol * np.dot(p_forward.z0.values, pd[0])
-    term_g = tau * vol * stream_sum_rows(
-        lambda a, b: gd[a:b] * pd[a + 1:b + 1], g.steps, g.size)
+    term_zs = quadrature(lambda a, b: zd[a:b] * sd[a:b], g)
+    term_z0 = g.cell_volume() * np.dot(p_forward.z0.values, pd[0])
+    term_g = quadrature(lambda a, b: gd[a:b] * pd[a + 1:b + 1], g)
     return term_zs, term_z0, term_g, phi
 
 
@@ -105,8 +101,7 @@ def mu_half_delta_phi_sq(p: DualProblem, phi: Trajectory) -> float:
     def energy(a, b):
         lp = lap_stack(data[a:b], g)
         return mu[a:b] * lp * lp
-    return float(g.tau * g.cell_volume()
-                 * stream_sum_rows(energy, g.steps, g.size))
+    return quadrature(energy, g)
 
 
 def verify_apriori(p: DualProblem, phi: Trajectory,
@@ -118,14 +113,10 @@ def verify_apriori(p: DualProblem, phi: Trajectory,
     Second report: ||Phi||^2_{LinfL2} against (||mu||_{L1Q}+1) times the
     same right-hand side; the measured constant is recorded, not judged.
     """
-    g = p.grid
-    vol = g.cell_volume()
-    tau = g.tau
     mu, s = p.mu.data, p.s.data
-    grad_sup = float(grad_sq_stack(phi.data, g).max())
+    grad_sup = float(grad_sq_stack(phi.data, p.grid).max())
     lap_term = mu_half_delta_phi_sq(p, phi)
-    rhs1 = float(tau * vol * stream_sum_rows(
-        lambda a, b: s[a:b] ** 2 / mu[a:b], g.steps, g.size))
+    rhs1 = quadrature(lambda a, b: s[a:b] ** 2 / mu[a:b], p.grid)
     lhs1 = grad_sup + lap_term
     rep1 = EstimateReport(
         lhs=lhs1, rhs=rhs1,
@@ -134,8 +125,8 @@ def verify_apriori(p: DualProblem, phi: Trajectory,
         label=f"gradient+laplacian energy estimate, slack={slack}")
 
     phi_sup_sq = spacetime_norm(phi, "LinfL2") ** 2
-    mu_l1 = float(tau * vol * stream_sum_rows(
-        lambda a, b: np.abs(mu[a:b]), g.steps, g.size))
+    # ||mu||_{L1Q}, the same bits as spacetime_norm(p.mu, "L1Q")
+    mu_l1 = quadrature(lambda a, b: np.abs(mu[a:b]), p.grid)
     rhs2 = (mu_l1 + 1.0) * rhs1
     measured_c = phi_sup_sq / rhs2 if rhs2 > 0 else 0.0
     rep2 = EstimateReport(

@@ -12,7 +12,7 @@ import difflib
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from . import dual as dual_mod
 from . import kolmo as kolmo_mod
 from . import skt as skt_mod
 from . import weights as weights_mod
-from .mollify import make_kernel
+from .mollify import check_width, make_kernel
 from .torus import (Field, Grid, Trajectory, atomic_write, dump_trajectory,
                     load_slices, make_grid, norm, row_blocks, spacetime_norm)
 
@@ -124,9 +124,6 @@ def _family_field(grid: Grid, spec: dict, path: str, seed: int) -> Field:
 # ---------------------------------------------------------------------------
 # config parsing
 
-KINDS = ("kolmogorov", "dual", "verify_duality", "stability", "skt",
-         "converge", "weights")
-
 _TOP_KEYS = {"kind", "grid", "seed", "output", "mu", "z0", "source",
              "reaction", "s", "g", "eps", "count", "threshold", "species",
              "weight", "trials", "sweep_axis"}
@@ -141,7 +138,8 @@ class RunConfig:
 
 def _build_grid(gd: dict, path: str, mu_sup_hint: float | None = None) -> Grid:
     """The config grid; without `steps`, the step count is the CFL count
-    for a diffusion coefficient bounded by `mu_sup_hint`."""
+    for a diffusion coefficient bounded by `mu_sup_hint`.  A value that is
+    not a number, or not a valid grid, is a ConfigError."""
     _check_keys(gd, {"dim", "n", "t_final", "steps"},
                 {"dim", "n", "t_final"}, path)
     try:
@@ -151,7 +149,7 @@ def _build_grid(gd: dict, path: str, mu_sup_hint: float | None = None) -> Grid:
             grid = make_grid(grid.dim, grid.n, grid.t_final,
                              kolmo_mod.steps_for(grid.dim, grid.n,
                                                  grid.t_final, mu_sup_hint))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return grid
 
@@ -176,37 +174,43 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("config must be a JSON object")
     _check_keys(raw, _TOP_KEYS, {"kind"}, "config")
     kind = raw["kind"]
-    if kind not in KINDS:
-        hint = difflib.get_close_matches(kind, KINDS, n=1)
+    if not isinstance(kind, str) or kind not in _KINDS:
+        hint = difflib.get_close_matches(str(kind), _KINDS, n=1)
         msg = f"config.kind: unknown kind {kind!r}"
         if hint:
             msg += f" (did you mean {hint[0]!r}?)"
         raise ConfigError(msg)
     if "grid" not in raw:
         raise ConfigError("missing key config.grid")
-    seed = int(raw.get("seed", 0))
-    cfg = RunConfig(kind=kind, raw=raw, seed=seed)
-    _validate_kernel_eps(cfg)
-    return cfg
+    if not isinstance(raw["grid"], dict):
+        raise ConfigError("config.grid must be an object")
+    try:
+        seed = int(raw.get("seed", 0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config.seed: {exc}") from exc
+    _validate_kernel_eps(raw)
+    return RunConfig(kind=kind, raw=raw, seed=seed)
 
 
-def _validate_kernel_eps(cfg: RunConfig) -> None:
-    gd = cfg.raw.get("grid", {})
-    n = gd.get("n")
-    if n is None:
-        return
-    h = 1.0 / int(n)
-    widths = [("config.eps", eps) for eps in cfg.raw.get("eps", []) or []]
+def _validate_kernel_eps(raw: dict) -> None:
+    """Every kernel width of the config fits its grid (mollify's rule)."""
+    for key in ("eps", "species"):
+        if not isinstance(raw.get(key, []), list):
+            raise ConfigError(f"config.{key} must be a list")
+    widths = [("config.eps", eps) for eps in raw.get("eps", [])]
     widths += [(f"config.species[{i}].kernel_eps", sp["kernel_eps"])
-               for i, sp in enumerate(cfg.raw.get("species", []) or [])
+               for i, sp in enumerate(raw.get("species", []))
                if isinstance(sp, dict) and sp.get("kernel_eps") is not None]
+    if not widths:
+        return
+    # the time axis does not matter here, so t_final may be left out
+    grid = _build_grid({"t_final": 1.0, **raw["grid"], "steps": 1},
+                       "config.grid")
     for path, eps in widths:
-        if float(eps) < 2 * h:
-            raise ConfigError(
-                f"{path}: kernel width {eps} is under-resolved "
-                f"(needs eps >= 2h = {2 * h})")
-        if float(eps) > 0.5:
-            raise ConfigError(f"{path}: kernel width {eps} exceeds 0.5")
+        try:
+            check_width(grid, eps)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -228,18 +232,8 @@ class RunManifest:
         return all(self.checks.values())
 
     def to_json(self) -> str:
-        payload = {
-            "config": self.config,
-            "version": self.version,
-            "grid": self.grid,
-            "tau": self.tau,
-            "wall_time": self.wall_time,
-            "checks": self.checks,
-            "constants": self.constants,
-            "artifacts": self.artifacts,
-            "passed": self.passed,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(dict(asdict(self), passed=self.passed),
+                          indent=2, sort_keys=True) + "\n"
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -258,7 +252,9 @@ def write_csv(path: str, header, rows) -> None:
 
 
 # ---------------------------------------------------------------------------
-# run dispatch
+# runners: each computes one kind and returns (grid, checks, constants,
+# artifacts), the artifacts an ordered {file name: Trajectory, or (CSV
+# header, rows)} that `run` writes
 
 def _field_trajectory(grid: Grid, spec: dict, path: str,
                       seed: int) -> Trajectory:
@@ -266,11 +262,8 @@ def _field_trajectory(grid: Grid, spec: dict, path: str,
         grid, build_field(grid, spec, path, seed))
 
 
-def _run_kolmogorov(cfg: RunConfig, outdir: str | None):
+def _run_kolmogorov(cfg: RunConfig):
     raw = cfg.raw
-    for key in ("mu", "z0"):
-        if key not in raw:
-            raise ConfigError(f"missing key config.{key}")
     if ("source" in raw) == ("reaction" in raw):
         raise ConfigError("exactly one of config.source/config.reaction "
                           "must be present")
@@ -298,19 +291,11 @@ def _run_kolmogorov(cfg: RunConfig, outdir: str | None):
                  "final_l2": norm(rep.trajectory.slice(grid.steps), "L2")}
     if p.mode == "source":
         constants["mass_drift"] = rep.mass_drift
-    artifacts = []
-    if outdir:
-        dump = os.path.join(outdir, "trajectory.cdl")
-        dump_trajectory(dump, rep.trajectory)
-        artifacts.append(dump)
-    return grid, checks, constants, artifacts
+    return grid, checks, constants, {"trajectory.cdl": rep.trajectory}
 
 
-def _run_dual(cfg: RunConfig, outdir: str | None):
+def _run_dual(cfg: RunConfig):
     raw = cfg.raw
-    for key in ("mu", "s"):
-        if key not in raw:
-            raise ConfigError(f"missing key config.{key}")
     grid, mu = _mu_grid(cfg)
     s = _field_trajectory(grid, raw["s"], "config.s", cfg.seed)
     p = dual_mod.DualProblem(grid=grid, mu=mu, s=s)
@@ -322,12 +307,7 @@ def _run_dual(cfg: RunConfig, outdir: str | None):
     constants = {"apriori_ratio": reps[0].ratio,
                  "supnorm_constant": reps[1].ratio,
                  "phi0_l2": norm(phi.slice(0), "L2")}
-    artifacts = []
-    if outdir:
-        dump = os.path.join(outdir, "phi.cdl")
-        dump_trajectory(dump, phi)
-        artifacts.append(dump)
-    return grid, checks, constants, artifacts
+    return grid, checks, constants, {"phi.cdl": phi}
 
 
 def random_duality_problem(grid: Grid, seed: int, index: int):
@@ -343,7 +323,7 @@ def random_duality_problem(grid: Grid, seed: int, index: int):
     return mu, z0, g, s
 
 
-def _run_verify_duality(cfg: RunConfig, outdir: str | None):
+def _run_verify_duality(cfg: RunConfig):
     raw = cfg.raw
     count = int(raw.get("count", 20))
     threshold = float(raw.get("threshold", 1e-11))
@@ -356,42 +336,37 @@ def _run_verify_duality(cfg: RunConfig, outdir: str | None):
         worst = max(worst, dual_mod.duality_residual(z, p, s))
     checks = {"duality_identity": bool(worst <= threshold)}
     constants = {"max_residual": float(worst), "threshold": threshold}
-    return grid, checks, constants, []
+    return grid, checks, constants, {}
 
 
-def _run_stability(cfg: RunConfig, outdir: str | None):
+def _run_stability(cfg: RunConfig):
     raw = cfg.raw
-    for key in ("mu", "z0", "eps"):
-        if key not in raw:
-            raise ConfigError(f"missing key config.{key}")
     grid, mu = _mu_grid(cfg)
     z0 = build_field(grid, raw["z0"], "config.z0", cfg.seed)
     if "g" in raw:
         g = _field_trajectory(grid, raw["g"], "config.g", cfg.seed)
     else:
         g = Trajectory.constant(grid, 0.0)
-    rows = dual_mod.stability_study(mu, [float(e) for e in raw["eps"]],
-                                    z0, g)
+    eps_list = [float(e) for e in raw["eps"]]
+    if not eps_list:
+        raise ConfigError("config.eps must not be empty")
+    rows = dual_mod.stability_study(mu, eps_list, z0, g)
     dists = [r.z_distance for r in rows]
     ok = all(b <= a * 1.10 for a, b in zip(dists, dists[1:]))
     checks = {"z_distance_non_increasing": ok}
     constants = {"final_z_distance": dists[-1]}
-    artifacts = []
-    if outdir:
-        csv = os.path.join(outdir, "stability.csv")
-        write_csv(csv, ["eps", "mu_distance", "z_distance"],
-                  [(r.eps, r.mu_distance, r.z_distance) for r in rows])
-        artifacts.append(csv)
-    return grid, checks, constants, artifacts
+    table = [(r.eps, r.mu_distance, r.z_distance) for r in rows]
+    return grid, checks, constants, {
+        "stability.csv": (["eps", "mu_distance", "z_distance"], table)}
 
 
 def _skt_spec(cfg: RunConfig, identity_kernels=False) -> skt_mod.SktSpec:
     """The cross-diffusion system of a config; without grid.steps, the step
     count is the CFL count for the largest coefficient bound `hi`."""
     raw = cfg.raw
-    species = raw.get("species")
+    species = raw["species"]
     if not species:
-        raise ConfigError("missing key config.species")
+        raise ConfigError("config.species must not be empty")
     coeffs, reactions = [], []
     for i, sp in enumerate(species):
         path = f"config.species[{i}]"
@@ -423,15 +398,12 @@ def _skt_spec(cfg: RunConfig, identity_kernels=False) -> skt_mod.SktSpec:
                for sp in species]
     init = [build_field(grid, sp["init"], f"config.species[{i}].init",
                         cfg.seed) for i, sp in enumerate(species)]
-    try:
-        return skt_mod.SktSpec(grid=grid, coeffs=tuple(coeffs),
-                               reactions=tuple(reactions),
-                               kernels=tuple(kernels), init=tuple(init))
-    except ValueError as exc:
-        raise ConfigError(f"config.species: {exc}") from exc
+    return skt_mod.SktSpec(grid=grid, coeffs=tuple(coeffs),
+                           reactions=tuple(reactions),
+                           kernels=tuple(kernels), init=tuple(init))
 
 
-def _run_skt(cfg: RunConfig, outdir: str | None):
+def _run_skt(cfg: RunConfig):
     spec = _skt_spec(cfg)
     grid = spec.grid
     sols = skt_mod.solve_system(spec)
@@ -440,20 +412,14 @@ def _run_skt(cfg: RunConfig, outdir: str | None):
     constants = {"min_value": min_val}
     for i, t in enumerate(sols):
         constants[f"l2q_u{i + 1}"] = spacetime_norm(t, "L2Q")
-    artifacts = []
-    if outdir:
-        for i, t in enumerate(sols):
-            dump = os.path.join(outdir, f"species_{i + 1}.cdl")
-            dump_trajectory(dump, t)
-            artifacts.append(dump)
-    return grid, checks, constants, artifacts
+    return grid, checks, constants, {
+        f"species_{i + 1}.cdl": t for i, t in enumerate(sols)}
 
 
-def _run_converge(cfg: RunConfig, outdir: str | None):
-    raw = cfg.raw
-    eps_list = [float(e) for e in raw.get("eps", [])]
+def _run_converge(cfg: RunConfig):
+    eps_list = [float(e) for e in cfg.raw["eps"]]
     if not eps_list:
-        raise ConfigError("missing key config.eps")
+        raise ConfigError("config.eps must not be empty")
     spec = _skt_spec(cfg, identity_kernels=True)
     grid = spec.grid
     table = skt_mod.converge_study(spec, eps_list)
@@ -463,22 +429,15 @@ def _run_converge(cfg: RunConfig, outdir: str | None):
     checks = {"distances_non_increasing": ok}
     constants = {f"final_dist_u{i + 1}": float(dists[-1, i])
                  for i in range(count)}
-    artifacts = []
-    if outdir:
-        csv = os.path.join(outdir, "converge.csv")
-        header = ["eps", "defect"] + [f"dist_u{i + 1}" for i in range(count)]
-        write_csv(csv, header,
-                  [(r.eps, r.defect, *r.distances) for r in table.rows])
-        artifacts.append(csv)
-    return grid, checks, constants, artifacts
+    header = ["eps", "defect"] + [f"dist_u{i + 1}" for i in range(count)]
+    rows = [(r.eps, r.defect, *r.distances) for r in table.rows]
+    return grid, checks, constants, {"converge.csv": (header, rows)}
 
 
-def _run_weights(cfg: RunConfig, outdir: str | None):
+def _run_weights(cfg: RunConfig):
     raw = cfg.raw
-    if "weight" not in raw:
-        raise ConfigError("missing key config.weight")
-    grid = _build_grid(dict(raw["grid"], t_final=raw["grid"].get(
-        "t_final", 1.0), steps=raw["grid"].get("steps", 1)), "config.grid")
+    grid = _build_grid({"t_final": 1.0, "steps": 1, **raw["grid"]},
+                       "config.grid")
     w = weights_mod.Weight(build_field(grid, raw["weight"], "config.weight",
                                        cfg.seed))
     a2 = weights_mod.a2_constant(w)
@@ -486,25 +445,46 @@ def _run_weights(cfg: RunConfig, outdir: str | None):
         w, trials=int(raw.get("trials", 20)), seed=cfg.seed)
     checks = {"a2_at_least_one": a2 >= 1.0, "ratio_finite": ratio.passed}
     constants = {"a2_constant": a2, "maximal_ratio": ratio.lhs}
-    return grid, checks, constants, []
+    return grid, checks, constants, {}
 
 
-_RUNNERS = {
-    "kolmogorov": _run_kolmogorov,
-    "dual": _run_dual,
-    "verify_duality": _run_verify_duality,
-    "stability": _run_stability,
-    "skt": _run_skt,
-    "converge": _run_converge,
-    "weights": _run_weights,
+# kind -> (runner, top-level keys its config must have)
+_KINDS = {
+    "kolmogorov": (_run_kolmogorov, ("mu", "z0")),
+    "dual": (_run_dual, ("mu", "s")),
+    "verify_duality": (_run_verify_duality, ()),
+    "stability": (_run_stability, ("mu", "z0", "eps")),
+    "skt": (_run_skt, ("species",)),
+    "converge": (_run_converge, ("eps", "species")),
+    "weights": (_run_weights, ("weight",)),
 }
 
 
 def run(cfg: RunConfig, outdir: str | None = None) -> RunManifest:
+    """Check the config's required keys, run its kind and write the
+    artifacts, then manifest.json, into `outdir` (atomically, each).  A
+    value the problem constructors refuse (a ValueError other than a CFL
+    violation, or a TypeError) is a ConfigError."""
     start = time.perf_counter()
     if outdir:
         os.makedirs(outdir, exist_ok=True)
-    grid, checks, constants, artifacts = _RUNNERS[cfg.kind](cfg, outdir)
+    runner, required = _KINDS[cfg.kind]
+    for key in required:
+        if key not in cfg.raw:
+            raise ConfigError(f"missing key config.{key}")
+    try:
+        grid, checks, constants, artifacts = runner(cfg)
+    except (ConfigError, kolmo_mod.CflViolation):
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+    paths = []
+    for name, item in artifacts.items() if outdir else ():
+        paths.append(os.path.join(outdir, name))
+        if isinstance(item, Trajectory):
+            dump_trajectory(paths[-1], item)
+        else:
+            write_csv(paths[-1], *item)
     manifest = RunManifest(
         config=cfg.raw,
         version=__version__,
@@ -514,7 +494,7 @@ def run(cfg: RunConfig, outdir: str | None = None) -> RunManifest:
         wall_time=time.perf_counter() - start,
         checks=checks,
         constants=constants,
-        artifacts=artifacts,
+        artifacts=paths,
     )
     if outdir:
         atomic_write_text(os.path.join(outdir, "manifest.json"),

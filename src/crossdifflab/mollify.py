@@ -30,13 +30,20 @@ class Kernel:
         return self._fft
 
 
-def make_kernel(grid: Grid, eps: float) -> Kernel:
+def check_width(grid: Grid, eps: float) -> float:
+    """eps as a float if a kernel of that width fits the grid, 2h <= eps
+    <= 0.5 (resolved, and wrapped by N_IMAGES); a ValueError otherwise."""
     eps = float(eps)
     if eps < 2.0 * grid.h:
         raise ValueError(
             f"under-resolved kernel: eps={eps} < 2h={2.0 * grid.h}")
     if eps > 0.5:
-        raise ValueError(f"kernel too wide: eps={eps} > 0.5")
+        raise ValueError(f"kernel too wide: eps={eps} exceeds 0.5")
+    return eps
+
+
+def make_kernel(grid: Grid, eps: float) -> Kernel:
+    eps = check_width(grid, eps)
     x = np.arange(grid.n) * grid.h
     # wrapped Gaussian along one axis; the dim-d kernel is the tensor product
     g1 = np.zeros(grid.n)
@@ -95,10 +102,7 @@ def kernel_sequence(grid: Grid, eps0: float, factor: float,
         raise ValueError(f"factor must be in (0,1), got {factor}")
     if count < 1:
         raise ValueError("count must be >= 1")
-    finest = eps0 * factor ** (count - 1)
-    if finest < 2.0 * grid.h:
-        raise ValueError(
-            f"finest kernel under-resolved: eps={finest} < 2h={2.0 * grid.h}")
+    check_width(grid, eps0 * factor ** (count - 1))  # the finest one
     return KernelSequence(
         [make_kernel(grid, eps0 * factor ** j) for j in range(count)])
 

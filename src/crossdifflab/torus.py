@@ -199,6 +199,13 @@ def stream_sum_rows(rows, count: int, width: int):
     return stream_sum(_RowReader(rows, count, width), count * width)
 
 
+def quadrature(rows, grid: Grid) -> float:
+    """The left-endpoint space-time quadrature tau h^dim sum_{k<K} of the
+    values whose rows k0..k1-1 `rows(k0, k1)` computes, streamed."""
+    return float(grid.tau * grid.cell_volume()
+                 * stream_sum_rows(rows, grid.steps, grid.size))
+
+
 # ---------------------------------------------------------------------------
 # discrete operators: each acts on a (..., grid.size) array, that is one
 # flat slice or a stack of them, and treats every slice alike
@@ -321,8 +328,6 @@ def spacetime_norm(traj: Trajectory, kind: str,
     slices: neither the difference nor any other trajectory-size array is
     formed, and the result is bit-identical to reducing the whole array."""
     g = traj.grid
-    tau = g.tau
-    vol = g.cell_volume()
     data = traj.data
     if minus is None:
         def rows(a, b):
@@ -336,17 +341,15 @@ def spacetime_norm(traj: Trajectory, kind: str,
         def squares(a, b):
             x = rows(a, b)
             return x * x
-        return float(np.sqrt(tau * vol * stream_sum_rows(
-            squares, g.steps, g.size)))
+        return float(np.sqrt(quadrature(squares, g)))
     if kind == "L1Q":
-        return float(tau * vol * stream_sum_rows(
-            lambda a, b: np.abs(rows(a, b)), g.steps, g.size))
+        return quadrature(lambda a, b: np.abs(rows(a, b)), g)
     if kind == "LinfL2":
         sums = np.empty(g.steps + 1)
         for a, b in row_blocks(g.steps + 1, g.size):
             x = rows(a, b)
             sums[a:b] = np.sum(x * x, axis=1)
-        return float(np.sqrt(vol * sums).max())
+        return float(np.sqrt(g.cell_volume() * sums).max())
     if kind == "L1Hminus1":
         # per-slice H^-1 norms; a C-contiguous block keeps each slice's sum
         # pairwise, as for one slice, and the slices are summed in order
@@ -359,7 +362,7 @@ def spacetime_norm(traj: Trajectory, kind: str,
             fhat = np.fft.fftn(block, axes=axes) / g.size
             energy = (np.abs(fhat) ** 2 * w).reshape(len(block), -1)
             per_slice[a:b] = np.sqrt(np.sum(energy, axis=1))
-        return float(tau * np.cumsum(per_slice)[-1])
+        return float(g.tau * np.cumsum(per_slice)[-1])
     raise ValueError(f"unknown spacetime norm kind {kind!r}")
 
 
@@ -387,9 +390,10 @@ HEADER = struct.Struct("<4sBII")
 
 
 def dump_slices(path, dim: int, n: int, slices: np.ndarray) -> None:
-    slices = np.ascontiguousarray(slices, dtype="<f8").reshape(len(slices), -1)
-    if slices.shape[1] != n ** dim:
+    slices = np.ascontiguousarray(slices, dtype="<f8")
+    if np.prod(slices.shape[1:]) != n ** dim:
         raise ValueError("slice length does not match dim/n")
+    slices = slices.reshape(len(slices), n ** dim)
 
     def write(fh):
         fh.write(HEADER.pack(MAGIC, dim, n, slices.shape[0]))

@@ -12,10 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import uniform_filter
 
-from .dual import DualProblem, EstimateReport, solve_dual
+from .dual import (DualProblem, EstimateReport, mu_half_delta_phi_sq,
+                   solve_dual)
 from .mollify import KernelSequence, convolve_array
 from .torus import (Field, Grid, Trajectory, grad_sq_stack, lap_stack,
-                    stream_sum_rows)
+                    quadrature)
 
 
 @dataclass(frozen=True)
@@ -115,8 +116,7 @@ def energy_identity_case_ii(mu_x: Field, s: Trajectory,
     pd, sd = phi.data, s.data
     lhs = 0.5 * vol * float(np.sum(inv_mu * pd[0] ** 2))
     lhs += float(g.tau * grad_sq_stack(pd[:-1], g).sum())
-    rhs = -g.tau * vol * float(stream_sum_rows(
-        lambda a, b: pd[a:b] * inv_mu[None, :] * sd[a:b], g.steps, g.size))
+    rhs = -quadrature(lambda a, b: pd[a:b] * inv_mu[None, :] * sd[a:b], g)
     scale = abs(lhs) + abs(rhs)
     gap = abs(lhs - rhs) / scale if scale > 0 else 0.0
     return EstimateReport(lhs=lhs, rhs=rhs, ratio=gap, passed=gap <= slack,
@@ -134,18 +134,9 @@ def energy_identity_case_iii(mu_t, s: Trajectory,
     mu = Trajectory(g, np.broadcast_to(mu_t[:, None], (g.steps + 1, g.size)))
     p = DualProblem(grid=g, mu=mu, s=s)
     phi = solve_dual(p)
-    vol = g.cell_volume()
     pd, sd = phi.data, s.data
-
-    def energy(a, b):
-        lp = lap_stack(pd[a:b], g)
-        return mu_t[a:b, None] * lp * lp
-
-    def pairing(a, b):
-        return lap_stack(pd[a:b], g) * sd[a:b]
-    lhs = 0.5 * float(grad_sq_stack(pd[0], g))
-    lhs += float(g.tau * vol * stream_sum_rows(energy, g.steps, g.size))
-    rhs = float(g.tau * vol * stream_sum_rows(pairing, g.steps, g.size))
+    lhs = 0.5 * float(grad_sq_stack(pd[0], g)) + mu_half_delta_phi_sq(p, phi)
+    rhs = quadrature(lambda a, b: lap_stack(pd[a:b], g) * sd[a:b], g)
     scale = abs(lhs) + abs(rhs)
     gap = abs(lhs - rhs) / scale if scale > 0 else 0.0
     return EstimateReport(lhs=lhs, rhs=rhs, ratio=gap, passed=gap <= slack,

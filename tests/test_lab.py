@@ -255,8 +255,88 @@ def test_missing_required_section():
         run(cfg)
 
 
+def _kolmo_raw(**extra):
+    raw = {"kind": "kolmogorov", "grid": dict(GRID),
+           "mu": {"family": "constant", "value": 1.0},
+           "z0": {"family": "constant", "value": 1.0},
+           "source": {"family": "constant", "value": 0.0}}
+    raw.update(extra)
+    return raw
+
+
+STEPPED = dict(GRID, steps=100)
+CONST = {"family": "constant", "value": 1.0}
+STABILITY = {"kind": "stability", "grid": dict(GRID), "eps": [0.2, 0.1],
+             "mu": CONST, "z0": CONST}
+MALFORMED = [
+    pytest.param({"kind": 5, "grid": dict(GRID)}, id="kind-not-a-string"),
+    pytest.param(_kolmo_raw(grid=dict(GRID, n="abc")), id="n-not-a-number"),
+    pytest.param(_kolmo_raw(grid=dict(GRID, n=0)), id="n-zero"),
+    pytest.param(dict(STABILITY, grid=dict(GRID, n="abc")),
+                 id="n-not-a-number-with-eps"),
+    pytest.param(dict(STABILITY, grid=dict(GRID, n=0)), id="n-zero-with-eps"),
+    pytest.param(_kolmo_raw(grid=[32]), id="grid-not-an-object"),
+    pytest.param(_kolmo_raw(seed="abc"), id="seed-not-a-number"),
+    pytest.param(dict(STABILITY, eps=0.2), id="eps-not-a-list"),
+    pytest.param({"kind": "verify_duality", "grid": dict(GRID),
+                  "count": "x"}, id="count-not-a-number"),
+    pytest.param({"kind": "kolmogorov", "grid": dict(GRID), "mu": CONST,
+                  "z0": {"family": "constant", "value": -1.0},
+                  "reaction": CONST}, id="reaction-mode-negative-z0"),
+    pytest.param(_kolmo_raw(grid=STEPPED,
+                            mu={"family": "constant", "value": 0.0}),
+                 id="kolmogorov-mu-zero-with-steps"),
+    pytest.param({"kind": "dual", "grid": STEPPED, "s": CONST,
+                  "mu": {"family": "constant", "value": -1.0}},
+                 id="dual-mu-negative-with-steps"),
+    pytest.param(dict(STABILITY, eps=[0.1, 0.2]), id="eps-increasing"),
+    pytest.param(dict(STABILITY, eps=[]), id="eps-empty"),
+    pytest.param({"kind": "weights", "grid": dict(GRID),
+                  "weight": {"family": "piecewise", "levels": [1.0, 0.0]}},
+                 id="weight-not-positive"),
+]
+SUBCOMMANDS = {"kolmogorov": "solve-kolmogorov", "dual": "solve-dual",
+               "verify_duality": "verify-duality",
+               "stability": "stability-study"}
+
+
+@pytest.mark.parametrize("raw", MALFORMED)
+def test_malformed_values_are_config_errors(tmp_path, capsys, raw):
+    with pytest.raises(ConfigError):
+        run(parse_config(json.dumps(raw)))
+    if raw["kind"] in SUBCOMMANDS:
+        cfgp = _write(tmp_path, "bad.json", raw)
+        assert main([SUBCOMMANDS[raw["kind"]], "--config", cfgp]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # determinism and artifacts
+
+@pytest.mark.parametrize("raw, names", [
+    (_kolmo_raw(), ["trajectory.cdl"]),
+    ({"kind": "dual", "grid": dict(GRID), "mu": CONST, "s": CONST},
+     ["phi.cdl"]),
+    ({"kind": "verify_duality", "grid": dict(GRID), "count": 1}, []),
+    (STABILITY, ["stability.csv"]),
+    ({"kind": "skt", "grid": dict(GRID), "species": SKT_SPECIES},
+     ["species_1.cdl", "species_2.cdl"]),
+    ({"kind": "converge", "grid": dict(GRID), "species": SKT_SPECIES,
+      "eps": [0.2, 0.1]}, ["converge.csv"]),
+    ({"kind": "weights", "grid": dict(GRID), "weight": CONST, "trials": 1},
+     []),
+], ids=lambda v: v["kind"] if isinstance(v, dict) else None)
+def test_run_writes_manifest_and_its_artifacts(tmp_path, raw, names):
+    # every kind writes its artifacts, in order, then manifest.json, and
+    # nothing else: no temporary file is left behind
+    out = tmp_path / "out"
+    man = run(parse_config(json.dumps(raw)), str(out))
+    assert man.artifacts == [str(out / name) for name in names]
+    assert sorted(os.listdir(out)) == sorted(["manifest.json", *names])
+    assert json.loads((out / "manifest.json").read_text()) \
+        == json.loads(man.to_json())
+    assert run(parse_config(json.dumps(raw))).artifacts == []
 
 def test_same_seed_byte_identical_artifacts(tmp_path):
     conv = {"kind": "converge", "grid": dict(GRID), "seed": 7,

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from crossdifflab.dual import DualProblem, verify_apriori
+from crossdifflab.kolmo import (KolmogorovProblem, comparison_check,
+                                solve_forward)
 from crossdifflab.torus import (Field, Trajectory, dump_slices, load_slices,
                                 make_grid, spacetime_norm)
 
@@ -58,3 +60,25 @@ def test_dump_and_load_peak(traj, tmp_path):
     peak = _peak(lambda: loaded.append(load_slices(path)))
     assert peak <= traj.data.nbytes + MB
     assert np.array_equal(loaded[0][2], traj.data)
+
+
+def test_comparison_check_peak(traj):
+    # the two solves are the only trajectory-size arrays it holds, and its
+    # blocked maxima are the whole-array ones
+    g = traj.grid
+    rng = np.random.default_rng(9)
+    p = KolmogorovProblem(
+        grid=g, mu=Trajectory.constant(g, 1.0),
+        z0=Field(g, rng.uniform(0.5, 1.5, g.size)),
+        reaction=Trajectory.constant_in_time(
+            g, Field(g, rng.uniform(-1.0, 1.0, g.size))))
+    reports = []
+    peak = _peak(lambda: reports.append(comparison_check(p, 1.0)))
+    assert peak < (2 + 1 / 8) * traj.data.nbytes
+    z = solve_forward(p).trajectory.data
+    p0 = KolmogorovProblem(grid=g, mu=p.mu, z0=p.z0,
+                           reaction=Trajectory.constant(g, 0.0))
+    z0 = solve_forward(p0).trajectory.data
+    defect = z - z0 * np.exp(g.times())[:, None]
+    assert reports[0].max_defect == defect.max()
+    assert reports[0].rel_defect == defect.max() / np.abs(z0).max()

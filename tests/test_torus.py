@@ -241,6 +241,18 @@ def test_dump_roundtrip_1d_and_2d_owns_its_data(tmp_path):
         assert np.array_equal(data, slices)
 
 
+def test_dump_zero_slices(tmp_path):
+    # an empty dump is a 13-byte header that loads back as no slices
+    for dim, n in ((1, 8), (2, 8)):
+        path = tmp_path / f"empty{dim}.cdl"
+        dump_slices(path, dim, n, np.empty((0, n ** dim)))
+        assert path.stat().st_size == 13
+        got_dim, got_n, data = load_slices(path)
+        assert (got_dim, got_n, data.shape) == (dim, n, (0, n ** dim))
+    with pytest.raises(ValueError, match="slice length does not match"):
+        dump_slices(tmp_path / "bad.cdl", 1, 8, np.empty((2, 5)))
+
+
 def test_dump_with_trailing_bytes_rejected(tmp_path):
     g = make_grid(1, 8, 1.0, 1)
     good = tmp_path / "good.cdl"

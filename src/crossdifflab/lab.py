@@ -30,6 +30,12 @@ class ConfigError(ValueError):
     pass
 
 
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path} must be an object")
+    return value
+
+
 def _check_keys(d: dict, allowed, required, path: str) -> None:
     for key in d:
         if key not in allowed:
@@ -182,8 +188,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(msg)
     if "grid" not in raw:
         raise ConfigError("missing key config.grid")
-    if not isinstance(raw["grid"], dict):
-        raise ConfigError("config.grid must be an object")
+    _object(raw["grid"], "config.grid")
     try:
         seed = int(raw.get("seed", 0))
     except (TypeError, ValueError) as exc:
@@ -370,12 +375,13 @@ def _skt_spec(cfg: RunConfig, identity_kernels=False) -> skt_mod.SktSpec:
     coeffs, reactions = [], []
     for i, sp in enumerate(species):
         path = f"config.species[{i}]"
-        _check_keys(sp, {"coeff", "reaction", "kernel_eps", "init"},
+        _check_keys(_object(sp, path),
+                    {"coeff", "reaction", "kernel_eps", "init"},
                     {"coeff", "reaction", "init"}, path)
-        cd = dict(sp["coeff"])
+        cd = _object(sp["coeff"], path + ".coeff")
         _check_keys(cd, {"kind", "d", "c", "lo", "hi", "kink", "pivot"},
                     {"kind", "d"}, path + ".coeff")
-        rd = dict(sp["reaction"])
+        rd = _object(sp["reaction"], path + ".reaction")
         _check_keys(rd, {"rho", "s"}, {"rho", "s"}, path + ".reaction")
         try:
             coeffs.append(skt_mod.CoeffFamily(
@@ -525,10 +531,9 @@ def sweep(cfg: RunConfig, axis: str, values, outdir: str | None = None):
         i, v = iv
         raw = json.loads(json.dumps(cfg.raw))
         _set_path(raw, axis, v)
-        point = RunConfig(kind=cfg.kind, raw=raw, seed=cfg.seed)
         sub = os.path.join(outdir, f"point_{i:03d}") if outdir else None
         try:
-            return run(point, sub)
+            return run(parse_config(json.dumps(raw)), sub)
         except Exception as exc:  # recorded, sweep continues
             return exc
 

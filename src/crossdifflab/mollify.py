@@ -7,6 +7,7 @@ is exactly 1; circular convolution then conserves mass to round-off.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -15,18 +16,22 @@ from .torus import Field, Grid, atomic_write, dump_field
 N_IMAGES = 3  # wrap images per axis; enough for eps <= 0.5 to 1e-12
 
 
+@dataclass(frozen=True, eq=False)
 class Kernel:
-    """Non-negative unit-mass kernel of width `eps` sampled on `grid`."""
+    """Non-negative unit-mass kernel of width `eps` sampled on `grid`, with
+    its FFT computed once."""
 
-    def __init__(self, grid: Grid, eps: float, values: Field):
-        self.grid = grid
-        self.eps = float(eps)
-        self.values = values
-        self._fft = None
+    grid: Grid
+    eps: float
+    values: Field
+    _fft: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "eps", float(self.eps))
+        object.__setattr__(self, "_fft",
+                           np.fft.rfftn(self.values.reshaped()))
 
     def fft(self) -> np.ndarray:
-        if self._fft is None:
-            self._fft = np.fft.rfftn(self.values.reshaped())
         return self._fft
 
 

@@ -11,6 +11,7 @@ mollify module, for convolutions.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -135,10 +136,10 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# streamed reductions: sums over a whole trajectory without a second
-# trajectory-size array
+# space-time sums over blocks of slices, without a second trajectory-size
+# array
 
-STREAM_BLOCK = 2 ** 15  # values per leaf sum, and per block of slices
+STREAM_BLOCK = 2 ** 15  # values per block of slices
 
 
 def row_blocks(count: int, width: int) -> list:
@@ -148,62 +149,19 @@ def row_blocks(count: int, width: int) -> list:
     return [(r, min(r + per, count)) for r in range(0, count, per)]
 
 
-def _pairwise(values, lo: int, hi: int):
-    # numpy's pairwise split: half the length rounded down to a multiple of
-    # 8.  A module-level function, not a closure that calls itself: such a
-    # closure is a reference cycle that keeps `values` (and the trajectory
-    # it reads) alive until the cyclic collector runs.
-    n = hi - lo
-    if n <= STREAM_BLOCK:
-        return np.sum(values(lo, hi))
-    half = n // 2
-    half -= half % 8
-    return _pairwise(values, lo, lo + half) + _pairwise(values, lo + half, hi)
-
-
-def stream_sum(values, size: int):
-    """np.sum of a flat C-contiguous array of `size` values, bit for bit,
-    without holding it: `values(lo, hi)` returns values lo..hi-1.  The
-    range is split as numpy's pairwise sum splits it, so np.sum of each
-    leaf of at most STREAM_BLOCK values is a node of numpy's own tree; the
-    leaves are asked for left to right."""
-    return _pairwise(values, 0, size)
-
-
-class _RowReader:
-    """values(lo, hi) over the flat C order of a (count, width) array whose
-    rows r0..r1-1 `rows(r0, r1)` computes.  For consecutive ranges, each
-    row is computed once, a few rows at a time."""
-
-    def __init__(self, rows, count: int, width: int):
-        self.rows, self.count, self.width = rows, count, width
-        self.per = max(1, 2 * STREAM_BLOCK // width)
-        self.r0 = self.r1 = 0
-        self.buf = np.empty(0)
-
-    def __call__(self, lo: int, hi: int) -> np.ndarray:
-        w = self.width
-        if hi > self.r1 * w:
-            a = lo // w
-            b = min(self.count, max(-(-hi // w), a + self.per))
-            fresh = np.asarray(self.rows(self.r1, b)).reshape(-1)
-            kept = self.buf[(a - self.r0) * w:]  # rows a..r1-1, if any
-            self.buf = np.concatenate((kept, fresh)) if kept.size else fresh
-            self.r0, self.r1 = a, b
-        return self.buf[lo - self.r0 * w:hi - self.r0 * w]
-
-
-def stream_sum_rows(rows, count: int, width: int):
-    """np.sum of the C-contiguous (count, width) array whose rows r0..r1-1
-    `rows(r0, r1)` computes, bit for bit, holding a few rows at a time."""
-    return stream_sum(_RowReader(rows, count, width), count * width)
-
-
 def quadrature(rows, grid: Grid) -> float:
     """The left-endpoint space-time quadrature tau h^dim sum_{k<K} of the
-    values whose rows k0..k1-1 `rows(k0, k1)` computes, streamed."""
-    return float(grid.tau * grid.cell_volume()
-                 * stream_sum_rows(rows, grid.steps, grid.size))
+    values whose rows k0..k1-1 `rows(k0, k1)` computes, over row_blocks.
+
+    Each row is summed with np.sum and the row sums are added with
+    math.fsum.  A row's np.sum inside a block of contiguous rows is np.sum
+    of that row alone, and fsum is exactly rounded, so the result depends
+    on the row values only: not on the blocking, a stacked layout or the
+    order in which rows are summed."""
+    sums = np.empty(grid.steps)
+    for a, b in row_blocks(grid.steps, grid.size):
+        sums[a:b] = np.sum(rows(a, b), axis=1)
+    return float(grid.tau * grid.cell_volume() * math.fsum(sums.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +284,8 @@ def spacetime_norm(traj: Trajectory, kind: str,
     """Left-endpoint time quadrature over the K intervals of the trajectory,
     or of traj - minus when `minus` is given.  Streamed over blocks of
     slices: neither the difference nor any other trajectory-size array is
-    formed, and the result is bit-identical to reducing the whole array."""
+    formed.  Every time sum follows the quadrature rule: np.sum per slice,
+    math.fsum across slices."""
     g = traj.grid
     data = traj.data
     if minus is None:
@@ -351,8 +310,8 @@ def spacetime_norm(traj: Trajectory, kind: str,
             sums[a:b] = np.sum(x * x, axis=1)
         return float(np.sqrt(g.cell_volume() * sums).max())
     if kind == "L1Hminus1":
-        # per-slice H^-1 norms; a C-contiguous block keeps each slice's sum
-        # pairwise, as for one slice, and the slices are summed in order
+        # per-slice H^-1 norms; a C-contiguous block sums each slice as
+        # np.sum of that slice alone
         w = _fourier_weights(g)
         axes = tuple(range(1, g.dim + 1))
         per_slice = np.empty(g.steps)
@@ -362,7 +321,7 @@ def spacetime_norm(traj: Trajectory, kind: str,
             fhat = np.fft.fftn(block, axes=axes) / g.size
             energy = (np.abs(fhat) ** 2 * w).reshape(len(block), -1)
             per_slice[a:b] = np.sqrt(np.sum(energy, axis=1))
-        return float(g.tau * np.cumsum(per_slice)[-1])
+        return float(g.tau * math.fsum(per_slice.tolist()))
     raise ValueError(f"unknown spacetime norm kind {kind!r}")
 
 

@@ -7,6 +7,7 @@ and Mf >= |f| pointwise.  Averages use wrap-around sliding windows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,7 +116,7 @@ def energy_identity_case_ii(mu_x: Field, s: Trajectory,
     inv_mu = 1.0 / mu_x.values
     pd, sd = phi.data, s.data
     lhs = 0.5 * vol * float(np.sum(inv_mu * pd[0] ** 2))
-    lhs += float(g.tau * grad_sq_stack(pd[:-1], g).sum())
+    lhs += g.tau * math.fsum(grad_sq_stack(pd[:-1], g).tolist())
     rhs = -quadrature(lambda a, b: pd[a:b] * inv_mu[None, :] * sd[a:b], g)
     scale = abs(lhs) + abs(rhs)
     gap = abs(lhs - rhs) / scale if scale > 0 else 0.0

@@ -225,6 +225,30 @@ def test_skt_coeff_without_hi_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def _species_with(index, key, value):
+    species = json.loads(json.dumps(SKT_SPECIES))
+    if key is None:
+        species[index] = value
+    else:
+        species[index][key] = value
+    return species
+
+
+@pytest.mark.parametrize("species, where", [
+    (["abc"], r"config\.species\[0\]"),
+    ([5], r"config\.species\[0\]"),
+    (_species_with(1, None, [1, 2]), r"config\.species\[1\]"),
+    (_species_with(0, "coeff", "ab"), r"config\.species\[0\]\.coeff"),
+    (_species_with(1, "coeff", 3.0), r"config\.species\[1\]\.coeff"),
+    (_species_with(0, "reaction", [1.0]),
+     r"config\.species\[0\]\.reaction"),
+], ids=["str", "int", "list", "coeff-str", "coeff-float", "reaction-list"])
+def test_skt_species_entries_must_be_objects(species, where):
+    raw = {"kind": "skt", "grid": dict(GRID), "species": species}
+    with pytest.raises(ConfigError, match=where + " must be an object$"):
+        run(parse_config(json.dumps(raw)))
+
+
 def test_skt_kernel_eps_too_wide_is_config_error(tmp_path, capsys):
     # a species kernel wider than 0.5 is refused like config.eps, not
     # left to fail in make_kernel during the run
@@ -389,6 +413,15 @@ def test_sweep_axis_and_errors(tmp_path):
 
     with pytest.raises(ConfigError, match="not found"):
         sweep(cfg, "grid.missing", [1])
+
+
+def test_sweep_over_seed_uses_each_seed():
+    z0 = {"family": "random", "lo": 0.1, "hi": 1.0}
+    res = sweep(_cfg(z0=z0), "seed", [1, 2])
+    assert res[0].constants["final_l2"] != res[1].constants["final_l2"]
+    for seed, m in zip([1, 2], res):
+        assert m.config["seed"] == seed
+        assert m.constants == run(_cfg(seed=seed, z0=z0)).constants
 
 
 def test_sweep_respects_thread_cap(tmp_path, monkeypatch):

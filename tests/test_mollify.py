@@ -1,5 +1,6 @@
 """Wrapped-Gaussian kernels, FFT convolution and Dirac sequences."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -125,3 +126,7 @@ def test_kernel_fft_cached():
     g = make_grid(1, 32, 1.0, 1)
     k = make_kernel(g, 0.1)
     assert k.fft() is k.fft()
+    assert np.array_equal(k.fft(), np.fft.rfftn(k.values.reshaped()))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        k.eps = 0.2
+    assert type(Kernel(g, 1, k.values).eps) is float

@@ -1,10 +1,14 @@
 """Property tests of the exact discrete guarantees over random grids,
 coefficients and data.  Derandomized, so every run draws the same cases."""
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossdifflab import torus
 from crossdifflab.dual import (DualProblem, duality_pairings,
                                duality_residual, solve_dual, verify_apriori)
 from crossdifflab.kolmo import (KolmogorovProblem, cfl_timestep, check_mass,
@@ -13,13 +17,12 @@ from crossdifflab.mollify import make_kernel
 from crossdifflab.skt import CoeffFamily, ReactionFamily, SktSpec, solve_system
 from crossdifflab.torus import (STREAM_BLOCK, Field, Trajectory,
                                 grad_sq_stack, lap_array, lap_stack,
-                                make_grid, norm, spacetime_norm, stream_sum,
-                                stream_sum_rows)
+                                make_grid, norm, quadrature, spacetime_norm)
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
 
-# value counts for the streamed sums: under 8, up to 128, and within 64 of
-# one to nine leaves of STREAM_BLOCK values, most not a multiple of 8
+# value counts for the long problems: under 8, up to 128, and within 64 of
+# one to nine blocks of STREAM_BLOCK values
 SIZES = st.one_of(
     st.integers(0, 7), st.integers(8, 128),
     st.tuples(st.integers(1, 9), st.integers(-64, 64)).map(
@@ -199,48 +202,19 @@ def _spread(rng, shape):
     return rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
 
 
-@PROPERTY
-@given(SIZES, st.integers(0, 2 ** 32 - 1))
-def test_stream_sum_is_np_sum(size, seed):
-    # pins numpy's pairwise split (half the length, rounded down to a
-    # multiple of 8): a numpy that sums otherwise fails here
-    v = _spread(np.random.default_rng(seed), size)
-    for x in (v, v * v, np.abs(v)):
-        assert stream_sum(lambda lo, hi: x[lo:hi], size) == np.sum(x)
-
-
-@st.composite
-def row_shapes(draw):
-    size = draw(SIZES)
-    width = draw(st.one_of(st.integers(1, 64), st.integers(1, max(1, size)),
-                           st.integers(STREAM_BLOCK, 3 * STREAM_BLOCK)))
-    return size // width, width
-
-
-@PROPERTY
-@given(row_shapes(), st.integers(0, 2 ** 32 - 1))
-def test_stream_sum_rows_is_np_sum(shape, seed):
-    count, width = shape
-    data = _spread(np.random.default_rng(seed), shape)
-    asked = []
-
-    def squares(a, b):
-        asked.append((a, b))
-        x = data[a:b]
-        return x * x
-    assert stream_sum_rows(squares, count, width) == np.sum(data * data)
-    # consecutive rows, each computed once
-    ends = [0] + [b for _, b in asked]
-    assert [a for a, _ in asked] == ends[:-1] and ends[-1] == count
+def _row_rule(values):
+    """The quadrature rule on a whole (rows, width) array: np.sum of each
+    row, then math.fsum of the row sums."""
+    return math.fsum(np.sum(values, axis=1).tolist())
 
 
 def _whole_norm(traj, kind):
     body = traj.data[:-1]
     tau, vol = traj.grid.tau, traj.grid.cell_volume()
     if kind == "L2Q":
-        return float(np.sqrt(tau * vol * np.sum(body * body)))
+        return float(np.sqrt(tau * vol * _row_rule(body * body)))
     if kind == "L1Q":
-        return float(tau * vol * np.sum(np.abs(body)))
+        return float(tau * vol * _row_rule(np.abs(body)))
     per_slice = np.sqrt(vol * np.sum(traj.data * traj.data, axis=1))
     return float(per_slice.max())
 
@@ -288,9 +262,9 @@ def test_streamed_apriori_and_pairings_are_whole_array(case, constant):
     m, sd, pd = mu.data[:-1], s.data[:-1], phi.data
     lp = _roll_laplacian(pd[:-1], grid)
     lhs1 = (float(_whole_grad_sq(pd, grid).max())
-            + float(tau * vol * np.sum(m * lp * lp)))
-    rhs1 = float(tau * vol * np.sum(sd ** 2 / m))
-    mu_l1 = float(tau * vol * np.sum(np.abs(m)))
+            + float(tau * vol * _row_rule(m * lp * lp)))
+    rhs1 = float(tau * vol * _row_rule(sd ** 2 / m))
+    mu_l1 = float(tau * vol * _row_rule(np.abs(m)))
     rep1, rep2 = verify_apriori(p, phi)
     assert (rep1.lhs, rep1.rhs) == (lhs1, rhs1)
     assert rep2.lhs == _whole_norm(phi, "LinfL2") ** 2
@@ -301,6 +275,61 @@ def test_streamed_apriori_and_pairings_are_whole_array(case, constant):
                            source=Trajectory(grid, rng.standard_normal(shape)))
     z = solve_forward(fp).trajectory
     zs, z0, g, _ = duality_pairings(z, fp, s, phi)
-    assert zs == tau * vol * np.sum(z.data[:-1] * sd)
+    assert zs == tau * vol * _row_rule(z.data[:-1] * sd)
     assert z0 == vol * np.dot(fp.z0.values, pd[0])
-    assert g == tau * vol * np.sum(fp.source.data[:-1] * pd[1:])
+    assert g == tau * vol * _row_rule(fp.source.data[:-1] * pd[1:])
+
+
+# ---------------------------------------------------------------------------
+# the quadrature rule depends on the row values only
+
+@PROPERTY
+@given(problems(long=True))
+def test_quadrature_ignores_blocking_order_and_layout(case):
+    grid, _, rng = case
+    k, w = grid.steps, grid.size
+    data = _spread(rng, (k + 1, w))
+
+    def squares(a, b):
+        x = data[a:b]
+        return x * x
+    ref = quadrature(squares, grid)
+
+    # any block size, down to one row per block and below the row width
+    for block in (1, max(1, w // 2), w, 3 * w + 5, STREAM_BLOCK, 2 ** 20):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(torus, "STREAM_BLOCK", block)
+            assert quadrature(squares, grid) == ref
+
+    # rows that arrive reversed or permuted
+    for order in (np.arange(k)[::-1], rng.permutation(k)):
+        assert quadrature(lambda a, b: squares(0, k)[order[a:b]],
+                          grid) == ref
+
+    # rows read out of a (B, K, N) stack and out of a (K, B, N) stack
+    stack = np.stack([_spread(rng, data.shape), data * data,
+                      _spread(rng, data.shape)])
+    assert quadrature(lambda a, b: stack[1, a:b], grid) == ref
+    inter = np.ascontiguousarray(stack.transpose(1, 0, 2))
+    assert quadrature(lambda a, b: inter[a:b, 1], grid) == ref
+
+    # one step at a time, as a march would accumulate it
+    steps = [float(np.sum(squares(j, j + 1)[0])) for j in range(k)]
+    assert float(grid.tau * grid.cell_volume() * math.fsum(steps)) == ref
+
+
+@PROPERTY
+@given(problems(long=True))
+def test_quadrature_close_to_exact_sum(case):
+    # each row's np.sum is a pairwise sum (sequential in leaves of at most
+    # 128 values), so its error is at most (log2 width + 20) eps times the
+    # sum of |x|; fsum adds no error beyond its last rounding
+    grid, _, rng = case
+    data = _spread(rng, (grid.steps + 1, grid.size))
+    body = data[:-1]
+    tv = grid.tau * grid.cell_volume()
+    exact = tv * math.fsum(body.reshape(-1).tolist())
+    bound = (tv * (math.log2(grid.size) + 20) * np.finfo(float).eps
+             * math.fsum(np.abs(body).reshape(-1).tolist()))
+    got = quadrature(lambda a, b: data[a:b], grid)
+    assert abs(got - exact) <= bound

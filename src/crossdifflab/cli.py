@@ -1,7 +1,8 @@
 """Command-line entry points.
 
 Exit codes: 0 = all checks passed, 1 = a check failed, 2 = config error
-or unreadable input file, 3 = numerical abort (CFL violation or blow-up).
+(a bad config, flag, dump or CDL_THREADS, named in one line) or unreadable
+input file, 3 = numerical abort (CFL violation or blow-up).
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ import json
 import sys
 
 from .kolmo import CflViolation, NumericalBlowUp
-from .lab import (ConfigError, RunManifest, build_field, parse_config, run,
-                  sweep)
+from .lab import (ConfigError, RunManifest, build_field, config_errors,
+                  parse_config, run, sweep)
 from .torus import Field, dump_field, load_slices, make_grid
 from .weights import Weight, a2_constant, maximal_function
 
@@ -27,12 +28,12 @@ def _load_config(path: str, kind: str):
     return cfg
 
 
-def _load_dump(path: str):
-    """(dim, n, slices) of a field dump; a malformed dump is a ConfigError."""
-    try:
-        return load_slices(path)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+def _load_field(path: str) -> Field:
+    """The first slice of a field dump, on the dump's own grid; a malformed
+    dump, or one whose dim or n is not a valid grid, is a ConfigError."""
+    with config_errors(path):
+        dim, n, data = load_slices(path)
+        return Field(make_grid(dim, n, 1.0, 1), data[0])
 
 
 def _finish(manifest) -> int:
@@ -46,7 +47,9 @@ def _config_command(sub, kind):
     def handler(args):
         cfg = _load_config(args.config, kind)
         if getattr(args, "eps", None):
-            cfg.raw["eps"] = [float(e) for e in args.eps.split(",")]
+            with config_errors("--eps"):
+                eps = [float(e) for e in args.eps.split(",")]
+            cfg = parse_config(json.dumps(dict(cfg.raw, eps=eps)))
         return _finish(run(cfg, args.out))
     sub.add_argument("--config", required=True)
     sub.add_argument("--out", default=None,
@@ -58,8 +61,7 @@ def _weight_from_arg(arg: str, n: int, dim: int) -> Weight:
     """A weight from a field dump path or a family shorthand:
     constant[:c], twolevel:lo,hi or spike:base,peak,width."""
     if ":" not in arg:
-        fdim, fn, data = _load_dump(arg)
-        field = Field(make_grid(fdim, fn, 1.0, 1), data[0])
+        field = _load_field(arg)
     else:
         name, _, params = arg.partition(":")
         try:
@@ -75,11 +77,11 @@ def _weight_from_arg(arg: str, n: int, dim: int) -> Weight:
         else:
             raise ConfigError(f"bad weight {arg!r}: expected constant[:c], "
                               "twolevel:lo,hi or spike:base,peak,width")
-        field = build_field(make_grid(dim, n, 1.0, 1), spec, "--weight")
-    try:
+        with config_errors(f"--n {n} --dim {dim}"):
+            grid = make_grid(dim, n, 1.0, 1)
+        field = build_field(grid, spec, "--weight")
+    with config_errors(f"bad weight {arg!r}"):
         return Weight(field)
-    except ValueError as exc:
-        raise ConfigError(f"bad weight {arg!r}: {exc}") from exc
 
 
 def main(argv=None) -> int:
@@ -126,9 +128,7 @@ def main(argv=None) -> int:
     mx.add_argument("--out", default=None, help="output dump for Mf")
 
     def maximal_handler(args):
-        dim, n, data = _load_dump(args.field)
-        grid = make_grid(dim, n, 1.0, 1)
-        mf = maximal_function(Field(grid, data[0]))
+        mf = maximal_function(_load_field(args.field))
         if args.out:
             dump_field(args.out, mf)
         print(json.dumps({"sup": float(mf.values.max()),
@@ -145,7 +145,8 @@ def main(argv=None) -> int:
     def sweep_handler(args):
         with open(args.config) as fh:
             cfg = parse_config(fh.read())
-        values = [json.loads(v) for v in args.values.split(",")]
+        with config_errors("--values"):
+            values = [json.loads(v) for v in args.values.split(",")]
         results = sweep(cfg, args.axis, values, args.out)
         code = 0
         for v, res in zip(values, results):

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kolmo import KolmogorovProblem, _check_cfl, _guard, solve_forward
-from .mollify import Kernel, convolve_array, make_kernel
+from .kolmo import (KolmogorovProblem, _check_cfl, _check_grids, _guard,
+                    solve_forward)
+from .mollify import Kernel, KernelSequence, convolve_array, make_kernel
 from .torus import (Field, Grid, Trajectory, grad_sq_stack, lap_array,
                     lap_stack, quadrature, spacetime_norm)
 
@@ -28,6 +29,7 @@ class DualProblem:
     s: Trajectory
 
     def __post_init__(self):
+        _check_grids(self, "mu", "s")
         if self.mu.data.min() <= 0.0:
             raise ValueError("mu must be positively lower-bounded")
 
@@ -156,22 +158,20 @@ def stability_study(mu_rough: Trajectory, smoothing_eps, z0: Field,
     """Solve with mollified diffusion coefficients and with the rough one.
 
     Returns StabilityRow entries, one per eps, comparing each smoothed run
-    to the rough reference in L1 (coefficients) and L2 (solutions).
+    to the rough reference in L1 (coefficients) and L2 (solutions).  Every
+    width is checked before the first solve.
     """
     grid = mu_rough.grid
-    eps_list = list(smoothing_eps)
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ValueError("eps list must be strictly decreasing")
+    kernels = KernelSequence(make_kernel(grid, eps) for eps in smoothing_eps)
     ref = solve_forward(KolmogorovProblem(
         grid=grid, mu=mu_rough, z0=z0, source=g)).trajectory
     rows = []
-    for eps in eps_list:
-        kern = make_kernel(grid, eps)
+    for kern in kernels:
         mu_eps = smooth_mu(mu_rough, kern)
         z_eps = solve_forward(KolmogorovProblem(
             grid=grid, mu=mu_eps, z0=z0, source=g)).trajectory
         mu_dist = spacetime_norm(mu_eps, "L1Q", minus=mu_rough)
         z_dist = spacetime_norm(z_eps, "L2Q", minus=ref)
-        rows.append(StabilityRow(eps=eps, mu_distance=mu_dist,
+        rows.append(StabilityRow(eps=kern.eps, mu_distance=mu_dist,
                                  z_distance=z_dist))
     return rows

@@ -31,6 +31,16 @@ class NumericalBlowUp(RuntimeError):
         self.step = step
 
 
+def _check_grids(problem, *names) -> None:
+    """A ValueError unless every named trajectory of the problem that is
+    given lives on the problem's grid."""
+    for name in names:
+        traj = getattr(problem, name)
+        if traj is not None and traj.grid != problem.grid:
+            raise ValueError(f"{name} lives on grid {traj.grid}, "
+                             f"the problem on grid {problem.grid}")
+
+
 @dataclass(frozen=True)
 class KolmogorovProblem:
     grid: Grid
@@ -42,6 +52,7 @@ class KolmogorovProblem:
     def __post_init__(self):
         if (self.source is None) == (self.reaction is None):
             raise ValueError("exactly one of source/reaction must be given")
+        _check_grids(self, "mu", "source", "reaction")
         if self.mu.data.min() <= 0.0:
             raise ValueError("mu must be positively lower-bounded")
         if self.reaction is not None and self.z0.values.min() < 0.0:

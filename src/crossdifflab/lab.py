@@ -12,6 +12,7 @@ import difflib
 import json
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -22,12 +23,26 @@ from . import kolmo as kolmo_mod
 from . import skt as skt_mod
 from . import weights as weights_mod
 from .mollify import check_width, make_kernel
-from .torus import (Field, Grid, Trajectory, atomic_write, dump_trajectory,
-                    load_slices, make_grid, norm, row_blocks, spacetime_norm)
+from .torus import (Field, Grid, Trajectory, atomic_write_text,
+                    dump_trajectory, load_slices, make_grid, norm, row_blocks,
+                    spacetime_norm)
 
 
 class ConfigError(ValueError):
     pass
+
+
+@contextmanager
+def config_errors(path: str):
+    """The one gate for outside input: a value that the code inside cannot
+    use (a TypeError, ValueError or OverflowError) becomes a ConfigError
+    naming `path`, the input it came from.  A ConfigError passes as is."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _object(value, path: str) -> dict:
@@ -64,12 +79,8 @@ def philox_rng(seed: int, *counters: int) -> np.random.Generator:
 def build_field(grid: Grid, spec: dict, path: str, seed: int = 0) -> Field:
     """The field of one family spec.  A spec whose values cannot be used (a
     non-number, NaN or an infinity, an unreadable dump) is a ConfigError."""
-    try:
+    with config_errors(path):
         return _family_field(grid, spec, path, seed)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _family_field(grid: Grid, spec: dict, path: str, seed: int) -> Field:
@@ -130,11 +141,6 @@ def _family_field(grid: Grid, spec: dict, path: str, seed: int) -> Field:
 # ---------------------------------------------------------------------------
 # config parsing
 
-_TOP_KEYS = {"kind", "grid", "seed", "output", "mu", "z0", "source",
-             "reaction", "s", "g", "eps", "count", "threshold", "species",
-             "weight", "trials", "sweep_axis"}
-
-
 @dataclass
 class RunConfig:
     kind: str
@@ -148,15 +154,13 @@ def _build_grid(gd: dict, path: str, mu_sup_hint: float | None = None) -> Grid:
     not a number, or not a valid grid, is a ConfigError."""
     _check_keys(gd, {"dim", "n", "t_final", "steps"},
                 {"dim", "n", "t_final"}, path)
-    try:
+    with config_errors(path):
         grid = make_grid(int(gd["dim"]), int(gd["n"]), float(gd["t_final"]),
                          int(gd.get("steps", 1)))
         if "steps" not in gd:
             grid = make_grid(grid.dim, grid.n, grid.t_final,
                              kolmo_mod.steps_for(grid.dim, grid.n,
                                                  grid.t_final, mu_sup_hint))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
     return grid
 
 
@@ -178,7 +182,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    _check_keys(raw, _TOP_KEYS, {"kind"}, "config")
+    if "kind" not in raw:
+        raise ConfigError("missing key config.kind")
     kind = raw["kind"]
     if not isinstance(kind, str) or kind not in _KINDS:
         hint = difflib.get_close_matches(str(kind), _KINDS, n=1)
@@ -186,13 +191,12 @@ def parse_config(text: str) -> RunConfig:
         if hint:
             msg += f" (did you mean {hint[0]!r}?)"
         raise ConfigError(msg)
-    if "grid" not in raw:
-        raise ConfigError("missing key config.grid")
+    _, required, optional = _KINDS[kind]
+    _check_keys(raw, {"kind", "grid", "seed", *required, *optional},
+                {"grid"}, "config")
     _object(raw["grid"], "config.grid")
-    try:
+    with config_errors("config.seed"):
         seed = int(raw.get("seed", 0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config.seed: {exc}") from exc
     _validate_kernel_eps(raw)
     return RunConfig(kind=kind, raw=raw, seed=seed)
 
@@ -212,10 +216,8 @@ def _validate_kernel_eps(raw: dict) -> None:
     grid = _build_grid({"t_final": 1.0, **raw["grid"], "steps": 1},
                        "config.grid")
     for path, eps in widths:
-        try:
+        with config_errors(path):
             check_width(grid, eps)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +241,6 @@ class RunManifest:
     def to_json(self) -> str:
         return json.dumps(dict(asdict(self), passed=self.passed),
                           indent=2, sort_keys=True) + "\n"
-
-
-def atomic_write_text(path: str, text: str) -> None:
-    atomic_write(path, lambda fh: fh.write(text.encode()))
 
 
 def _fmt(x: float) -> str:
@@ -315,10 +313,15 @@ def _run_dual(cfg: RunConfig):
     return grid, checks, constants, {"phi.cdl": phi}
 
 
+# the range random_duality_problem draws mu from; its upper end sets the
+# CFL step count of verify_duality
+DUALITY_MU_RANGE = (0.3, 3.0)
+
+
 def random_duality_problem(grid: Grid, seed: int, index: int):
     """One randomized (mu, z0, G, S) tuple for duality studies."""
     rng = philox_rng(seed, index)
-    mu_vals = rng.uniform(0.3, 3.0, size=grid.size)
+    mu_vals = rng.uniform(*DUALITY_MU_RANGE, size=grid.size)
     mu = Trajectory.constant_in_time(grid, Field(grid, mu_vals))
     z0 = Field(grid, rng.standard_normal(grid.size))
     g = Trajectory.constant_in_time(
@@ -332,7 +335,8 @@ def _run_verify_duality(cfg: RunConfig):
     raw = cfg.raw
     count = int(raw.get("count", 20))
     threshold = float(raw.get("threshold", 1e-11))
-    grid = _build_grid(raw["grid"], "config.grid", mu_sup_hint=3.0)
+    grid = _build_grid(raw["grid"], "config.grid",
+                       mu_sup_hint=DUALITY_MU_RANGE[1])
     worst = 0.0
     for i in range(count):
         mu, z0, g, s = random_duality_problem(grid, cfg.seed, i)
@@ -383,7 +387,7 @@ def _skt_spec(cfg: RunConfig, identity_kernels=False) -> skt_mod.SktSpec:
                     {"kind", "d"}, path + ".coeff")
         rd = _object(sp["reaction"], path + ".reaction")
         _check_keys(rd, {"rho", "s"}, {"rho", "s"}, path + ".reaction")
-        try:
+        with config_errors(path):
             coeffs.append(skt_mod.CoeffFamily(
                 kind=cd["kind"], d=float(cd["d"]),
                 c=tuple(float(x) for x in cd.get("c", [])),
@@ -392,8 +396,6 @@ def _skt_spec(cfg: RunConfig, identity_kernels=False) -> skt_mod.SktSpec:
                 pivot=float(cd.get("pivot", 0.0))))
             reactions.append(skt_mod.ReactionFamily(
                 rho=float(rd["rho"]), s=tuple(float(x) for x in rd["s"])))
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
     hi_max = max(cf.hi for cf in coeffs)
     if not np.isfinite(hi_max):
         raise ConfigError("config.species: every coefficient needs a finite "
@@ -454,15 +456,16 @@ def _run_weights(cfg: RunConfig):
     return grid, checks, constants, {}
 
 
-# kind -> (runner, top-level keys its config must have)
+# kind -> (runner, top-level keys its config must have, keys it may
+# have); every kind also takes kind, grid and seed, and no other key
 _KINDS = {
-    "kolmogorov": (_run_kolmogorov, ("mu", "z0")),
-    "dual": (_run_dual, ("mu", "s")),
-    "verify_duality": (_run_verify_duality, ()),
-    "stability": (_run_stability, ("mu", "z0", "eps")),
-    "skt": (_run_skt, ("species",)),
-    "converge": (_run_converge, ("eps", "species")),
-    "weights": (_run_weights, ("weight",)),
+    "kolmogorov": (_run_kolmogorov, ("mu", "z0"), ("source", "reaction")),
+    "dual": (_run_dual, ("mu", "s"), ()),
+    "verify_duality": (_run_verify_duality, (), ("count", "threshold")),
+    "stability": (_run_stability, ("mu", "z0", "eps"), ("g",)),
+    "skt": (_run_skt, ("species",), ()),
+    "converge": (_run_converge, ("eps", "species"), ()),
+    "weights": (_run_weights, ("weight",), ("trials",)),
 }
 
 
@@ -474,7 +477,7 @@ def run(cfg: RunConfig, outdir: str | None = None) -> RunManifest:
     start = time.perf_counter()
     if outdir:
         os.makedirs(outdir, exist_ok=True)
-    runner, required = _KINDS[cfg.kind]
+    runner, required, _ = _KINDS[cfg.kind]
     for key in required:
         if key not in cfg.raw:
             raise ConfigError(f"missing key config.{key}")
@@ -525,8 +528,6 @@ def sweep(cfg: RunConfig, axis: str, values, outdir: str | None = None):
     recorded per point and the sweep continues."""
     from concurrent.futures import ThreadPoolExecutor
 
-    max_workers = int(os.environ.get("CDL_THREADS", "0")) or None
-
     def one(iv):
         i, v = iv
         raw = json.loads(json.dumps(cfg.raw))
@@ -537,8 +538,8 @@ def sweep(cfg: RunConfig, axis: str, values, outdir: str | None = None):
         except Exception as exc:  # recorded, sweep continues
             return exc
 
-    items = list(enumerate(values))
-    if not items:
-        return []
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(one, items))
+    with config_errors("CDL_THREADS"):
+        pool = ThreadPoolExecutor(
+            max_workers=int(os.environ.get("CDL_THREADS", "0")) or None)
+    with pool:
+        return list(pool.map(one, enumerate(values)))

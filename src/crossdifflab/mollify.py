@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .torus import Field, Grid, atomic_write, dump_field
+from .torus import Field, Grid, atomic_write_text, dump_field
 
 N_IMAGES = 3  # wrap images per axis; enough for eps <= 0.5 to 1e-12
 
@@ -85,10 +85,15 @@ class KernelSequence:
         kernels = list(kernels)
         if not kernels:
             raise ValueError("empty kernel sequence")
-        eps = [k.eps for k in kernels]
+        self.check_order([k.eps for k in kernels])
+        self.kernels = kernels
+
+    @staticmethod
+    def check_order(eps) -> None:
+        """The rule of every width list: a ValueError unless strictly
+        decreasing."""
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError(f"eps must be strictly decreasing, got {eps}")
-        self.kernels = kernels
 
     def __iter__(self):
         return iter(self.kernels)
@@ -130,5 +135,4 @@ def dump_kernel(path, k: Kernel) -> None:
     dump_field(path, k.values)
     sidecar = {"eps": k.eps, "n": k.grid.n, "dim": k.grid.dim,
                "family": "wrapped_gaussian"}
-    text = json.dumps(sidecar, indent=2) + "\n"
-    atomic_write(f"{path}.json", lambda fh: fh.write(text.encode()))
+    atomic_write_text(f"{path}.json", json.dumps(sidecar, indent=2) + "\n")

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import erf
 
 from .kolmo import _check_cfl, _guard
-from .mollify import convolve_array, dirac_defect, make_kernel
+from .mollify import KernelSequence, convolve_array, dirac_defect, make_kernel
 from .torus import Grid, Trajectory, lap_array, spacetime_norm
 
 
@@ -204,9 +204,7 @@ class ConvergenceTable:
     rows: tuple
 
     def __post_init__(self):
-        eps = [r.eps for r in self.rows]
-        if any(b >= a for a, b in zip(eps, eps[1:])):
-            raise ValueError("rows must have strictly decreasing eps")
+        KernelSequence.check_order([r.eps for r in self.rows])
 
 
 def _with_kernels(spec: SktSpec, kernels) -> SktSpec:
@@ -215,19 +213,20 @@ def _with_kernels(spec: SktSpec, kernels) -> SktSpec:
 
 def converge_study(spec_template: SktSpec, eps_list) -> ConvergenceTable:
     """Distance between the relaxed runs and the local (identity-kernel)
-    limit run, for each kernel width in eps_list."""
+    limit run, for each kernel width in eps_list.  Every width is checked
+    before the first march."""
     if any(k is not None for k in spec_template.kernels):
         raise ValueError("template must use identity kernels")
-    eps_list = list(eps_list)
+    kernels = KernelSequence(make_kernel(spec_template.grid, eps)
+                             for eps in eps_list)
     ref = solve_system(spec_template)
     rows = []
-    for eps in eps_list:
-        kern = make_kernel(spec_template.grid, eps)
+    for kern in kernels:
         sol = solve_system(_with_kernels(
             spec_template, [kern] * spec_template.species_count))
         dists = tuple(spacetime_norm(s, "L2Q", minus=r)
                       for s, r in zip(sol, ref))
-        rows.append(ConvergenceRow(eps=eps, defect=dirac_defect(kern),
+        rows.append(ConvergenceRow(eps=kern.eps, defect=dirac_defect(kern),
                                    distances=dists))
     return ConvergenceTable(rows=tuple(rows))
 

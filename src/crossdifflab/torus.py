@@ -342,6 +342,10 @@ def atomic_write(path, write) -> None:
             os.remove(tmp)
 
 
+def atomic_write_text(path, text: str) -> None:
+    atomic_write(path, lambda fh: fh.write(text.encode()))
+
+
 # binary field dumps: magic "CDL1", u8 dim, u32 n, u32 slice_count,
 # little-endian float64, row-major within a slice, slice-major overall.
 MAGIC = b"CDL1"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from crossdifflab import dual as dual_mod
 from crossdifflab.dual import (DualProblem, duality_pairings,
                                duality_residual, smooth_mu, solve_dual,
                                stability_study, verify_apriori)
@@ -152,3 +153,30 @@ def test_stability_study_eps_order():
     with pytest.raises(ValueError, match="strictly decreasing"):
         stability_study(mu, [0.1, 0.2], Field.constant(g, 1.0),
                         Trajectory.constant(g, 0.0))
+
+
+@pytest.mark.parametrize("name", ["mu", "s"])
+def test_dual_problem_refuses_data_on_another_grid(name):
+    g = _grid()
+    other = make_grid(g.dim, g.n, g.t_final, 2 * g.steps)
+    data = {"mu": Trajectory.constant(g, 1.0),
+            "s": Trajectory.constant(g, 0.0)}
+    data[name] = Trajectory.constant(other, 1.0)
+    with pytest.raises(ValueError, match=f"{name} lives on grid"):
+        DualProblem(grid=g, **data)
+
+
+@pytest.mark.parametrize("eps", [[0.1, 0.2], [0.2, 0.01]],
+                         ids=["increasing", "under-resolved-last"])
+def test_stability_study_checks_every_eps_before_solving(monkeypatch, eps):
+    solves = []
+
+    def counted(p):
+        solves.append(p)
+        return solve_forward(p)
+    monkeypatch.setattr(dual_mod, "solve_forward", counted)
+    g = _grid()
+    with pytest.raises(ValueError):
+        stability_study(Trajectory.constant(g, 1.0), eps,
+                        Field.constant(g, 1.0), Trajectory.constant(g, 0.0))
+    assert solves == []

@@ -54,6 +54,20 @@ def test_problem_validation():
                           reaction=Trajectory.constant(g, 0.0))
 
 
+@pytest.mark.parametrize("name", ["mu", "source", "reaction"])
+def test_problem_refuses_data_on_another_grid(name):
+    # a source with twice the steps used to march every step and then die
+    # in the mass ledger with a numpy broadcast error
+    g = _grid()
+    other = make_grid(g.dim, g.n, g.t_final, 2 * g.steps)
+    mode = "reaction" if name == "reaction" else "source"
+    data = {"mu": Trajectory.constant(g, 1.0),
+            mode: Trajectory.constant(g, 0.0)}
+    data[name] = Trajectory.constant(other, 1.0)
+    with pytest.raises(ValueError, match=f"{name} lives on grid"):
+        KolmogorovProblem(grid=g, z0=Field.constant(g, 1.0), **data)
+
+
 def test_positivity_exact_under_cfl():
     rng = np.random.default_rng(0)
     g = _grid(mu_sup=3.0)

@@ -10,7 +10,8 @@ from crossdifflab.cli import main
 from crossdifflab.lab import (ConfigError, RunManifest, atomic_write_text,
                               build_field, parse_config, philox_rng, run,
                               sweep, write_csv)
-from crossdifflab.torus import Field, dump_field, load_slices, make_grid
+from crossdifflab.torus import (Field, dump_field, dump_slices, load_slices,
+                                make_grid)
 
 GRID = {"dim": 1, "n": 32, "t_final": 0.01}
 
@@ -57,6 +58,23 @@ def test_under_resolved_eps_rejected():
     cfg["eps"] = [0.7]
     with pytest.raises(ConfigError, match="exceeds 0.5"):
         parse_config(json.dumps(cfg))
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("kolmogorov", "output", "out/"),
+    ("kolmogorov", "sweep_axis", "grid.n"),
+    ("kolmogorov", "s", {"family": "constant", "value": 1.0}),
+    ("kolmogorov", "trials", 5),
+    ("kolmogorov", "eps", [0.01]),
+    ("weights", "mu", {"family": "constant", "value": 1.0}),
+])
+def test_key_of_another_kind_is_unknown(kind, key, value):
+    # each kind takes kind, grid, seed and the keys its runner reads
+    raw = (_kolmo_raw() if kind == "kolmogorov" else
+           {"kind": "weights", "grid": dict(GRID), "weight": CONST})
+    raw[key] = value
+    with pytest.raises(ConfigError, match=rf"^unknown key config\.{key}"):
+        parse_config(json.dumps(raw))
 
 
 def test_bad_grid_reported_as_config_error(tmp_path):
@@ -534,6 +552,40 @@ def test_cli_unreadable_inputs_are_one_line_errors(tmp_path, capsys):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert why in err and err.count("\n") == 1, (argv, err)
+
+
+@pytest.mark.parametrize("argv, env, named", [
+    (["skt-converge", "--config", "{converge}", "--eps", "abc"], None,
+     "--eps"),
+    (["sweep", "--config", "{kolmogorov}", "--axis", "seed",
+      "--values", "1,abc"], None, "--values"),
+    (["sweep", "--config", "{kolmogorov}", "--axis", "seed",
+      "--values", "1"], "abc", "CDL_THREADS"),
+    (["sweep", "--config", "{kolmogorov}", "--axis", "seed",
+      "--values", "1"], "-1", "CDL_THREADS"),
+    (["a2-check", "--weight", "constant:2", "--n", "48"], None, "--n 48"),
+    (["a2-check", "--weight", "constant:2", "--dim", "3"], None, "--dim 3"),
+    (["maximal", "--field", "{n48}"], None, "{n48}"),
+    (["a2-check", "--weight", "{n48}"], None, "{n48}"),
+], ids=["eps", "values", "threads-abc", "threads-negative", "n", "dim",
+        "maximal-dump", "a2-dump"])
+def test_cli_bad_input_is_one_line_config_error(tmp_path, capsys,
+                                                monkeypatch, argv, env,
+                                                named):
+    paths = {
+        "converge": _write(tmp_path, "c.json", {
+            "kind": "converge", "grid": dict(GRID), "species": SKT_SPECIES,
+            "eps": [0.2]}),
+        "kolmogorov": _write(tmp_path, "k.json", _kolmo_raw()),
+        "n48": str(tmp_path / "n48.cdl"),
+    }
+    dump_slices(paths["n48"], 1, 48, np.ones((1, 48)))
+    if env is not None:
+        monkeypatch.setenv("CDL_THREADS", env)
+    assert main([a.format(**paths) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1, err
+    assert named.format(**paths) in err
 
 
 def test_cli_a2_check_dump(tmp_path, capsys):

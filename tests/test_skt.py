@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from crossdifflab import skt as skt_mod
 from crossdifflab.kolmo import CflViolation, NumericalBlowUp, steps_for
 from crossdifflab.mollify import convolve_array, make_kernel
 from crossdifflab.skt import (CoeffFamily, ConvergenceTable, ReactionFamily,
@@ -229,6 +230,20 @@ def test_convergence_table_order():
     row = converge_study(_two_species(_grid(n=64)), [0.1]).rows[0]
     with pytest.raises(ValueError, match="strictly decreasing"):
         ConvergenceTable(rows=(row, row))
+
+
+@pytest.mark.parametrize("eps", [[0.1, 0.2], [0.2, 0.01]],
+                         ids=["increasing", "under-resolved-last"])
+def test_converge_study_checks_every_eps_before_solving(monkeypatch, eps):
+    marches = []
+
+    def counted(spec):
+        marches.append(spec)
+        return solve_system(spec)
+    monkeypatch.setattr(skt_mod, "solve_system", counted)
+    with pytest.raises(ValueError):
+        converge_study(_two_species(_grid()), eps)
+    assert marches == []
 
 
 def test_regularization_study_converges():

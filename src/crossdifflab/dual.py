@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kolmo import (KolmogorovProblem, _check_cfl, _check_grids, _guard,
-                    solve_forward)
+                    _march_errstate, solve_forward)
 from .mollify import Kernel, KernelSequence, convolve_array, make_kernel
 from .torus import (Field, Grid, Trajectory, grad_sq_stack, lap_array,
-                    lap_stack, quadrature, spacetime_norm)
+                    lap_stack, quadrature, row_blocks, spacetime_norm)
 
 
 @dataclass(frozen=True)
@@ -30,11 +30,11 @@ class DualProblem:
 
     def __post_init__(self):
         _check_grids(self, "mu", "s")
-        if self.mu.data.min() <= 0.0:
+        if self.mu.distinct_rows().min() <= 0.0:
             raise ValueError("mu must be positively lower-bounded")
 
     def mu_sup(self) -> float:
-        return float(self.mu.data.max())
+        return float(self.mu.distinct_rows().max())
 
 
 @dataclass(frozen=True)
@@ -55,17 +55,22 @@ def solve_dual(p: DualProblem) -> Trajectory:
     out = np.empty((g.steps + 1, g.size))
     out[g.steps] = 0.0
     lap, work = np.empty((2, g.size))
+    blocks = row_blocks(g.steps, g.size)
+    tmu, ts = np.empty((2, blocks[0][1], g.size))
     # Phi^k = Phi^{k+1} + (tau*mu^k)*Lap(Phi^{k+1}) - tau*S^k, written
-    # straight into out[k]
-    for k in range(g.steps - 1, -1, -1):
-        phi, phinew = out[k + 1], out[k]
-        lap_array(phi, g, lap)
-        np.multiply(mu[k], tau, out=work)
-        np.multiply(work, lap, out=work)
-        np.add(phi, work, out=phinew)
-        np.multiply(s[k], tau, out=work)
-        np.subtract(phinew, work, out=phinew)
-        _guard(phinew, k)
+    # straight into out[k]; the blocks of steps backwards, with tau*mu^k
+    # and tau*S^k for a block at once
+    with _march_errstate():
+        for a, b in reversed(blocks):
+            np.multiply(mu[a:b], tau, out=tmu[:b - a])
+            np.multiply(s[a:b], tau, out=ts[:b - a])
+            for k in range(b - 1, a - 1, -1):
+                phi, phinew = out[k + 1], out[k]
+                lap_array(phi, g, lap)
+                np.multiply(tmu[k - a], lap, out=work)
+                np.add(phi, work, out=phinew)
+                np.subtract(phinew, ts[k - a], out=phinew)
+            _guard(out[a:b][::-1], range(b - 1, a - 1, -1))
     return Trajectory(g, out)
 
 

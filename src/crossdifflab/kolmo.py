@@ -25,6 +25,11 @@ class CflViolation(ValueError):
 
 
 class NumericalBlowUp(RuntimeError):
+    """A march produced a state holding NaN, inf or a value beyond
+    BLOWUP_LIMIT in magnitude.  `step` is the first such state in
+    marching order: the lowest step index of a forward or cross-diffusion
+    march, the highest of the backward dual march."""
+
     def __init__(self, step: int):
         super().__init__(f"solution is non-finite or exceeds "
                          f"{BLOWUP_LIMIT:g} in magnitude at step {step}")
@@ -53,7 +58,7 @@ class KolmogorovProblem:
         if (self.source is None) == (self.reaction is None):
             raise ValueError("exactly one of source/reaction must be given")
         _check_grids(self, "mu", "source", "reaction")
-        if self.mu.data.min() <= 0.0:
+        if self.mu.distinct_rows().min() <= 0.0:
             raise ValueError("mu must be positively lower-bounded")
         if self.reaction is not None and self.z0.values.min() < 0.0:
             raise ValueError("reaction mode requires z0 >= 0")
@@ -63,7 +68,7 @@ class KolmogorovProblem:
         return "source" if self.source is not None else "reaction"
 
     def mu_sup(self) -> float:
-        return float(self.mu.data.max())
+        return float(self.mu.distinct_rows().max())
 
 
 @dataclass(frozen=True)
@@ -99,11 +104,25 @@ def _check_cfl(grid: Grid, mu_sup: float) -> float:
     return grid.tau * 2.0 * grid.dim * mu_sup / grid.h ** 2
 
 
-def _guard(state: np.ndarray, step: int) -> None:
-    """Raise NumericalBlowUp unless every value of the state is within
-    BLOWUP_LIMIT in magnitude; NaN fails the comparison too."""
-    if not np.abs(state).max() <= BLOWUP_LIMIT:
-        raise NumericalBlowUp(step)
+def _guard(rows: np.ndarray, steps: range) -> None:
+    """The blow-up guard of a block of steps: raise NumericalBlowUp unless
+    every value of `rows`, the new states of the steps in `steps` along
+    the second-to-last axis (species may lead), is within BLOWUP_LIMIT in
+    magnitude; NaN fails the comparison too.  `steps` runs in marching
+    order, and the step reported is the first bad one in that order, the
+    one a guard after every step would have reported."""
+    if np.abs(rows).max() <= BLOWUP_LIMIT:
+        return
+    ok = (np.abs(rows) <= BLOWUP_LIMIT).all(axis=-1)
+    bad = ~ok.reshape(-1, len(steps)).all(axis=0)
+    raise NumericalBlowUp(steps[int(np.argmax(bad))])
+
+
+def _march_errstate():
+    """The floating-point state of a march over blocks of steps, guarded
+    once per block: it may run up to one block past a blow-up before the
+    guard raises, so overflow and invalid results stay silent."""
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 def solve_forward(p: KolmogorovProblem) -> SolveReport:
@@ -111,28 +130,35 @@ def solve_forward(p: KolmogorovProblem) -> SolveReport:
     cfl_used = _check_cfl(g, p.mu_sup())
     tau = g.tau
     mu = p.mu.data
-    src = p.source.data if p.mode == "source" else None
+    source = p.mode == "source"
+    rhs = (p.source if source else p.reaction).data
     out = np.empty((g.steps + 1, g.size))
     out[0] = p.z0.values
     flux, work = np.empty((2, g.size))
+    blocks = row_blocks(g.steps, g.size)
+    scratch = np.empty((blocks[0][1], g.size))
     # z^{k+1} = z^k + tau*Lap(mu^k z^k), then + tau*G^k or * exp(tau*R^k),
-    # written straight into out[k+1]
-    for k in range(g.steps):
-        z, znew = out[k], out[k + 1]
-        np.multiply(mu[k], z, out=flux)
-        np.multiply(lap_array(flux, g, work), tau, out=work)
-        np.add(z, work, out=znew)
-        if src is not None:
-            np.multiply(src[k], tau, out=work)
-            np.add(znew, work, out=znew)
-        else:
-            np.multiply(p.reaction.data[k], tau, out=work)
-            np.multiply(znew, np.exp(work, out=work), out=znew)
-        _guard(znew, k + 1)
+    # written straight into out[k+1]; tau*G^k (exp(tau*R^k)) for a block
+    # of steps at once
+    with _march_errstate():
+        for a, b in blocks:
+            trhs = np.multiply(rhs[a:b], tau, out=scratch[:b - a])
+            if not source:
+                np.exp(trhs, out=trhs)
+            for k in range(a, b):
+                z, znew = out[k], out[k + 1]
+                np.multiply(mu[k], z, out=flux)
+                np.multiply(lap_array(flux, g, work), tau, out=work)
+                np.add(z, work, out=znew)
+                if source:
+                    np.add(znew, trhs[k - a], out=znew)
+                else:
+                    np.multiply(znew, trhs[k - a], out=znew)
+            _guard(out[a + 1:b + 1], range(a + 1, b + 1))
     return SolveReport(
         trajectory=Trajectory(g, out),
         min_value=float(out.min()),
-        mass_drift=check_mass_array(out, p) if src is not None else np.nan,
+        mass_drift=check_mass_array(out, p) if source else np.nan,
         cfl_used=cfl_used,
         steps_taken=g.steps,
     )
@@ -166,7 +192,7 @@ def comparison_check(p: KolmogorovProblem, r_bar: float) -> ComparisonReport:
     """Compare a reaction solve against the reaction-free solve times e^{rt}."""
     if p.mode != "reaction":
         raise ValueError("comparison_check requires reaction mode")
-    if p.reaction.data.max() > r_bar:
+    if p.reaction.distinct_rows().max() > r_bar:
         raise ValueError("reaction exceeds r_bar somewhere")
     rep = solve_forward(p)
     p0 = KolmogorovProblem(grid=p.grid, mu=p.mu, z0=p.z0,

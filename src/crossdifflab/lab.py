@@ -288,7 +288,7 @@ def _run_kolmogorov(cfg: RunConfig):
         checks["mass_ledger"] = rep.mass_drift <= 1e-9 * max(
             1.0, norm(z0, "L1"))
     if z0.values.min() >= 0 and (p.mode == "reaction"
-                                 or p.source.data.min() >= 0):
+                                 or p.source.distinct_rows().min() >= 0):
         checks["non_negative"] = rep.min_value >= 0.0
     constants = {"min_value": rep.min_value, "cfl_used": rep.cfl_used,
                  "final_l2": norm(rep.trajectory.slice(grid.steps), "L2")}
@@ -305,7 +305,7 @@ def _run_dual(cfg: RunConfig):
     phi = dual_mod.solve_dual(p)
     reps = dual_mod.verify_apriori(p, phi)
     checks = {"apriori_energy": reps[0].passed}
-    if s.data.min() >= 0:
+    if s.distinct_rows().min() >= 0:
         checks["sign_non_positive"] = bool(phi.data.max() <= 1e-13)
     constants = {"apriori_ratio": reps[0].ratio,
                  "supnorm_constant": reps[1].ratio,

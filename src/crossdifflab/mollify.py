@@ -37,8 +37,11 @@ class Kernel:
 
 def check_width(grid: Grid, eps: float) -> float:
     """eps as a float if a kernel of that width fits the grid, 2h <= eps
-    <= 0.5 (resolved, and wrapped by N_IMAGES); a ValueError otherwise."""
+    <= 0.5 (resolved, and wrapped by N_IMAGES); a ValueError otherwise,
+    also for NaN, which no comparison admits."""
     eps = float(eps)
+    if np.isnan(eps):
+        raise ValueError("kernel width is not a number: eps=nan")
     if eps < 2.0 * grid.h:
         raise ValueError(
             f"under-resolved kernel: eps={eps} < 2h={2.0 * grid.h}")
@@ -70,11 +73,19 @@ def convolve(f: Field, k: Kernel) -> Field:
 
 
 def convolve_array(v: np.ndarray, k: Kernel) -> np.ndarray:
-    """Circular convolution of a flat array with the kernel (times h^dim)."""
+    """Circular convolution of a flat array with the kernel (times h^dim).
+    In 1-D rfftn and irfftn reduce to exactly rfft and irfft, so those are
+    called directly."""
     g = k.grid
-    fv = np.fft.rfftn(v.reshape(g.shape))
-    out = np.fft.irfftn(fv * k.fft(), s=g.shape,
-                        axes=tuple(range(g.dim))) * g.cell_volume()
+    if g.dim == 1:
+        fv = np.fft.rfft(v)
+        fv *= k.fft()
+        out = np.fft.irfft(fv, g.n)
+    else:
+        fv = np.fft.rfftn(v.reshape(g.shape))
+        fv *= k.fft()
+        out = np.fft.irfftn(fv, s=g.shape, axes=(0, 1))
+    out *= g.cell_volume()
     return out.reshape(v.shape)
 
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import erf
 
-from .kolmo import _check_cfl, _guard
+from .kolmo import _check_cfl, _guard, _march_errstate
 from .mollify import KernelSequence, convolve_array, dirac_defect, make_kernel
-from .torus import Grid, Trajectory, lap_array, spacetime_norm
+from .torus import Grid, Trajectory, lap_array, row_blocks, spacetime_norm
 
 
 def _smoothed_abs(y: np.ndarray, sigma: float) -> np.ndarray:
@@ -84,7 +84,8 @@ class CoeffFamily:
         else:  # kinked_affine
             raw = self.d + self.kink * _smoothed_abs(args[0] - self.pivot,
                                                      self.sigma)
-        return np.clip(raw, self.lo, self.hi)
+        # np.clip's result for lo <= hi, with less call overhead
+        return np.minimum(np.maximum(raw, self.lo), self.hi)
 
 
 @dataclass(frozen=True)
@@ -102,10 +103,13 @@ class ReactionFamily:
         if len(args) != len(self.s):
             raise ValueError(
                 f"reaction expects {len(self.s)} arguments, got {len(args)}")
-        out = np.full_like(np.asarray(args[0], dtype=np.float64), self.rho)
-        for sj, aj in zip(self.s, args):
-            if sj != 0.0:
-                out -= sj * aj
+        terms = [sj * aj for sj, aj in zip(self.s, args) if sj != 0.0]
+        if not terms:
+            return np.full_like(np.asarray(args[0], dtype=np.float64),
+                                self.rho)
+        out = np.subtract(self.rho, terms[0])
+        for t in terms[1:]:
+            out -= t
         return out
 
 
@@ -158,8 +162,9 @@ def evaluate_coeff(spec: SktSpec, i: int, state):
 
 def step(spec: SktSpec, state, out=None) -> list:
     """One explicit step; coefficients frozen at the incoming state.  The
-    new state is written into `out` (one array per species, none of them
-    overlapping the state) when given, and returned."""
+    new state is written into `out` (one array per species, such as the
+    rows of a 2-D array, none of them overlapping the state) when given,
+    and returned."""
     g = spec.grid
     tau = g.tau
     if out is None:
@@ -183,12 +188,14 @@ def solve_system(spec: SktSpec):
     species.  Positivity is exact under the global CFL bound."""
     g = spec.grid
     _check_cfl(g, spec.hi_max())
-    out = [np.empty((g.steps + 1, g.size)) for _ in spec.init]
+    out = np.empty((spec.species_count, g.steps + 1, g.size))
     for o, f in zip(out, spec.init):
         o[0] = f.values
-    for k in range(g.steps):
-        for u in step(spec, [o[k] for o in out], [o[k + 1] for o in out]):
-            _guard(u, k + 1)
+    with _march_errstate():
+        for a, b in row_blocks(g.steps, g.size):
+            for k in range(a, b):
+                step(spec, out[:, k], out[:, k + 1])
+            _guard(out[:, a + 1:b + 1], range(a + 1, b + 1))
     return [Trajectory(g, o) for o in out]
 
 

@@ -124,6 +124,12 @@ class Trajectory:
     def slice(self, k: int) -> Field:
         return Field(self.grid, self.data[k])
 
+    def distinct_rows(self) -> np.ndarray:
+        """The rows that can differ: the one row of a constant-in-time
+        trajectory (a broadcast view, whose rows share memory), all K+1
+        rows otherwise.  A scan for a minimum or maximum reads these."""
+        return self.data[:1] if self.data.strides[0] == 0 else self.data
+
     @staticmethod
     def constant_in_time(grid: Grid, f: Field) -> "Trajectory":
         # broadcast view; read-only, never mutated by the solvers
@@ -188,9 +194,19 @@ def lap_stack(v: np.ndarray, grid: Grid, out: np.ndarray | None = None
 
     Each value is -2 dim w, plus w[i-1], plus w[i+1], axis by axis, over
     h^2.  Written into `out` (C-contiguous, of v's shape, not overlapping
-    v) when one is given; that array is returned."""
+    v) when one is given; that array is returned.  A single 1-D slice goes
+    through a ghost-cell copy, which adds in the same order with fewer
+    calls; stacks and 2-D slices are faster by slice-adds."""
     if out is None:
         out = np.empty(v.shape)
+    if grid.dim == 1 and v.ndim == 1:
+        pad = np.empty(v.shape[0] + 2)
+        pad[1:-1] = v
+        pad[0], pad[-1] = v[-1], v[0]
+        np.multiply(v, -2.0, out=out)
+        np.add(out, pad[:-2], out=out)
+        np.add(out, pad[2:], out=out)
+        return np.divide(out, grid.h ** 2, out=out)
     if grid.dim == 1:
         w, o = v, out
     elif out.flags.c_contiguous:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from crossdifflab.dual import DualProblem
 from crossdifflab.kolmo import (CflViolation, KolmogorovProblem,
                                 NumericalBlowUp, cfl_timestep, check_mass,
                                 comparison_check, solve_forward, steps_for)
@@ -170,3 +171,36 @@ def test_report_metadata():
     rep = solve_forward(p)
     assert rep.steps_taken == g.steps
     assert 0.0 < rep.cfl_used <= 0.9 + 1e-12
+
+
+@pytest.mark.parametrize("lo, hi", [(0.5, 2.0), (-1.0, 2.0), (0.0, 0.0)])
+def test_constant_in_time_data_are_scanned_as_one_row(lo, hi):
+    # the broadcast view of one field and K+1 materialized copies of it
+    # give the same sup mu bits and the same refusals; the view is read
+    # as its one distinct row
+    g = _grid()
+    rng = np.random.default_rng(3)
+    f = Field(g, rng.uniform(lo, hi, g.size))
+    view = Trajectory.constant_in_time(g, f)
+    copy = Trajectory(g, np.tile(f.values, (g.steps + 1, 1)))
+    assert view.distinct_rows().shape == (1, g.size)
+    assert copy.distinct_rows() is copy.data
+    z0 = Field.constant(g, 1.0)
+    outcomes = []
+    for traj in (view, copy):
+        seen = []
+        for make in (
+                lambda: KolmogorovProblem(grid=g, mu=traj, z0=z0,
+                                          source=traj).mu_sup(),
+                lambda: DualProblem(grid=g, mu=traj, s=traj).mu_sup(),
+                lambda: comparison_check(KolmogorovProblem(
+                    grid=g, mu=Trajectory.constant(g, 1.0), z0=z0,
+                    reaction=traj), 1.0).r_bar):
+            try:
+                seen.append(make())
+            except ValueError as exc:
+                seen.append(str(exc))
+        outcomes.append(seen)
+    assert outcomes[0] == outcomes[1]
+    if lo > 0.0:
+        assert outcomes[0][0] == float(f.values.max())

@@ -267,6 +267,33 @@ def test_skt_species_entries_must_be_objects(species, where):
         run(parse_config(json.dumps(raw)))
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("command, raw, where", [
+    ("stability-study",
+     {"kind": "stability", "grid": dict(GRID), "eps": [0.2, NAN],
+      "mu": {"family": "constant", "value": 1.0},
+      "z0": {"family": "constant", "value": 1.0}}, "config.eps"),
+    ("skt-run",
+     {"kind": "skt", "grid": dict(GRID),
+      "species": _species_with(0, "kernel_eps", NAN)},
+     "config.species[0].kernel_eps"),
+], ids=["eps", "kernel_eps"])
+def test_nan_kernel_width_is_config_error(tmp_path, capsys, command, raw,
+                                          where):
+    # NaN passes both `eps < 2h` and `eps > 0.5` as false: it must still be
+    # refused when the config is parsed, under the key it came from
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(raw))
+    assert str(exc.value).startswith(where + ": ")
+    assert "not a number" in str(exc.value)
+    assert main([command, "--config", _write(tmp_path, "nan.json", raw)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1, err
+    assert where in err
+
+
 def test_skt_kernel_eps_too_wide_is_config_error(tmp_path, capsys):
     # a species kernel wider than 0.5 is refused like config.eps, not
     # left to fail in make_kernel during the run
@@ -557,6 +584,8 @@ def test_cli_unreadable_inputs_are_one_line_errors(tmp_path, capsys):
 @pytest.mark.parametrize("argv, env, named", [
     (["skt-converge", "--config", "{converge}", "--eps", "abc"], None,
      "--eps"),
+    (["skt-converge", "--config", "{converge}", "--eps", "0.2,nan"], None,
+     "config.eps"),
     (["sweep", "--config", "{kolmogorov}", "--axis", "seed",
       "--values", "1,abc"], None, "--values"),
     (["sweep", "--config", "{kolmogorov}", "--axis", "seed",
@@ -567,8 +596,8 @@ def test_cli_unreadable_inputs_are_one_line_errors(tmp_path, capsys):
     (["a2-check", "--weight", "constant:2", "--dim", "3"], None, "--dim 3"),
     (["maximal", "--field", "{n48}"], None, "{n48}"),
     (["a2-check", "--weight", "{n48}"], None, "{n48}"),
-], ids=["eps", "values", "threads-abc", "threads-negative", "n", "dim",
-        "maximal-dump", "a2-dump"])
+], ids=["eps", "eps-nan", "values", "threads-abc", "threads-negative", "n",
+        "dim", "maximal-dump", "a2-dump"])
 def test_cli_bad_input_is_one_line_config_error(tmp_path, capsys,
                                                 monkeypatch, argv, env,
                                                 named):

@@ -1,16 +1,26 @@
 """The explicit marches write in place: one stencil call per species per
-step, and the problem's own arrays are never written."""
+step, and the problem's own arrays are never written.  Marched over blocks
+of steps, they give the bits and the blow-up step of the plain per-step
+loops kept here as references."""
+
+import warnings
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossdifflab import dual, kolmo, skt, torus
 from crossdifflab.dual import DualProblem, solve_dual
-from crossdifflab.kolmo import KolmogorovProblem, solve_forward, steps_for
+from crossdifflab.kolmo import (BLOWUP_LIMIT, KolmogorovProblem,
+                                NumericalBlowUp, cfl_timestep, solve_forward,
+                                steps_for)
 from crossdifflab.mollify import make_kernel
 from crossdifflab.skt import (CoeffFamily, ReactionFamily, SktSpec,
                               solve_system)
-from crossdifflab.torus import Field, Trajectory, make_grid
+from crossdifflab.torus import Field, Trajectory, lap_stack, make_grid
 
 
 def _grid(dim):
@@ -108,3 +118,295 @@ def test_marches_leave_their_inputs_unchanged(dim):
         assert _unchanged(before, inputs)
         assert all(np.array_equal(t.data[0], f.values)
                    for t, f in zip(sol, spec.init))
+
+
+# ---------------------------------------------------------------------------
+# the per-step loops: every step's operations one call each, in the order
+# the schemes write them, and a guard after every step
+
+def _ref_guard(state, step):
+    if not np.abs(state).max() <= BLOWUP_LIMIT:
+        raise NumericalBlowUp(step)
+
+
+def _ref_lap(v, g):
+    # the slice-add stencil (a stack of one slice takes that path)
+    return lap_stack(v[None], g)[0]
+
+
+def _ref_forward(p):
+    g, tau, mu = p.grid, p.grid.tau, p.mu.data
+    out = np.empty((g.steps + 1, g.size))
+    out[0] = p.z0.values
+    flux, work = np.empty((2, g.size))
+    for k in range(g.steps):
+        z, znew = out[k], out[k + 1]
+        np.multiply(mu[k], z, out=flux)
+        np.multiply(_ref_lap(flux, g), tau, out=work)
+        np.add(z, work, out=znew)
+        if p.mode == "source":
+            np.multiply(p.source.data[k], tau, out=work)
+            np.add(znew, work, out=znew)
+        else:
+            np.multiply(p.reaction.data[k], tau, out=work)
+            np.multiply(znew, np.exp(work, out=work), out=znew)
+        _ref_guard(znew, k + 1)
+    return out
+
+
+def _ref_dual(p):
+    g, tau, mu, s = p.grid, p.grid.tau, p.mu.data, p.s.data
+    out = np.empty((g.steps + 1, g.size))
+    out[g.steps] = 0.0
+    work = np.empty(g.size)
+    for k in range(g.steps - 1, -1, -1):
+        phi, phinew = out[k + 1], out[k]
+        lap = _ref_lap(phi, g)
+        np.multiply(mu[k], tau, out=work)
+        np.multiply(work, lap, out=work)
+        np.add(phi, work, out=phinew)
+        np.multiply(s[k], tau, out=work)
+        np.subtract(phinew, work, out=phinew)
+        _ref_guard(phinew, k)
+    return out
+
+
+def _ref_convolve(v, kern):
+    g = kern.grid
+    fv = np.fft.rfftn(v.reshape(g.shape))
+    kf = np.fft.rfftn(kern.values.reshaped())
+    out = np.fft.irfftn(fv * kf, s=g.shape,
+                        axes=tuple(range(g.dim))) * g.cell_volume()
+    return out.reshape(v.shape)
+
+
+def _ref_coeff(cf, args):
+    # the constant kind and the two argument kinds the cases draw
+    if cf.kind == "constant":
+        return cf.d
+    lin = sum(cj * aj for cj, aj in zip(cf.c, args))
+    raw = cf.d + lin if cf.kind == "clamped_affine" else cf.d / (1.0 + lin)
+    return np.clip(raw, cf.lo, cf.hi)
+
+
+def _ref_reaction(r, args):
+    out = np.full_like(np.asarray(args[0], dtype=np.float64), r.rho)
+    for sj, aj in zip(r.s, args):
+        if sj != 0.0:
+            out -= sj * aj
+    return out
+
+
+def _ref_skt(spec, reaction=_ref_reaction):
+    g, tau = spec.grid, spec.grid.tau
+    out = [np.empty((g.steps + 1, g.size)) for _ in spec.init]
+    for o, f in zip(out, spec.init):
+        o[0] = f.values
+    flux, work = np.empty((2, g.size))
+    for k in range(g.steps):
+        state = [o[k] for o in out]
+        smoothed = [u if kern is None else _ref_convolve(u, kern)
+                    for u, kern in zip(state, spec.kernels)]
+        for i, u in enumerate(state):
+            unew = out[i][k + 1]
+            np.multiply(_ref_coeff(spec.coeffs[i], smoothed[i + 1:]), u,
+                        out=flux)
+            np.multiply(_ref_lap(flux, g), tau, out=work)
+            np.add(u, work, out=unew)
+            np.multiply(reaction(spec.reactions[i], smoothed), tau, out=work)
+            np.multiply(unew, np.exp(work, out=work), out=unew)
+        for o in out:
+            _ref_guard(o[k + 1], k + 1)
+    return out
+
+
+MARCH = settings(derandomize=True, max_examples=30, deadline=None)
+
+
+@st.composite
+def blocked_grids(draw):
+    """A 1-D or 2-D grid, a number of steps per block (STREAM_BLOCK is
+    patched to it) and a step count below, at or across a block boundary,
+    with a generator for the data."""
+    dim = draw(st.sampled_from((1, 2)))
+    n = draw(st.sampled_from((8, 16)))
+    per = draw(st.integers(1, 5))
+    steps = draw(st.integers(1, 3 * per + 1))
+    mu_hi = draw(st.floats(0.5, 3.0))
+    tau = 0.5 * cfl_timestep(make_grid(dim, n, 1.0, 1), mu_hi)
+    g = make_grid(dim, n, steps * tau, steps)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return g, per, mu_hi, rng
+
+
+def _data(g, rng, lo, hi, constant):
+    """A trajectory of uniform values: the broadcast view of one field, or
+    K+1 independent slices."""
+    if constant:
+        return Trajectory.constant_in_time(
+            g, Field(g, rng.uniform(lo, hi, g.size)))
+    return Trajectory(g, rng.uniform(lo, hi, (g.steps + 1, g.size)))
+
+
+@contextmanager
+def _blocks_of(g, per):
+    """March in blocks of `per` steps."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(torus, "STREAM_BLOCK", per * g.size)
+        yield
+
+
+@MARCH
+@given(blocked_grids(), st.sampled_from(("source", "reaction")),
+       st.booleans())
+def test_forward_march_is_the_per_step_loop(case, mode, constant):
+    g, per, mu_hi, rng = case
+    p = KolmogorovProblem(
+        grid=g, mu=_data(g, rng, 0.1, mu_hi, constant),
+        z0=Field(g, rng.uniform(0.0, 1.0, g.size)),
+        **{mode: _data(g, rng, -1.0, 1.0, constant)})
+    with _blocks_of(g, per):
+        z = solve_forward(p).trajectory.data
+    assert np.array_equal(z, _ref_forward(p))
+
+
+@MARCH
+@given(blocked_grids(), st.booleans())
+def test_dual_march_is_the_per_step_loop(case, constant):
+    g, per, mu_hi, rng = case
+    p = DualProblem(grid=g, mu=_data(g, rng, 0.1, mu_hi, constant),
+                    s=_data(g, rng, -1.0, 1.0, constant))
+    with _blocks_of(g, per):
+        phi = solve_dual(p).data
+    assert np.array_equal(phi, _ref_dual(p))
+
+
+def _skt_case(g, rng, hi, kind, eps, s0):
+    kern = make_kernel(g, eps) if eps else None
+    c = rng.uniform(0.5, 1.5)
+    return SktSpec(
+        grid=g,
+        coeffs=(CoeffFamily(kind=kind, d=1.0, c=(c,), lo=0.5, hi=hi),
+                CoeffFamily(kind="constant", d=rng.uniform(0.5, hi))),
+        reactions=(ReactionFamily(rho=1.0, s=s0),
+                   ReactionFamily(rho=0.5, s=(rng.uniform(0.0, 1.0), 1.0))),
+        kernels=(kern, kern),
+        init=tuple(Field(g, rng.uniform(0.0, 1.5, g.size))
+                   for _ in range(2)))
+
+
+@MARCH
+@given(blocked_grids(),
+       st.sampled_from(("clamped_affine", "rational_saturating")),
+       st.sampled_from((None, 0.25)),
+       st.sampled_from(((1.0, 0.5), (0.0, 1.0), (0.0, 0.0))))
+def test_skt_march_is_the_per_step_loop(case, kind, eps, s0):
+    g, per, mu_hi, rng = case
+    spec = _skt_case(g, rng, mu_hi, kind, eps, s0)
+    with _blocks_of(g, per):
+        sol = solve_system(spec)
+    ref = _ref_skt(spec)
+    assert all(np.array_equal(t.data, r) for t, r in zip(sol, ref))
+
+
+# ---------------------------------------------------------------------------
+# blow-ups inside a block: the guard runs once per block, the step it
+# reports is the one the per-step guard reported
+
+@st.composite
+def blowups(draw):
+    """A grid marched in blocks of `per` >= 3 steps, and a step j inside a
+    full block (neither its first nor its last) whose data jump.  The
+    state that first goes bad, j+1 forward and j backward, is then neither
+    the first nor the last state that its block's guard checks."""
+    g, _, mu_hi, rng = draw(blocked_grids())
+    per = draw(st.integers(3, 5))
+    steps = draw(st.integers(per, 3 * per))
+    g = make_grid(g.dim, g.n, g.tau * steps, steps)
+    a = per * draw(st.integers(0, steps // per - 1))
+    return g, per, mu_hi, rng, a + draw(st.integers(1, per - 2))
+
+
+def _raised_step(march, *args):
+    """The step of the NumericalBlowUp that the march raises, and whether
+    it warned."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericalBlowUp) as exc:
+            march(*args)
+    return exc.value.step, any(issubclass(w.category, RuntimeWarning)
+                               for w in seen)
+
+
+def _ref_step(march, *args):
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalBlowUp) as exc:
+        march(*args)
+    return exc.value.step
+
+
+def _jump(g, rng, j):
+    """Uniform values in [-1, 1] but 1e20 at one point of slice j."""
+    data = rng.uniform(-1.0, 1.0, (g.steps + 1, g.size))
+    data[j, rng.integers(g.size)] = 1e20
+    return Trajectory(g, data)
+
+
+@MARCH
+@given(blowups(), st.sampled_from(("source", "reaction")))
+def test_forward_blowup_in_a_block_reports_the_loop_step(case, mode):
+    g, per, mu_hi, rng, j = case
+    p = KolmogorovProblem(grid=g, mu=_data(g, rng, 0.1, mu_hi, False),
+                          z0=Field(g, rng.uniform(0.5, 1.0, g.size)),
+                          **{mode: _jump(g, rng, j)})
+    with _blocks_of(g, per):
+        step, warned = _raised_step(solve_forward, p)
+    assert step == _ref_step(_ref_forward, p) == j + 1
+    assert not warned
+
+
+@MARCH
+@given(blowups())
+def test_dual_blowup_in_a_block_reports_the_loop_step(case):
+    g, per, mu_hi, rng, j = case
+    p = DualProblem(grid=g, mu=_data(g, rng, 0.1, mu_hi, False),
+                    s=_jump(g, rng, j))
+    with _blocks_of(g, per):
+        step, warned = _raised_step(solve_dual, p)
+    assert step == _ref_step(_ref_dual, p) == j
+    assert not warned
+
+
+@dataclass(frozen=True)
+class _JumpAt(ReactionFamily):
+    """A reaction that is 1e20 at one point in its evaluation number `at`,
+    that is at step `at`: a species' reaction is evaluated once a step."""
+
+    at: int = 0
+    calls: list = field(default_factory=list, compare=False)
+
+    def evaluate(self, args):
+        out = _ref_reaction(self, args)
+        if len(self.calls) == self.at:
+            out[0] = 1e20
+        self.calls.append(1)
+        return out
+
+
+@MARCH
+@given(blowups(), st.integers(0, 1), st.sampled_from((None, 0.25)))
+def test_skt_blowup_in_a_block_reports_the_loop_step(case, species, eps):
+    g, per, mu_hi, rng, j = case
+    base = _skt_case(g, rng, mu_hi, "clamped_affine", eps, (1.0, 0.5))
+
+    def jumping():
+        reactions = list(base.reactions)
+        r = reactions[species]
+        reactions[species] = _JumpAt(rho=r.rho, s=r.s, at=j)
+        return replace(base, reactions=tuple(reactions))
+
+    with _blocks_of(g, per):
+        step, warned = _raised_step(solve_system, jumping())
+    assert step == _ref_step(
+        _ref_skt, jumping(), lambda r, args: r.evaluate(args)) == j + 1
+    assert not warned

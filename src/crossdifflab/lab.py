@@ -51,6 +51,16 @@ def _object(value, path: str) -> dict:
     return value
 
 
+def _positive_int(raw: dict, key: str, default: int) -> int:
+    """config.<key>, a count: a positive integer.  A bool, a float such as
+    2.9 and a count below 1 are ConfigErrors, not rounded or skipped."""
+    value = raw.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"config.{key} must be a positive integer, "
+                          f"got {value!r}")
+    return value
+
+
 def _check_keys(d: dict, allowed, required, path: str) -> None:
     for key in d:
         if key not in allowed:
@@ -333,7 +343,7 @@ def random_duality_problem(grid: Grid, seed: int, index: int):
 
 def _run_verify_duality(cfg: RunConfig):
     raw = cfg.raw
-    count = int(raw.get("count", 20))
+    count = _positive_int(raw, "count", 20)
     threshold = float(raw.get("threshold", 1e-11))
     grid = _build_grid(raw["grid"], "config.grid",
                        mu_sup_hint=DUALITY_MU_RANGE[1])
@@ -448,9 +458,9 @@ def _run_weights(cfg: RunConfig):
                        "config.grid")
     w = weights_mod.Weight(build_field(grid, raw["weight"], "config.weight",
                                        cfg.seed))
+    trials = _positive_int(raw, "trials", 20)
     a2 = weights_mod.a2_constant(w)
-    ratio = weights_mod.maximal_boundedness(
-        w, trials=int(raw.get("trials", 20)), seed=cfg.seed)
+    ratio = weights_mod.maximal_boundedness(w, trials=trials, seed=cfg.seed)
     checks = {"a2_at_least_one": a2 >= 1.0, "ratio_finite": ratio.passed}
     constants = {"a2_constant": a2, "maximal_ratio": ratio.lhs}
     return grid, checks, constants, {}

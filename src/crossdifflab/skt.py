@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import erf
 
 from .kolmo import _check_cfl, _guard, _march_errstate
 from .mollify import KernelSequence, convolve_array, dirac_defect, make_kernel
@@ -24,6 +23,7 @@ def _smoothed_abs(y: np.ndarray, sigma: float) -> np.ndarray:
     """E|y + sigma*Z| for standard normal Z; equals |y| as sigma -> 0."""
     if sigma == 0.0:
         return np.abs(y)
+    from scipy.special import erf  # scipy loads only for sigma > 0
     return (y * erf(y / (sigma * np.sqrt(2.0)))
             + sigma * np.sqrt(2.0 / np.pi) * np.exp(-y ** 2 / (2 * sigma ** 2)))
 

@@ -2,7 +2,8 @@
 
 Discrete "balls" are centered cubes (l-infinity neighborhoods) of odd side
 2w+1 cells, w = 0 .. n/2 - 1, so the smallest ball is the center cell alone
-and Mf >= |f| pointwise.  Averages use wrap-around sliding windows.
+and Mf >= |f| pointwise.  Ball sums wrap around the torus and are built as
+ring sums: each ball adds the ring of cells around the previous one.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 from .dual import (DualProblem, EstimateReport, mu_half_delta_phi_sq,
                    solve_dual)
@@ -29,32 +29,78 @@ class Weight:
             raise ValueError("weight must be strictly positive")
 
 
-def _window_sizes(n: int):
-    return [2 * w + 1 for w in range(n // 2)]
+def _add_rolls(acc: np.ndarray, a: np.ndarray, w: int, axis: int) -> None:
+    """acc += roll(a, w) + roll(a, -w) along `axis` (-1 or -2), as four
+    slice adds."""
+    tail = (slice(None),) * (-1 - axis)
+    e = a.shape[axis] - w
+    for dst, src in ((slice(w, None), slice(None, e)),
+                     (slice(None, w), slice(e, None)),
+                     (slice(None, e), slice(w, None)),
+                     (slice(e, None), slice(None, w))):
+        acc[(..., dst, *tail)] += a[(..., src, *tail)]
 
 
-def _ball_means(v: np.ndarray, grid: Grid, size: int) -> np.ndarray:
-    return uniform_filter(v.reshape(grid.shape), size=size,
-                          mode="wrap").reshape(-1)
+def _wrap_pad(v: np.ndarray, p: int, axis: int) -> np.ndarray:
+    """v with p wrapped cells added at both ends of `axis`."""
+    width = [(0, 0)] * v.ndim
+    width[axis] = (p, p)
+    return np.pad(v, width, mode="wrap")
+
+
+def _ball_sums(v: np.ndarray, grid: Grid):
+    """Yield (size, sums) for the ball sizes 3, 5, ..., n - 1, where
+    sums[..., x] is the sum of v over the ball of that side centered at x.
+    v holds one or more fields (shape (..., grid.size)); `sums` has its
+    shape and is one buffer, updated in place from one size to the next.
+
+    Each size adds the ring around the previous ball.  In 1-D that is the
+    two cells at offsets +-w.  In 2-D the ring is the rows +-w of the row
+    sums over 2w+1 cells (corners included) and the columns +-w of the
+    column sums over 2w-1 cells; both line sums grow by two cells a size.
+    Added values are never subtracted, so data of one sign loses nothing
+    to cancellation."""
+    n, p = grid.n, grid.n // 2
+    v = v.reshape(v.shape[:-1] + grid.shape)
+    flat = v.shape[:-grid.dim] + (grid.size,)
+    row_pad = _wrap_pad(v, p, -1)
+    row = v.copy()
+    if grid.dim == 2:
+        col_pad = _wrap_pad(v, p, -2)
+        col = v.copy()
+        ball = v.copy()
+    for w in range(1, p):
+        row += row_pad[..., p - w:p - w + n]
+        row += row_pad[..., p + w:p + w + n]
+        if grid.dim == 1:
+            yield 2 * w + 1, row.reshape(flat)
+            continue
+        _add_rolls(ball, row, w, -2)
+        _add_rolls(ball, col, w, -1)
+        col += col_pad[..., p - w:p - w + n, :]
+        col += col_pad[..., p + w:p + w + n, :]
+        yield 2 * w + 1, ball.reshape(flat)
 
 
 def maximal_function(f: Field) -> Field:
     g = f.grid
     a = np.abs(f.values)
-    out = a.copy()  # window size 1 is the center cell itself
-    for size in _window_sizes(g.n)[1:]:
-        np.maximum(out, _ball_means(a, g, size), out=out)
+    out = a.copy()  # the size-1 ball is the center cell itself
+    mean = np.empty_like(a)
+    for size, sums in _ball_sums(a, g):
+        np.maximum(out, np.divide(sums, size ** g.dim, out=mean), out=out)
     return Field(g, out)
 
 
 def a2_constant(w: Weight) -> float:
     g = w.values.grid
-    nu = w.values.values
-    inv = 1.0 / nu
+    # A2 does not change when nu is scaled; scaled to a largest value of 1,
+    # a constant weight has integer ball sums and gives exactly 1
+    nu = w.values.values / w.values.values.max()
     best = 1.0  # size-1 balls give exactly 1
-    for size in _window_sizes(g.n)[1:]:
-        prod = _ball_means(nu, g, size) * _ball_means(inv, g, size)
-        best = max(best, float(prod.max()))
+    for size, sums in _ball_sums(np.stack((nu, 1.0 / nu)), g):
+        cells = size ** g.dim
+        best = max(best, float((sums[0] * sums[1]).max()) / cells ** 2)
     return best
 
 

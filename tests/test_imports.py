@@ -1,0 +1,26 @@
+"""`import crossdifflab` loads numpy and no scipy module: scipy is loaded
+only by the two functions that call it (`weights.a2_ratio_correlation`'s
+`spearmanr` and the sigma > 0 branch of `skt._smoothed_abs`'s `erf`)."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("module", ["crossdifflab", "crossdifflab.cli"])
+def test_import_loads_no_scipy(module):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = (f"import sys, {module}\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

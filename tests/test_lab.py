@@ -380,6 +380,29 @@ def test_malformed_values_are_config_errors(tmp_path, capsys, raw):
         assert err.startswith("config error") and err.count("\n") == 1
 
 
+COUNTED = {
+    "count": {"kind": "verify_duality", "grid": dict(GRID)},
+    "trials": {"kind": "weights", "grid": dict(GRID), "weight": CONST},
+}
+
+
+@pytest.mark.parametrize("key", sorted(COUNTED))
+@pytest.mark.parametrize("value", [0, -2, 2.9, 1.0, True, False, "3", None])
+def test_counts_must_be_positive_integers(tmp_path, capsys, key, value):
+    # a count of 0 or below checks nothing, and 2.9 or true would be
+    # rounded to another count: each is refused, naming its key
+    raw = dict(COUNTED[key], **{key: value})
+    with pytest.raises(ConfigError, match=f"^config.{key} must be a "
+                                          "positive integer"):
+        run(parse_config(json.dumps(raw)))
+    if key == "count":
+        cfgp = _write(tmp_path, "bad.json", raw)
+        assert main(["verify-duality", "--config", cfgp]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config.count")
+        assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # determinism and artifacts
 

@@ -18,6 +18,7 @@ from crossdifflab.skt import CoeffFamily, ReactionFamily, SktSpec, solve_system
 from crossdifflab.torus import (STREAM_BLOCK, Field, Trajectory,
                                 grad_sq_stack, lap_array, lap_stack,
                                 make_grid, norm, quadrature, spacetime_norm)
+from crossdifflab.weights import _ball_sums, maximal_function
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -333,3 +334,64 @@ def test_quadrature_close_to_exact_sum(case):
              * math.fsum(np.abs(body).reshape(-1).tolist()))
     got = quadrature(lambda a, b: data[a:b], grid)
     assert abs(got - exact) <= bound
+
+
+# ---------------------------------------------------------------------------
+# the ring-sum ball scan of the weights toolkit against np.roll window sums
+
+def _roll_ball_sum(v, grid, w):
+    """The sum over the wrap-around ball of side 2w+1 around each cell, as
+    np.roll writes it: the sum of the 2w+1 rolls along each axis in turn."""
+    out = v.reshape(v.shape[:-1] + grid.shape)
+    for ax in range(-grid.dim, 0):
+        out = sum(np.roll(out, k, axis=ax) for k in range(-w, w + 1))
+    return out.reshape(v.shape)
+
+
+@st.composite
+def ball_cases(draw):
+    """A grid (dim 1 or 2, n in 8/16/32), a stack of one or two fields (the
+    A2 scan takes nu and 1/nu together) and a generator for the data."""
+    grid = make_grid(draw(st.sampled_from((1, 2))),
+                     draw(st.sampled_from((8, 16, 32))), 1.0, 1)
+    lead = draw(st.sampled_from(((), (2,))))
+    return grid, lead, np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+
+# the scan and the roll sums add the same non-negative terms in two orders;
+# over these grids they differ by at most about 5.3 eps relative
+BALL_REL = 8 * np.finfo(np.float64).eps
+
+
+@PROPERTY
+@given(ball_cases())
+def test_ball_scan_is_roll_window_sum(case):
+    grid, lead, rng = case
+    shape = lead + (grid.size,)
+    for data in (rng.uniform(0.0, 1.0, shape), np.abs(_spread(rng, shape))):
+        sizes = []
+        for size, sums in _ball_sums(data, grid):
+            sizes.append(size)
+            ref = _roll_ball_sum(data, grid, size // 2)
+            assert sums.shape == shape
+            assert np.all(np.abs(sums - ref) <= BALL_REL * ref)
+        assert sizes == list(range(3, grid.n, 2))
+    # small integers sum exactly in any order, so here every bit agrees
+    ints = rng.integers(0, 10, shape).astype(np.float64)
+    for size, sums in _ball_sums(ints, grid):
+        assert np.array_equal(sums, _roll_ball_sum(ints, grid, size // 2))
+
+
+@PROPERTY
+@given(ball_cases())
+def test_maximal_function_is_largest_ball_mean(case):
+    grid, _, rng = case
+    f = Field(grid, _spread(rng, grid.size))
+    mf = maximal_function(f).values
+    a = np.abs(f.values)
+    assert np.all(mf >= a)
+    best = a.copy()
+    for w in range(1, grid.n // 2):
+        mean = _roll_ball_sum(a, grid, w) / (2 * w + 1) ** grid.dim
+        np.maximum(best, mean, out=best)
+    assert np.all(np.abs(mf - best) <= BALL_REL * best)

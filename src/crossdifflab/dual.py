@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kolmo import (KolmogorovProblem, _check_cfl, _check_grids, _guard,
-                    _march_errstate, solve_forward)
+from .kolmo import KolmogorovProblem, check_grids, march, solve_forward
 from .mollify import Kernel, KernelSequence, convolve_array, make_kernel
 from .torus import (Field, Grid, Trajectory, grad_sq_stack, lap_array,
                     lap_stack, quadrature, row_blocks, spacetime_norm)
@@ -29,7 +28,7 @@ class DualProblem:
     s: Trajectory
 
     def __post_init__(self):
-        _check_grids(self, "mu", "s")
+        check_grids(self, "mu", "s")
         if self.mu.distinct_rows().min() <= 0.0:
             raise ValueError("mu must be positively lower-bounded")
 
@@ -48,29 +47,28 @@ class EstimateReport:
 
 def solve_dual(p: DualProblem) -> Trajectory:
     g = p.grid
-    _check_cfl(g, p.mu_sup())
     tau = g.tau
     mu = p.mu.data
     s = p.s.data
     out = np.empty((g.steps + 1, g.size))
     out[g.steps] = 0.0
     lap, work = np.empty((2, g.size))
-    blocks = row_blocks(g.steps, g.size)
-    tmu, ts = np.empty((2, blocks[0][1], g.size))
+    tmu, ts = np.empty((2, row_blocks(g.steps, g.size)[0][1], g.size))
+
     # Phi^k = Phi^{k+1} + (tau*mu^k)*Lap(Phi^{k+1}) - tau*S^k, written
     # straight into out[k]; the blocks of steps backwards, with tau*mu^k
     # and tau*S^k for a block at once
-    with _march_errstate():
-        for a, b in reversed(blocks):
-            np.multiply(mu[a:b], tau, out=tmu[:b - a])
-            np.multiply(s[a:b], tau, out=ts[:b - a])
-            for k in range(b - 1, a - 1, -1):
-                phi, phinew = out[k + 1], out[k]
-                lap_array(phi, g, lap)
-                np.multiply(tmu[k - a], lap, out=work)
-                np.add(phi, work, out=phinew)
-                np.subtract(phinew, ts[k - a], out=phinew)
-            _guard(out[a:b][::-1], range(b - 1, a - 1, -1))
+    def advance(a, b):
+        np.multiply(mu[a:b], tau, out=tmu[:b - a])
+        np.multiply(s[a:b], tau, out=ts[:b - a])
+        for k in range(b - 1, a - 1, -1):
+            phi, phinew = out[k + 1], out[k]
+            lap_array(phi, g, lap)
+            np.multiply(tmu[k - a], lap, out=work)
+            np.add(phi, work, out=phinew)
+            np.subtract(phinew, ts[k - a], out=phinew)
+
+    march(g, p.mu_sup(), out, advance, backward=True)
     return Trajectory(g, out)
 
 

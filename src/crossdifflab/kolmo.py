@@ -36,7 +36,7 @@ class NumericalBlowUp(RuntimeError):
         self.step = step
 
 
-def _check_grids(problem, *names) -> None:
+def check_grids(problem, *names) -> None:
     """A ValueError unless every named trajectory of the problem that is
     given lives on the problem's grid."""
     for name in names:
@@ -57,7 +57,7 @@ class KolmogorovProblem:
     def __post_init__(self):
         if (self.source is None) == (self.reaction is None):
             raise ValueError("exactly one of source/reaction must be given")
-        _check_grids(self, "mu", "source", "reaction")
+        check_grids(self, "mu", "source", "reaction")
         if self.mu.distinct_rows().min() <= 0.0:
             raise ValueError("mu must be positively lower-bounded")
         if self.reaction is not None and self.z0.values.min() < 0.0:
@@ -93,41 +93,48 @@ def steps_for(grid_dim: int, n: int, t_final: float, mu_sup: float) -> int:
     return int(np.ceil(t_final / tau_max))
 
 
-def _check_cfl(grid: Grid, mu_sup: float) -> float:
-    """Raise CflViolation if grid.tau exceeds the bound for the largest
-    diffusion coefficient; returns tau as a fraction of the raw bound."""
-    bound = cfl_timestep(grid, mu_sup)
+def march(grid: Grid, coeff_sup: float, rows: np.ndarray, advance,
+          backward: bool = False) -> float:
+    """The one explicit march.  CflViolation if grid.tau exceeds the bound
+    for the largest diffusion coefficient; else `advance(a, b)` writes the
+    new states of steps a..b-1 into `rows` (steps on the second-to-last
+    axis, species may lead) for each block of steps in marching order,
+    last block first when `backward`.  After each block NumericalBlowUp
+    names the first step in marching order whose new state has a value
+    beyond BLOWUP_LIMIT in magnitude or NaN, the step a per-step guard
+    would report; so a march may run one block past a blow-up, with
+    overflow and invalid results silenced.  Returns tau as a fraction of
+    the raw bound."""
+    bound = cfl_timestep(grid, coeff_sup)
     if grid.tau > bound:
         raise CflViolation(
             f"tau={grid.tau:g} exceeds CFL bound {bound:g} "
-            f"(sup mu = {mu_sup:g})")
-    return grid.tau * 2.0 * grid.dim * mu_sup / grid.h ** 2
+            f"(sup mu = {coeff_sup:g})")
+    blocks = row_blocks(grid.steps, grid.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b in reversed(blocks) if backward else blocks:
+            advance(a, b)
+            first = a if backward else a + 1   # the block's lowest new row
+            new = rows[..., first:first + b - a, :]
+            if np.abs(new).max() <= BLOWUP_LIMIT:
+                continue
+            ok = (np.abs(new) <= BLOWUP_LIMIT).all(axis=-1)
+            bad = first + np.flatnonzero(~ok.reshape(-1, b - a).all(axis=0))
+            raise NumericalBlowUp(int(bad[-1] if backward else bad[0]))
+    return grid.tau * 2.0 * grid.dim * coeff_sup / grid.h ** 2
 
 
-def _guard(rows: np.ndarray, steps: range) -> None:
-    """The blow-up guard of a block of steps: raise NumericalBlowUp unless
-    every value of `rows`, the new states of the steps in `steps` along
-    the second-to-last axis (species may lead), is within BLOWUP_LIMIT in
-    magnitude; NaN fails the comparison too.  `steps` runs in marching
-    order, and the step reported is the first bad one in that order, the
-    one a guard after every step would have reported."""
-    if np.abs(rows).max() <= BLOWUP_LIMIT:
-        return
-    ok = (np.abs(rows) <= BLOWUP_LIMIT).all(axis=-1)
-    bad = ~ok.reshape(-1, len(steps)).all(axis=0)
-    raise NumericalBlowUp(steps[int(np.argmax(bad))])
-
-
-def _march_errstate():
-    """The floating-point state of a march over blocks of steps, guarded
-    once per block: it may run up to one block past a blow-up before the
-    guard raises, so overflow and invalid results stay silent."""
-    return np.errstate(over="ignore", invalid="ignore")
+def diffuse(z: np.ndarray, coeff, grid: Grid, out: np.ndarray,
+            flux: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """The diffusion update out = z + tau*Lap(coeff*z) of one flat slice,
+    with `flux` and `work` as scratch; returns `out`."""
+    np.multiply(coeff, z, out=flux)
+    np.multiply(lap_array(flux, grid, work), grid.tau, out=work)
+    return np.add(z, work, out=out)
 
 
 def solve_forward(p: KolmogorovProblem) -> SolveReport:
     g = p.grid
-    cfl_used = _check_cfl(g, p.mu_sup())
     tau = g.tau
     mu = p.mu.data
     source = p.mode == "source"
@@ -135,26 +142,23 @@ def solve_forward(p: KolmogorovProblem) -> SolveReport:
     out = np.empty((g.steps + 1, g.size))
     out[0] = p.z0.values
     flux, work = np.empty((2, g.size))
-    blocks = row_blocks(g.steps, g.size)
-    scratch = np.empty((blocks[0][1], g.size))
+    scratch = np.empty((row_blocks(g.steps, g.size)[0][1], g.size))
+
     # z^{k+1} = z^k + tau*Lap(mu^k z^k), then + tau*G^k or * exp(tau*R^k),
     # written straight into out[k+1]; tau*G^k (exp(tau*R^k)) for a block
     # of steps at once
-    with _march_errstate():
-        for a, b in blocks:
-            trhs = np.multiply(rhs[a:b], tau, out=scratch[:b - a])
-            if not source:
-                np.exp(trhs, out=trhs)
-            for k in range(a, b):
-                z, znew = out[k], out[k + 1]
-                np.multiply(mu[k], z, out=flux)
-                np.multiply(lap_array(flux, g, work), tau, out=work)
-                np.add(z, work, out=znew)
-                if source:
-                    np.add(znew, trhs[k - a], out=znew)
-                else:
-                    np.multiply(znew, trhs[k - a], out=znew)
-            _guard(out[a + 1:b + 1], range(a + 1, b + 1))
+    def advance(a, b):
+        trhs = np.multiply(rhs[a:b], tau, out=scratch[:b - a])
+        if not source:
+            np.exp(trhs, out=trhs)
+        for k in range(a, b):
+            znew = diffuse(out[k], mu[k], g, out[k + 1], flux, work)
+            if source:
+                np.add(znew, trhs[k - a], out=znew)
+            else:
+                np.multiply(znew, trhs[k - a], out=znew)
+
+    cfl_used = march(g, p.mu_sup(), out, advance)
     return SolveReport(
         trajectory=Trajectory(g, out),
         min_value=float(out.min()),

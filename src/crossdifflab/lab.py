@@ -11,6 +11,7 @@ from __future__ import annotations
 import difflib
 import json
 import os
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -51,13 +52,13 @@ def _object(value, path: str) -> dict:
     return value
 
 
-def _positive_int(raw: dict, key: str, default: int) -> int:
-    """config.<key>, a count: a positive integer.  A bool, a float such as
-    2.9 and a count below 1 are ConfigErrors, not rounded or skipped."""
-    value = raw.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"config.{key} must be a positive integer, "
-                          f"got {value!r}")
+def _integer(value, path: str, positive: bool = False) -> int:
+    """The integer config value at `path`.  A bool, a float (2.9 or 2.0), a
+    string and a positive one below 1 are ConfigErrors, not truncated."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or positive and value < 1):
+        what = "a positive integer" if positive else "an integer"
+        raise ConfigError(f"{path} must be {what}, got {value!r}")
     return value
 
 
@@ -102,7 +103,7 @@ def _family_field(grid: Grid, spec: dict, path: str, seed: int) -> Field:
         return Field.constant(grid, float(spec["value"]))
     if fam == "fourier_mode":
         _check_keys(spec, {"family", "k", "amp", "offset"}, {"k"}, path)
-        k = int(spec["k"])
+        k = _integer(spec["k"], f"{path}.k")
         amp = float(spec.get("amp", 1.0))
         off = float(spec.get("offset", 0.0))
         return Field.from_function(
@@ -124,7 +125,7 @@ def _family_field(grid: Grid, spec: dict, path: str, seed: int) -> Field:
         lo, hi = float(spec["lo"]), float(spec["hi"])
         if not lo < hi:
             raise ConfigError(f"{path}: need lo < hi")
-        rng = philox_rng(seed, int(spec.get("seed", 0)))
+        rng = philox_rng(seed, _integer(spec.get("seed", 0), f"{path}.seed"))
         return Field(grid, rng.uniform(lo, hi, size=grid.size))
     if fam == "spike":
         # periodic Gaussian bump of the given width at the origin
@@ -165,8 +166,9 @@ def _build_grid(gd: dict, path: str, mu_sup_hint: float | None = None) -> Grid:
     _check_keys(gd, {"dim", "n", "t_final", "steps"},
                 {"dim", "n", "t_final"}, path)
     with config_errors(path):
-        grid = make_grid(int(gd["dim"]), int(gd["n"]), float(gd["t_final"]),
-                         int(gd.get("steps", 1)))
+        grid = make_grid(_integer(gd["dim"], f"{path}.dim"),
+                         _integer(gd["n"], f"{path}.n"), float(gd["t_final"]),
+                         _integer(gd.get("steps", 1), f"{path}.steps"))
         if "steps" not in gd:
             grid = make_grid(grid.dim, grid.n, grid.t_final,
                              kolmo_mod.steps_for(grid.dim, grid.n,
@@ -205,8 +207,7 @@ def parse_config(text: str) -> RunConfig:
     _check_keys(raw, {"kind", "grid", "seed", *required, *optional},
                 {"grid"}, "config")
     _object(raw["grid"], "config.grid")
-    with config_errors("config.seed"):
-        seed = int(raw.get("seed", 0))
+    seed = _integer(raw.get("seed", 0), "config.seed")
     _validate_kernel_eps(raw)
     return RunConfig(kind=kind, raw=raw, seed=seed)
 
@@ -343,8 +344,12 @@ def random_duality_problem(grid: Grid, seed: int, index: int):
 
 def _run_verify_duality(cfg: RunConfig):
     raw = cfg.raw
-    count = _positive_int(raw, "count", 20)
-    threshold = float(raw.get("threshold", 1e-11))
+    count = _integer(raw.get("count", 20), "config.count", positive=True)
+    threshold = raw.get("threshold", 1e-11)
+    if (isinstance(threshold, bool) or not isinstance(threshold, (int, float))
+            or not 0.0 < threshold <= sys.float_info.max):
+        raise ConfigError("config.threshold must be a finite positive "
+                          f"number, got {threshold!r}")
     grid = _build_grid(raw["grid"], "config.grid",
                        mu_sup_hint=DUALITY_MU_RANGE[1])
     worst = 0.0
@@ -354,7 +359,7 @@ def _run_verify_duality(cfg: RunConfig):
         z = kolmo_mod.solve_forward(p).trajectory
         worst = max(worst, dual_mod.duality_residual(z, p, s))
     checks = {"duality_identity": bool(worst <= threshold)}
-    constants = {"max_residual": float(worst), "threshold": threshold}
+    constants = {"max_residual": float(worst), "threshold": float(threshold)}
     return grid, checks, constants, {}
 
 
@@ -458,7 +463,7 @@ def _run_weights(cfg: RunConfig):
                        "config.grid")
     w = weights_mod.Weight(build_field(grid, raw["weight"], "config.weight",
                                        cfg.seed))
-    trials = _positive_int(raw, "trials", 20)
+    trials = _integer(raw.get("trials", 20), "config.trials", positive=True)
     a2 = weights_mod.a2_constant(w)
     ratio = weights_mod.maximal_boundedness(w, trials=trials, seed=cfg.seed)
     checks = {"a2_at_least_one": a2 >= 1.0, "ratio_finite": ratio.passed}

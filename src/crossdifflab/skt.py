@@ -14,9 +14,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kolmo import _check_cfl, _guard, _march_errstate
+from .kolmo import diffuse, march
 from .mollify import KernelSequence, convolve_array, dirac_defect, make_kernel
-from .torus import Grid, Trajectory, lap_array, row_blocks, spacetime_norm
+from .torus import Grid, Trajectory, spacetime_norm
 
 
 def _smoothed_abs(y: np.ndarray, sigma: float) -> np.ndarray:
@@ -166,19 +166,16 @@ def step(spec: SktSpec, state, out=None) -> list:
     rows of a 2-D array, none of them overlapping the state) when given,
     and returned."""
     g = spec.grid
-    tau = g.tau
     if out is None:
         out = [np.empty(g.size) for _ in state]
     smoothed = _smoothed_state(spec, state)
     flux, work = np.empty((2, g.size))
     # u_i <- (u_i + tau*Lap(a_i u_i)) * exp(tau*r_i)
     for i, (u, unew) in enumerate(zip(state, out)):
-        a = spec.coeffs[i].evaluate(smoothed[i + 1:])
-        np.multiply(a, u, out=flux)
-        np.multiply(lap_array(flux, g, work), tau, out=work)
-        np.add(u, work, out=unew)
+        diffuse(u, spec.coeffs[i].evaluate(smoothed[i + 1:]), g, unew,
+                flux, work)
         r = spec.reactions[i].evaluate(smoothed)
-        np.multiply(r, tau, out=work)
+        np.multiply(r, g.tau, out=work)
         np.multiply(unew, np.exp(work, out=work), out=unew)
     return out
 
@@ -187,15 +184,15 @@ def solve_system(spec: SktSpec):
     """March the system over all time steps; returns one Trajectory per
     species.  Positivity is exact under the global CFL bound."""
     g = spec.grid
-    _check_cfl(g, spec.hi_max())
     out = np.empty((spec.species_count, g.steps + 1, g.size))
     for o, f in zip(out, spec.init):
         o[0] = f.values
-    with _march_errstate():
-        for a, b in row_blocks(g.steps, g.size):
-            for k in range(a, b):
-                step(spec, out[:, k], out[:, k + 1])
-            _guard(out[:, a + 1:b + 1], range(a + 1, b + 1))
+
+    def advance(a, b):
+        for k in range(a, b):
+            step(spec, out[:, k], out[:, k + 1])
+
+    march(g, spec.hi_max(), out, advance)
     return [Trajectory(g, o) for o in out]
 
 

@@ -1,7 +1,9 @@
 """`import crossdifflab` loads numpy and no scipy module: scipy is loaded
 only by the two functions that call it (`weights.a2_ratio_correlation`'s
-`spearmanr` and the sigma > 0 branch of `skt._smoothed_abs`'s `erf`)."""
+`spearmanr` and the sigma > 0 branch of `skt._smoothed_abs`'s `erf`).
+No module of the package imports a private name of another."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -24,3 +26,18 @@ def test_import_loads_no_scipy(module):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    # a name with a leading underscore (not a dunder such as __version__)
+    # is a module's own; a sibling that needs it should get a public name
+    found = []
+    for path in sorted((ROOT / "src" / "crossdifflab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                found += [f"{path.name}: from {'.' * node.level}"
+                          f"{node.module or ''} import {alias.name}"
+                          for alias in node.names
+                          if alias.name.startswith("_")
+                          and not alias.name.endswith("__")]
+    assert found == []

@@ -403,6 +403,59 @@ def test_counts_must_be_positive_integers(tmp_path, capsys, key, value):
         assert err.count("\n") == 1
 
 
+RANDOM = {"family": "random", "lo": 0.5, "hi": 1.5}
+
+
+@pytest.mark.parametrize("raw, path", [
+    (_kolmo_raw(grid=dict(GRID, dim=True)), "config.grid.dim"),
+    (_kolmo_raw(grid=dict(GRID, n=32.9)), "config.grid.n"),
+    (_kolmo_raw(grid=dict(GRID, n=32.0)), "config.grid.n"),
+    (_kolmo_raw(grid=dict(GRID, steps=200.7)), "config.grid.steps"),
+    (_kolmo_raw(grid=dict(GRID, n="32")), "config.grid.n"),
+    (_kolmo_raw(seed=True), "config.seed"),
+    (_kolmo_raw(seed="7"), "config.seed"),
+    (_kolmo_raw(seed=7.0), "config.seed"),
+    (_kolmo_raw(z0={"family": "fourier_mode", "k": 1.7, "offset": 2.0}),
+     "config.z0.k"),
+    (_kolmo_raw(z0=dict(RANDOM, seed=2.5)), "config.z0.seed"),
+    (_kolmo_raw(z0=dict(RANDOM, seed=False)), "config.z0.seed"),
+], ids=lambda v: None if isinstance(v, dict) else v)
+def test_integer_values_are_refused_not_truncated(tmp_path, capsys, raw,
+                                                  path):
+    # 32.9 would run as 32, true as 1 and "7" as 7: each is refused,
+    # naming the value's path
+    with pytest.raises(ConfigError, match=f"^{path} must be an integer"):
+        run(parse_config(json.dumps(raw)))
+    cfgp = _write(tmp_path, "bad.json", raw)
+    assert main(["solve-kolmogorov", "--config", cfgp]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, 0.0,
+                                   True, "1e-11", None])
+def test_duality_threshold_must_be_finite_and_positive(tmp_path, capsys,
+                                                       value):
+    # NaN or -1 would fail every check and true (1.0) pass every one
+    raw = {"kind": "verify_duality", "grid": dict(GRID), "count": 1,
+           "threshold": value}
+    with pytest.raises(ConfigError, match="^config.threshold must be a "
+                                          "finite positive number"):
+        run(parse_config(json.dumps(raw)))
+    cfgp = _write(tmp_path, "bad.json", raw)
+    assert main(["verify-duality", "--config", cfgp]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config.threshold")
+    assert err.count("\n") == 1
+
+
+def test_duality_threshold_accepts_an_integer():
+    man = run(parse_config(json.dumps({
+        "kind": "verify_duality", "grid": dict(GRID), "count": 1,
+        "threshold": 1})))
+    assert man.passed and man.constants["threshold"] == 1.0
+
+
 # ---------------------------------------------------------------------------
 # determinism and artifacts
 

@@ -76,7 +76,7 @@ def test_one_stencil_call_per_species_per_step(monkeypatch, dim):
                            s=_traj(g, rng, -1.0, 1.0)))
     assert len(calls) == g.steps
 
-    calls = _count_stencil_calls(monkeypatch, skt)
+    calls = _count_stencil_calls(monkeypatch, kolmo)  # skt.step's diffuse
     for eps in (None, 0.25):
         solve_system(_skt_spec(g, rng, eps))
     assert len(calls) == 2 * 2 * g.steps
@@ -130,7 +130,8 @@ def _ref_guard(state, step):
 
 
 def _ref_lap(v, g):
-    # the slice-add stencil (a stack of one slice takes that path)
+    # the stack stencil (a stack of one slice takes the stack path, not
+    # the scalar-indexed one of a single 1-D slice)
     return lap_stack(v[None], g)[0]
 
 
@@ -410,3 +411,23 @@ def test_skt_blowup_in_a_block_reports_the_loop_step(case, species, eps):
     assert step == _ref_step(
         _ref_skt, jumping(), lambda r, args: r.evaluate(args)) == j + 1
     assert not warned
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_blowup_in_the_last_new_state_is_reported(dim):
+    # the last block's guard reaches the march's last new state: step K
+    # forward and in the cross-diffusion system, step 0 backward
+    g = _grid(dim)
+    rng = np.random.default_rng(20 + dim)
+    p = KolmogorovProblem(grid=g, mu=_traj(g, rng, 0.5, 2.0),
+                          z0=Field(g, rng.uniform(0.5, 1.0, g.size)),
+                          source=_jump(g, rng, g.steps - 1))
+    base = _skt_spec(g, rng, None)
+    r = base.reactions[1]
+    spec = replace(base, reactions=(
+        base.reactions[0], _JumpAt(rho=r.rho, s=r.s, at=g.steps - 1)))
+    with _blocks_of(g, 2):
+        assert _raised_step(solve_forward, p) == (g.steps, False)
+        assert _raised_step(solve_dual, DualProblem(
+            grid=g, mu=p.mu, s=_jump(g, rng, 0))) == (0, False)
+        assert _raised_step(solve_system, spec) == (g.steps, False)

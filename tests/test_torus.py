@@ -198,6 +198,26 @@ def test_lap_out_must_be_contiguous_in_2d():
         lap_stack(np.ones(g.size), g, out)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("lead", [(), (1,), (3,), (2, 3)])
+def test_lap_is_the_rolled_stencil_bit_for_bit(dim, lead):
+    # -2N w, plus w[i-1], plus w[i+1], axis by axis: the ghost-cell copy
+    # adds the same values in the same order for every slice and stack
+    rng = np.random.default_rng(dim)
+    g = make_grid(dim, 8, 1.0, 1)
+    v = rng.standard_normal(lead + (g.size,)) * 10.0 ** rng.uniform(
+        -6, 6, lead + (g.size,))
+    w = v.reshape(lead + g.shape)
+    ref = -2.0 * dim * w
+    for ax in range(-dim, 0):
+        ref = ref + np.roll(w, 1, axis=ax)
+        ref = ref + np.roll(w, -1, axis=ax)
+    ref = (ref / g.h ** 2).reshape(v.shape)
+    assert np.array_equal(lap_stack(v, g), ref)
+    out = np.empty(v.shape)
+    assert lap_stack(v, g, out) is out and np.array_equal(out, ref)
+
+
 def test_traj_helpers_match_per_slice():
     rng = np.random.default_rng(5)
     g = make_grid(2, 8, 1.0, 3)

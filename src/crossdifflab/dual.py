@@ -15,10 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kolmo import KolmogorovProblem, check_grids, march, solve_forward
+from .kolmo import (KolmogorovProblem, check_finite, check_grids, march,
+                    solve_forward)
 from .mollify import Kernel, KernelSequence, convolve_array, make_kernel
-from .torus import (Field, Grid, Trajectory, grad_sq_stack, lap_array,
-                    lap_stack, quadrature, row_blocks, spacetime_norm)
+from .torus import (Field, GhostCells, Grid, Trajectory, grad_sq_stack,
+                    lap_array, lap_stack, on_grid, quadrature, row_blocks,
+                    spacetime_norm)
 
 
 @dataclass(frozen=True)
@@ -29,6 +31,7 @@ class DualProblem:
 
     def __post_init__(self):
         check_grids(self, "mu", "s")
+        check_finite(self, "mu", "s")
         if self.mu.distinct_rows().min() <= 0.0:
             raise ValueError("mu must be positively lower-bounded")
 
@@ -48,25 +51,30 @@ class EstimateReport:
 def solve_dual(p: DualProblem) -> Trajectory:
     g = p.grid
     tau = g.tau
-    mu = p.mu.data
-    s = p.s.data
     out = np.empty((g.steps + 1, g.size))
     out[g.steps] = 0.0
-    lap, work = np.empty((2, g.size))
-    tmu, ts = np.empty((2, row_blocks(g.steps, g.size)[0][1], g.size))
+    # the march works on grid-shaped views of the flat rows
+    phi, mu, s = on_grid(out, g), on_grid(p.mu.data, g), on_grid(p.s.data, g)
+    ghost = GhostCells(g)
+    ghost.inner[...] = 0.0
+    tmu, ts = np.empty((2, row_blocks(g.steps, g.size)[0][1]) + g.shape)
 
     # Phi^k = Phi^{k+1} + (tau*mu^k)*Lap(Phi^{k+1}) - tau*S^k, written
-    # straight into out[k]; the blocks of steps backwards, with tau*mu^k
-    # and tau*S^k for a block at once
+    # straight into out[k] and then into the ghost buffer, which holds
+    # Phi^{k+1} for the next step.  The blocks of steps go backwards, with
+    # tau*mu^k and tau*S^k for a block at once; the stencil leaves its
+    # unscaled neighbour sum, and the block's tau*mu^k take the exact
+    # factor n^2 = 1/h^2 instead.
     def advance(a, b):
         np.multiply(mu[a:b], tau, out=tmu[:b - a])
+        np.multiply(tmu[:b - a], g.n ** 2, out=tmu[:b - a])
         np.multiply(s[a:b], tau, out=ts[:b - a])
         for k in range(b - 1, a - 1, -1):
-            phi, phinew = out[k + 1], out[k]
-            lap_array(phi, g, lap)
-            np.multiply(tmu[k - a], lap, out=work)
-            np.add(phi, work, out=phinew)
-            np.subtract(phinew, ts[k - a], out=phinew)
+            phinew = phi[k]
+            np.multiply(tmu[k - a], lap_array(ghost, g, phinew, 1.0), phinew)
+            np.add(ghost.inner, phinew, phinew)
+            np.subtract(phinew, ts[k - a], phinew)
+            ghost.inner[...] = phinew
 
     march(g, p.mu_sup(), out, advance, backward=True)
     return Trajectory(g, out)

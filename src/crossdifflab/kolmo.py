@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .torus import Field, Grid, Trajectory, lap_array, make_grid, row_blocks
+from .torus import (Field, GhostCells, Grid, Trajectory, lap_array,
+                    make_grid, on_grid, row_blocks)
 
 BLOWUP_LIMIT = 1e12
 CFL_SAFETY = 0.9
@@ -46,6 +47,19 @@ def check_grids(problem, *names) -> None:
                              f"the problem on grid {problem.grid}")
 
 
+def check_finite(problem, *names) -> None:
+    """A ValueError naming the first given trajectory of the problem that
+    holds NaN or +-inf.  Only its distinct rows are read, by their minimum
+    and maximum: NaN propagates through both, and inf shows in one."""
+    for name in names:
+        traj = getattr(problem, name)
+        if traj is None:
+            continue
+        rows = traj.distinct_rows()
+        if not (np.isfinite(rows.min()) and np.isfinite(rows.max())):
+            raise ValueError(f"{name} holds a non-finite value")
+
+
 @dataclass(frozen=True)
 class KolmogorovProblem:
     grid: Grid
@@ -58,6 +72,7 @@ class KolmogorovProblem:
         if (self.source is None) == (self.reaction is None):
             raise ValueError("exactly one of source/reaction must be given")
         check_grids(self, "mu", "source", "reaction")
+        check_finite(self, "mu", "source", "reaction")
         if self.mu.distinct_rows().min() <= 0.0:
             raise ValueError("mu must be positively lower-bounded")
         if self.reaction is not None and self.z0.values.min() < 0.0:
@@ -82,8 +97,8 @@ class SolveReport:
 
 def cfl_timestep(grid: Grid, mu_sup: float) -> float:
     """Largest safe tau for the explicit scheme, with a 0.9 safety factor."""
-    if mu_sup <= 0:
-        raise ValueError("mu_sup must be positive")
+    if not 0.0 < mu_sup < np.inf:
+        raise ValueError(f"mu_sup must be finite and positive, got {mu_sup}")
     return CFL_SAFETY * grid.h ** 2 / (2.0 * grid.dim * mu_sup)
 
 
@@ -125,24 +140,26 @@ def march(grid: Grid, coeff_sup: float, rows: np.ndarray, advance,
 
 
 def diffuse(z: np.ndarray, coeff, grid: Grid, out: np.ndarray,
-            flux: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """The diffusion update out = z + tau*Lap(coeff*z) of one flat slice,
-    with `flux` and `work` as scratch; returns `out`."""
-    np.multiply(coeff, z, out=flux)
-    np.multiply(lap_array(flux, grid, work), grid.tau, out=work)
-    return np.add(z, work, out=out)
+            ghost: GhostCells, scale: float) -> np.ndarray:
+    """The diffusion update out = z + tau*Lap(coeff*z) of one slice of
+    shape grid.shape, with scale = tau*n^2: coeff*z goes straight into the
+    march's ghost buffer and the stencil, scaled once, into `out`."""
+    np.multiply(coeff, z, ghost.inner)
+    lap_array(ghost, grid, out, scale)
+    return np.add(z, out, out)
 
 
 def solve_forward(p: KolmogorovProblem) -> SolveReport:
     g = p.grid
     tau = g.tau
-    mu = p.mu.data
     source = p.mode == "source"
-    rhs = (p.source if source else p.reaction).data
     out = np.empty((g.steps + 1, g.size))
     out[0] = p.z0.values
-    flux, work = np.empty((2, g.size))
-    scratch = np.empty((row_blocks(g.steps, g.size)[0][1], g.size))
+    # the march works on grid-shaped views of the flat rows
+    z, mu = on_grid(out, g), on_grid(p.mu.data, g)
+    rhs = on_grid((p.source if source else p.reaction).data, g)
+    ghost, scale = GhostCells(g), tau * g.n ** 2
+    scratch = np.empty((row_blocks(g.steps, g.size)[0][1],) + g.shape)
 
     # z^{k+1} = z^k + tau*Lap(mu^k z^k), then + tau*G^k or * exp(tau*R^k),
     # written straight into out[k+1]; tau*G^k (exp(tau*R^k)) for a block
@@ -152,11 +169,11 @@ def solve_forward(p: KolmogorovProblem) -> SolveReport:
         if not source:
             np.exp(trhs, out=trhs)
         for k in range(a, b):
-            znew = diffuse(out[k], mu[k], g, out[k + 1], flux, work)
+            znew = diffuse(z[k], mu[k], g, z[k + 1], ghost, scale)
             if source:
-                np.add(znew, trhs[k - a], out=znew)
+                np.add(znew, trhs[k - a], znew)
             else:
-                np.multiply(znew, trhs[k - a], out=znew)
+                np.multiply(znew, trhs[k - a], znew)
 
     cfl_used = march(g, p.mu_sup(), out, advance)
     return SolveReport(

@@ -16,7 +16,7 @@ import numpy as np
 
 from .kolmo import diffuse, march
 from .mollify import KernelSequence, convolve_array, dirac_defect, make_kernel
-from .torus import Grid, Trajectory, spacetime_norm
+from .torus import GhostCells, Grid, Trajectory, spacetime_norm
 
 
 def _smoothed_abs(y: np.ndarray, sigma: float) -> np.ndarray:
@@ -76,14 +76,17 @@ class CoeffFamily:
         if len(args) != self.arity:
             raise ValueError(
                 f"{self.kind} expects {self.arity} arguments, got {len(args)}")
-        if self.kind == "clamped_affine":
-            raw = self.d + sum(cj * aj for cj, aj in zip(self.c, args))
-        elif self.kind == "rational_saturating":
-            raw = self.d / (1.0 + sum(cj * aj
-                                      for cj, aj in zip(self.c, args)))
-        else:  # kinked_affine
+        if self.kind == "kinked_affine":
             raw = self.d + self.kink * _smoothed_abs(args[0] - self.pivot,
                                                      self.sigma)
+        else:
+            # sum_j c_j v_j from the first term, not from 0: one add fewer;
+            # the two differ only in the sign of a zero, which d + . (or
+            # 1 + .) and the clip to lo > 0 erase
+            terms = [cj * aj for cj, aj in zip(self.c, args)]
+            lin = sum(terms[1:], terms[0]) if terms else 0
+            raw = (self.d + lin if self.kind == "clamped_affine"
+                   else self.d / (1.0 + lin))
         # np.clip's result for lo <= hi, with less call overhead
         return np.minimum(np.maximum(raw, self.lo), self.hi)
 
@@ -160,20 +163,24 @@ def evaluate_coeff(spec: SktSpec, i: int, state):
     return spec.coeffs[i].evaluate(_smoothed_state(spec, state)[i + 1:])
 
 
-def step(spec: SktSpec, state, out=None) -> list:
+def step(spec: SktSpec, state, out=None, scratch=None) -> list:
     """One explicit step; coefficients frozen at the incoming state.  The
     new state is written into `out` (one array per species, such as the
     rows of a 2-D array, none of them overlapping the state) when given,
-    and returned."""
+    and returned.  `scratch` is a march's (GhostCells, work array of
+    grid.shape) pair, made here when not given."""
     g = spec.grid
     if out is None:
         out = [np.empty(g.size) for _ in state]
+    ghost, work = scratch or (GhostCells(g), np.empty(g.shape))
+    scale = g.tau * g.n ** 2
+    state = [u.reshape(g.shape) for u in state]
     smoothed = _smoothed_state(spec, state)
-    flux, work = np.empty((2, g.size))
     # u_i <- (u_i + tau*Lap(a_i u_i)) * exp(tau*r_i)
     for i, (u, unew) in enumerate(zip(state, out)):
+        unew = unew.reshape(g.shape)
         diffuse(u, spec.coeffs[i].evaluate(smoothed[i + 1:]), g, unew,
-                flux, work)
+                ghost, scale)
         r = spec.reactions[i].evaluate(smoothed)
         np.multiply(r, g.tau, out=work)
         np.multiply(unew, np.exp(work, out=work), out=unew)
@@ -188,9 +195,11 @@ def solve_system(spec: SktSpec):
     for o, f in zip(out, spec.init):
         o[0] = f.values
 
+    scratch = GhostCells(g), np.empty(g.shape)
+
     def advance(a, b):
         for k in range(a, b):
-            step(spec, out[:, k], out[:, k + 1])
+            step(spec, out[:, k], out[:, k + 1], scratch)
 
     march(g, spec.hi_max(), out, advance)
     return [Trajectory(g, o) for o in out]

@@ -173,56 +173,103 @@ def quadrature(rows, grid: Grid) -> float:
 # discrete operators: each acts on a (..., grid.size) array, that is one
 # flat slice or a stack of them, and treats every slice alike
 
-def lap_stack(v: np.ndarray, grid: Grid, out: np.ndarray | None = None
-              ) -> np.ndarray:
-    """Centered periodic Laplacian of every slice, by a ghost-cell copy.
+def on_grid(v: np.ndarray, grid: Grid) -> np.ndarray:
+    """The (..., *grid.shape) view of a (..., grid.size) array.  Splitting
+    the last axis never needs a copy, whatever the strides."""
+    return v.reshape(v.shape[:-1] + grid.shape)
 
-    Each value is -2 dim w, plus w[i-1], plus w[i+1], axis by axis, over
-    h^2, the neighbours read as shifted views of a copy padded by one cell
-    of periodic neighbours per axis.  Written into `out` (C-contiguous, of
-    v's shape, not overlapping v) when one is given; that array is
-    returned.  A single 1-D slice, the 1-D marches' per-step call, takes
-    scalar-indexed statements: the same adds, at less cost per call."""
-    if out is None:
-        out = np.empty(v.shape)
-    if grid.dim == 1 and v.ndim == 1:
-        pad = np.empty(v.shape[0] + 2)
-        pad[1:-1] = v
-        pad[0], pad[-1] = v[-1], v[0]
-        np.multiply(v, -2.0, out=out)
-        np.add(out, pad[:-2], out=out)
-        np.add(out, pad[2:], out=out)
-        return np.divide(out, grid.h ** 2, out=out)
-    if grid.dim == 1:
-        w, o = v, out
-        pad = np.empty(v.shape[:-1] + (grid.n + 2,))
-        pad[..., 1:-1] = w
-        pad[..., 0], pad[..., -1] = w[..., -1], w[..., 0]
-        neighbours = (pad[..., :-2], pad[..., 2:])
-    elif out.flags.c_contiguous:
-        w = v.reshape(v.shape[:-1] + grid.shape)
-        o = out.reshape(w.shape)
-        pad = np.empty(w.shape[:-2] + (grid.n + 2, grid.n + 2))
-        pad[..., 1:-1, 1:-1] = w
-        pad[..., 0, 1:-1], pad[..., -1, 1:-1] = w[..., -1, :], w[..., 0, :]
-        pad[..., 1:-1, 0], pad[..., 1:-1, -1] = w[..., -1], w[..., 0]
-        neighbours = (pad[..., :-2, 1:-1], pad[..., 2:, 1:-1],
-                      pad[..., 1:-1, :-2], pad[..., 1:-1, 2:])
-    else:
-        raise ValueError("out must be C-contiguous")
-    np.multiply(w, -2.0 * grid.dim, out=o)
-    for nb in neighbours:
-        np.add(o, nb, out=o)
-    np.divide(o, grid.h ** 2, out=o)
+
+class GhostCells:
+    """A ghost-cell buffer for the stencil: slices of shape `lead` +
+    grid.shape padded by one cell per side and axis, with the views the
+    stencil reads made once.  `inner` holds the slices; per axis, `rims`
+    pairs the two rim cells (0 and n+1) with their periodic sources (n and
+    1), and `neighbours` holds the views shifted by -1 and +1.  A march
+    makes one and writes each step's slice into `inner`."""
+
+    def __init__(self, grid: Grid, lead: tuple = ()):
+        n, dim = grid.n, grid.dim
+        pad = np.empty(lead + (n + 2,) * dim)
+        mid = slice(1, -1)
+
+        def view(axis, cut):
+            cuts = [mid] * dim
+            cuts[axis] = cut
+            return pad[(...,) + tuple(cuts)]
+
+        self.inner = pad[(...,) + (mid,) * dim]
+        self.rims = [(view(ax, slice(None, None, n + 1)),
+                      view(ax, slice(n, 0, 1 - n))) for ax in range(dim)]
+        self.neighbours = [view(ax, cut) for ax in range(dim)
+                           for cut in (slice(None, -2), slice(2, None))]
+
+
+def _stencil(ghost: GhostCells, grid: Grid, out: np.ndarray,
+             scale: float) -> np.ndarray:
+    """Fill the rim from `inner`, then out = scale * (-2 dim w, plus
+    w[i-1], plus w[i+1], axis by axis); no multiply when scale is 1.
+    The per-step calls pass `out` positionally: in a 1-D march at n = 64
+    the `out=` keywords cost about a tenth of a step."""
+    for rim, source in ghost.rims:
+        rim[...] = source
+    np.multiply(ghost.inner, -2.0 * grid.dim, out)
+    for nb in ghost.neighbours:
+        np.add(out, nb, out)
+    if scale != 1.0:
+        np.multiply(out, scale, out)
     return out
 
 
-def lap_array(v: np.ndarray, grid: Grid, out: np.ndarray | None = None
+def _flat_stencil(v, grid, out, scale):
+    # one flat slice or a stack of them, through a ghost buffer of its own
+    if out is None:
+        out = np.empty(v.shape)
+    elif grid.dim == 2 and not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    ghost = GhostCells(grid, v.shape[:-1])
+    ghost.inner[...] = on_grid(v, grid)
+    _stencil(ghost, grid, on_grid(out, grid), scale)
+    return out
+
+
+def lap_stack(v: np.ndarray, grid: Grid, out: np.ndarray | None = None
               ) -> np.ndarray:
-    """The solvers' per-step Laplacian of one flat slice.  A name of its
-    own, so that a tracer counts stencil applications per time step apart
-    from the whole-trajectory uses of `lap_stack`."""
-    return lap_stack(v, grid, out)
+    """Centered periodic Laplacian of every slice of a (..., grid.size)
+    array, through a ghost-cell buffer.
+
+    Each value is -2 dim w, plus w[i-1], plus w[i+1], axis by axis, times
+    n^2: h = 1/n with n a power of two, so that is 1/h^2 exactly.  The
+    neighbours are read as shifted views of a copy padded by one cell of
+    periodic neighbours per axis.  Written into `out` (C-contiguous, of
+    v's shape, not overlapping v) when one is given; that array is
+    returned."""
+    return _flat_stencil(v, grid, out, grid.n ** 2)
+
+
+def lap_array(v: np.ndarray | GhostCells, grid: Grid,
+              out: np.ndarray | None = None,
+              scale: float | None = None) -> np.ndarray:
+    """The solvers' per-step stencil: `scale` times the neighbour sum of
+    `lap_stack`, so the default n^2 gives the Laplacian, lap_stack(v, grid,
+    out) for a flat `v`.  A name of its own, so that a tracer counts
+    stencil applications per time step apart from the whole-trajectory
+    uses of `lap_stack`.
+
+    A march passes its own GhostCells as `v`, with the step's slice
+    already in `inner`: the rim is filled in place and the result, of the
+    shape of `inner`, goes to `out`.  n^2 = 1/h^2 is a power of two, so
+    scale = tau*n^2 gives the bits of Lap(v)*tau in one multiply, and
+    scale = 1 leaves the sum for a product that takes the n^2 itself (the
+    dual's tau*mu): the same real number, rounded once either way, as long
+    as the sum times n^2 stays finite.  With the states below the blow-up
+    guard's 1e12, only a mu beyond about 1e280 could break that."""
+    if scale is None:
+        scale = grid.n ** 2
+    if not isinstance(v, GhostCells):
+        return _flat_stencil(v, grid, out, scale)
+    if out is None:
+        out = np.empty(v.inner.shape)
+    return _stencil(v, grid, out, scale)
 
 
 def grad_sq_stack(v: np.ndarray, grid: Grid) -> np.ndarray:

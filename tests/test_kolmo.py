@@ -6,7 +6,8 @@ import pytest
 from crossdifflab.dual import DualProblem
 from crossdifflab.kolmo import (CflViolation, KolmogorovProblem,
                                 NumericalBlowUp, cfl_timestep, check_mass,
-                                comparison_check, solve_forward, steps_for)
+                                comparison_check, march, solve_forward,
+                                steps_for)
 from crossdifflab.torus import Field, Trajectory, make_grid, norm
 
 
@@ -20,6 +21,20 @@ def test_cfl_timestep_formula():
                - 0.9 * g.h ** 2 / (2 * 2 * 2.0)) < 1e-18
     with pytest.raises(ValueError):
         cfl_timestep(g, 0.0)
+
+
+@pytest.mark.parametrize("sup", [np.nan, np.inf, -np.inf, -1.0])
+def test_cfl_refuses_a_sup_that_is_not_finite_and_positive(sup):
+    # a NaN sup once gave a NaN bound, and a march under it passed its
+    # CFL check (tau > NaN is false) and ran
+    g = make_grid(1, 16, 0.01, 100)
+    with pytest.raises(ValueError, match="finite and positive"):
+        cfl_timestep(g, sup)
+    calls = []
+    with pytest.raises(ValueError, match="finite and positive"):
+        march(g, sup, np.zeros((g.steps + 1, g.size)),
+              lambda a, b: calls.append((a, b)))
+    assert calls == []
 
 
 def test_steps_for_is_sufficient():

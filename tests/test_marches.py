@@ -130,8 +130,9 @@ def _ref_guard(state, step):
 
 
 def _ref_lap(v, g):
-    # the stack stencil (a stack of one slice takes the stack path, not
-    # the scalar-indexed one of a single 1-D slice)
+    # the stack stencil on a stack of one slice, through a ghost buffer of
+    # its own, scaled by n^2; the marches scale by tau*n^2 in their own
+    # ghost buffer
     return lap_stack(v[None], g)[0]
 
 

@@ -15,9 +15,10 @@ from crossdifflab.kolmo import (KolmogorovProblem, cfl_timestep, check_mass,
                                 comparison_check, solve_forward, steps_for)
 from crossdifflab.mollify import make_kernel
 from crossdifflab.skt import CoeffFamily, ReactionFamily, SktSpec, solve_system
-from crossdifflab.torus import (STREAM_BLOCK, Field, Trajectory,
+from crossdifflab.torus import (STREAM_BLOCK, Field, GhostCells, Trajectory,
                                 grad_sq_stack, lap_array, lap_stack,
-                                make_grid, norm, quadrature, spacetime_norm)
+                                make_grid, norm, on_grid, quadrature,
+                                spacetime_norm)
 from crossdifflab.weights import _ball_sums, maximal_function
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
@@ -85,6 +86,76 @@ def test_stencil_on_stack_is_slice_by_slice(case):
     for k in range(len(data)):
         assert np.array_equal(lap[k], lap_array(data[k], grid))
         assert grad[k] == grad_sq_stack(data[k], grid)
+
+
+@st.composite
+def march_stencils(draw):
+    """A grid (dim 1 or 2, n from 8 to 256) whose one step is a random
+    CFL-admissible tau, a lead shape (a single slice or a stack), slices of
+    values spread over twelve decades, and tau*mu for them."""
+    dim = draw(st.sampled_from((1, 2)))
+    n = 2 ** draw(st.integers(3, 8))
+    lead = draw(st.sampled_from(((), (1,), (3,))))
+    mu_hi = draw(st.floats(0.1, 10.0))
+    tau = draw(st.floats(0.01, 0.999)) * cfl_timestep(
+        make_grid(dim, n, 1.0, 1), mu_hi)
+    grid = make_grid(dim, n, tau, 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = lead + (grid.size,)
+    v = rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6, shape)
+    tmu = rng.uniform(0.0, mu_hi, shape) * grid.tau
+    return grid, lead, on_grid(v, grid), on_grid(tmu, grid)
+
+
+@PROPERTY
+@given(march_stencils())
+def test_march_buffer_folds_tau_and_h_squared_exactly(case):
+    # h^2 = n^-2 exactly, so one multiply by tau*n^2 gives the bits of the
+    # Laplacian times tau (the forward and SKT marches), and (tau*mu)*n^2
+    # times the unscaled neighbour sum gives the bits of (tau*mu) times
+    # the Laplacian (the dual march)
+    grid, lead, v, tmu = case
+    lap = on_grid(lap_stack(v.reshape(lead + (grid.size,)), grid), grid)
+    ghost = GhostCells(grid, lead)
+    ghost.inner[...] = v
+    out = np.full(v.shape, np.nan)
+    assert lap_array(ghost, grid, out, grid.tau * grid.n ** 2) is out
+    assert np.array_equal(out, lap * grid.tau)
+    raw = lap_array(ghost, grid, scale=1.0)
+    assert np.array_equal((tmu * grid.n ** 2) * raw, tmu * lap)
+
+
+@st.composite
+def bad_problems(draw):
+    """The trajectories of a forward (source or reaction mode) or dual
+    problem, all K+1 rows or all the broadcast view of one row, with NaN
+    or +-inf at a random place of one of them, and that one's name."""
+    grid, _, rng = draw(problems())
+    other = draw(st.sampled_from(("source", "reaction", "s")))
+    name = draw(st.sampled_from(("mu", other)))
+    rows = draw(st.sampled_from((1, grid.steps + 1)))
+    data = {"mu": rng.uniform(0.5, 2.0, (rows, grid.size)),
+            other: rng.uniform(-1.0, 1.0, (rows, grid.size))}
+    data[name][draw(st.integers(0, rows - 1)),
+               draw(st.integers(0, grid.size - 1))] = draw(
+        st.sampled_from((np.nan, np.inf, -np.inf)))
+    full = (grid.steps + 1, grid.size)
+    return grid, name, {key: Trajectory(grid, np.broadcast_to(d, full))
+                        for key, d in data.items()}
+
+
+@PROPERTY
+@given(bad_problems())
+def test_non_finite_problem_data_are_refused_at_construction(case):
+    # a NaN mu once passed min() <= 0 and came out of the march as a
+    # NumericalBlowUp, a NaN source or S as a NaN state
+    grid, name, trajs = case
+    with pytest.raises(ValueError, match=f"^{name} holds a non-finite"):
+        if "s" in trajs:
+            DualProblem(grid=grid, **trajs)
+        else:
+            KolmogorovProblem(grid=grid, z0=Field.constant(grid, 1.0),
+                              **trajs)
 
 
 @PROPERTY

@@ -10,7 +10,7 @@ from crossdifflab.skt import (CoeffFamily, ConvergenceTable, ReactionFamily,
                               SktSpec, _smoothed_abs, converge_study,
                               evaluate_coeff, regularization_study,
                               solve_system, step)
-from crossdifflab.torus import Field, make_grid, spacetime_norm
+from crossdifflab.torus import Field, GhostCells, make_grid, spacetime_norm
 
 
 def _grid(n=32, t_final=0.02, hi=2.0, dim=1):
@@ -211,6 +211,21 @@ def test_step_matches_solve_system():
     sols = solve_system(spec)
     assert np.allclose(sols[0].data[1], state[0], atol=1e-15)
     assert np.allclose(sols[1].data[1], state[1], atol=1e-15)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_step_gives_the_march_bits_with_or_without_scratch(dim):
+    # solve_system passes one ghost buffer and work array to every step;
+    # a caller that passes none gets them made, and the same bits
+    g = _grid(n=16, dim=dim)
+    spec = _two_species(g, eps1=0.15)
+    sols = solve_system(spec)
+    state = [f.values.copy() for f in spec.init]
+    scratch = GhostCells(g), np.empty(g.shape)
+    for new in (step(spec, state), step(spec, state, scratch=scratch)):
+        assert all(u.shape == (g.size,) for u in new)
+        assert all(np.array_equal(sol.data[1], u)
+                   for sol, u in zip(sols, new))
 
 
 def test_converge_study_small():

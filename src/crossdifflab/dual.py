@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kolmo import (KolmogorovProblem, check_finite, check_grids, march,
-                    solve_forward)
+from .kolmo import KolmogorovProblem, check_inputs, march, solve_forward
 from .mollify import Kernel, KernelSequence, convolve_array, make_kernel
 from .torus import (Field, GhostCells, Grid, Trajectory, grad_sq_stack,
                     lap_array, lap_stack, on_grid, quadrature, row_blocks,
@@ -30,8 +29,7 @@ class DualProblem:
     s: Trajectory
 
     def __post_init__(self):
-        check_grids(self, "mu", "s")
-        check_finite(self, "mu", "s")
+        check_inputs(self, "mu", "s")
         if self.mu.distinct_rows().min() <= 0.0:
             raise ValueError("mu must be positively lower-bounded")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .torus import (Field, GhostCells, Grid, Trajectory, lap_array,
-                    make_grid, on_grid, row_blocks)
+                    make_grid, on_grid, per_slice, row_blocks)
 
 BLOWUP_LIMIT = 1e12
 CFL_SAFETY = 0.9
@@ -37,24 +37,18 @@ class NumericalBlowUp(RuntimeError):
         self.step = step
 
 
-def check_grids(problem, *names) -> None:
-    """A ValueError unless every named trajectory of the problem that is
-    given lives on the problem's grid."""
-    for name in names:
-        traj = getattr(problem, name)
-        if traj is not None and traj.grid != problem.grid:
-            raise ValueError(f"{name} lives on grid {traj.grid}, "
-                             f"the problem on grid {problem.grid}")
-
-
-def check_finite(problem, *names) -> None:
+def check_inputs(problem, *names) -> None:
     """A ValueError naming the first given trajectory of the problem that
-    holds NaN or +-inf.  Only its distinct rows are read, by their minimum
-    and maximum: NaN propagates through both, and inf shows in one."""
+    lives on another grid or holds NaN or +-inf.  Only its distinct rows
+    are read, by their minimum and maximum: NaN propagates through both,
+    and inf shows in one."""
     for name in names:
         traj = getattr(problem, name)
         if traj is None:
             continue
+        if traj.grid != problem.grid:
+            raise ValueError(f"{name} lives on grid {traj.grid}, "
+                             f"the problem on grid {problem.grid}")
         rows = traj.distinct_rows()
         if not (np.isfinite(rows.min()) and np.isfinite(rows.max())):
             raise ValueError(f"{name} holds a non-finite value")
@@ -71,8 +65,7 @@ class KolmogorovProblem:
     def __post_init__(self):
         if (self.source is None) == (self.reaction is None):
             raise ValueError("exactly one of source/reaction must be given")
-        check_grids(self, "mu", "source", "reaction")
-        check_finite(self, "mu", "source", "reaction")
+        check_inputs(self, "mu", "source", "reaction")
         if self.mu.distinct_rows().min() <= 0.0:
             raise ValueError("mu must be positively lower-bounded")
         if self.reaction is not None and self.z0.values.min() < 0.0:
@@ -221,11 +214,11 @@ def comparison_check(p: KolmogorovProblem, r_bar: float) -> ComparisonReport:
     rep0 = solve_forward(p0)
     z, z0 = rep.trajectory.data, rep0.trajectory.data
     growth = np.exp(r_bar * p.grid.times())[:, None]
-    # maxima over blocks of slices: exact, with no third trajectory array
-    md, sup0 = -np.inf, 0.0
-    for a, b in row_blocks(len(z), p.grid.size):
-        md = max(md, float((z[a:b] - z0[a:b] * growth[a:b]).max()))
-        sup0 = max(sup0, float(np.abs(z0[a:b]).max()))
+
+    def sup(values):  # a maximum over per_slice: no third trajectory array
+        return float(per_slice(values, len(z), p.grid).max())
+    md = sup(lambda a, b: (z[a:b] - z0[a:b] * growth[a:b]).max(axis=1))
+    sup0 = sup(lambda a, b: np.abs(z0[a:b]).max(axis=1))
     return ComparisonReport(max_defect=md,
                             rel_defect=md / sup0 if sup0 > 0 else 0.0,
                             r_bar=float(r_bar))

@@ -25,7 +25,7 @@ from . import skt as skt_mod
 from . import weights as weights_mod
 from .mollify import check_width, make_kernel
 from .torus import (Field, Grid, Trajectory, atomic_write_text,
-                    dump_trajectory, load_slices, make_grid, norm, row_blocks,
+                    dump_trajectory, load_slices, make_grid, norm, per_slice,
                     spacetime_norm)
 
 
@@ -293,8 +293,9 @@ def _run_kolmogorov(cfg: RunConfig):
     p = kolmo_mod.KolmogorovProblem(grid=grid, mu=mu, z0=z0, **kwargs)
     rep = kolmo_mod.solve_forward(p)
     data = rep.trajectory.data
-    checks = {"finite": all(np.isfinite(data[a:b]).all()
-                            for a, b in row_blocks(len(data), grid.size))}
+    checks = {"finite": bool(per_slice(
+        lambda a, b: np.isfinite(data[a:b]).all(axis=1), len(data),
+        grid).all())}
     if p.mode == "source":
         checks["mass_ledger"] = rep.mass_drift <= 1e-9 * max(
             1.0, norm(z0, "L1"))

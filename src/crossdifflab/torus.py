@@ -154,18 +154,27 @@ def row_blocks(count: int, width: int) -> list:
     return [(r, min(r + per, count)) for r in range(0, count, per)]
 
 
+def per_slice(values, count: int, grid: Grid) -> np.ndarray:
+    """The one block-wise rule for per-slice quantities: `values(a, b)`
+    gives one value for each of slices a..b-1, taken over row_blocks of
+    `count` slices of grid.size values; returns all `count` of them."""
+    out = np.empty(count)
+    for a, b in row_blocks(count, grid.size):
+        out[a:b] = values(a, b)
+    return out
+
+
 def quadrature(rows, grid: Grid) -> float:
     """The left-endpoint space-time quadrature tau h^dim sum_{k<K} of the
-    values whose rows k0..k1-1 `rows(k0, k1)` computes, over row_blocks.
+    values whose rows k0..k1-1 `rows(k0, k1)` computes, over per_slice.
 
     Each row is summed with np.sum and the row sums are added with
     math.fsum.  A row's np.sum inside a block of contiguous rows is np.sum
     of that row alone, and fsum is exactly rounded, so the result depends
     on the row values only: not on the blocking, a stacked layout or the
     order in which rows are summed."""
-    sums = np.empty(grid.steps)
-    for a, b in row_blocks(grid.steps, grid.size):
-        sums[a:b] = np.sum(rows(a, b), axis=1)
+    sums = per_slice(lambda a, b: np.sum(rows(a, b), axis=1), grid.steps,
+                     grid)
     return float(grid.tau * grid.cell_volume() * math.fsum(sums.tolist()))
 
 
@@ -220,67 +229,52 @@ def _stencil(ghost: GhostCells, grid: Grid, out: np.ndarray,
     return out
 
 
-def _flat_stencil(v, grid, out, scale):
-    # one flat slice or a stack of them, through a ghost buffer of its own
-    if out is None:
-        out = np.empty(v.shape)
-    elif grid.dim == 2 and not out.flags.c_contiguous:
-        raise ValueError("out must be C-contiguous")
-    ghost = GhostCells(grid, v.shape[:-1])
-    ghost.inner[...] = on_grid(v, grid)
-    _stencil(ghost, grid, on_grid(out, grid), scale)
-    return out
-
-
 def lap_stack(v: np.ndarray, grid: Grid, out: np.ndarray | None = None
               ) -> np.ndarray:
     """Centered periodic Laplacian of every slice of a (..., grid.size)
-    array, through a ghost-cell buffer.
+    array, through a ghost-cell buffer of its own.
 
     Each value is -2 dim w, plus w[i-1], plus w[i+1], axis by axis, times
     n^2: h = 1/n with n a power of two, so that is 1/h^2 exactly.  The
     neighbours are read as shifted views of a copy padded by one cell of
-    periodic neighbours per axis.  Written into `out` (C-contiguous, of
-    v's shape, not overlapping v) when one is given; that array is
-    returned."""
-    return _flat_stencil(v, grid, out, grid.n ** 2)
-
-
-def lap_array(v: np.ndarray | GhostCells, grid: Grid,
-              out: np.ndarray | None = None,
-              scale: float | None = None) -> np.ndarray:
-    """The solvers' per-step stencil: `scale` times the neighbour sum of
-    `lap_stack`, so the default n^2 gives the Laplacian, lap_stack(v, grid,
-    out) for a flat `v`.  A name of its own, so that a tracer counts
-    stencil applications per time step apart from the whole-trajectory
-    uses of `lap_stack`.
-
-    A march passes its own GhostCells as `v`, with the step's slice
-    already in `inner`: the rim is filled in place and the result, of the
-    shape of `inner`, goes to `out`.  n^2 = 1/h^2 is a power of two, so
-    scale = tau*n^2 gives the bits of Lap(v)*tau in one multiply, and
-    scale = 1 leaves the sum for a product that takes the n^2 itself (the
-    dual's tau*mu): the same real number, rounded once either way, as long
-    as the sum times n^2 stays finite.  With the states below the blow-up
-    guard's 1e12, only a mu beyond about 1e280 could break that."""
-    if scale is None:
-        scale = grid.n ** 2
-    if not isinstance(v, GhostCells):
-        return _flat_stencil(v, grid, out, scale)
+    periodic neighbours per axis.  Written into `out` (any array of v's
+    shape, strided too, not overlapping v) when one is given; that array
+    is returned."""
     if out is None:
-        out = np.empty(v.inner.shape)
-    return _stencil(v, grid, out, scale)
+        out = np.empty(v.shape)
+    ghost = GhostCells(grid, v.shape[:-1])
+    ghost.inner[...] = on_grid(v, grid)
+    _stencil(ghost, grid, on_grid(out, grid), grid.n ** 2)
+    return out
+
+
+def lap_array(ghost: GhostCells, grid: Grid, out: np.ndarray,
+              scale: float) -> np.ndarray:
+    """The marches' per-step stencil: `scale` times the neighbour sum of
+    `lap_stack`, of the march's own GhostCells with the step's slice
+    already in `inner`.  The rim is filled in place and the result, of
+    the shape of `inner`, goes to `out`.  A name of its own, so that a
+    tracer counts stencil applications per time step apart from the
+    whole-trajectory uses of `lap_stack`.
+
+    n^2 = 1/h^2 is a power of two, so scale = tau*n^2 gives the bits of
+    Lap(v)*tau in one multiply, and scale = 1 leaves the sum for a product
+    that takes the n^2 itself (the dual's tau*mu): the same real number,
+    rounded once either way, as long as the sum times n^2 stays finite.
+    With the states below the blow-up guard's 1e12, only a mu beyond about
+    1e280 could break that."""
+    return _stencil(ghost, grid, out, scale)
 
 
 def grad_sq_stack(v: np.ndarray, grid: Grid) -> np.ndarray:
     """Squared L2 norm of the forward-difference gradient of every slice,
-    computed over blocks of slices (each slice's sum is its own, so the
-    blocking does not change a bit)."""
+    over per_slice (each slice's sum is its own, so the blocking does not
+    change a bit)."""
     flat = v.reshape(-1, grid.size)
     axes = tuple(range(-grid.dim, 0))
-    out = np.empty(len(flat))
-    for a, b in row_blocks(len(flat), grid.size):
-        w = flat[a:b].reshape((b - a,) + grid.shape)
+
+    def values(a, b):
+        w = on_grid(flat[a:b], grid)
         total = 0.0
         for ax in axes:
             d = np.roll(w, -1, axis=ax)
@@ -288,8 +282,9 @@ def grad_sq_stack(v: np.ndarray, grid: Grid) -> np.ndarray:
             d /= grid.h
             d *= d
             total = total + d.sum(axis=axes)
-        out[a:b] = total
-    return (out * grid.cell_volume()).reshape(v.shape[:-1])[()]
+        return total
+    out = per_slice(values, len(flat), grid) * grid.cell_volume()
+    return out.reshape(v.shape[:-1])[()]
 
 
 def laplacian(f: Field) -> Field:
@@ -304,19 +299,23 @@ def gradient_norm_sq(f: Field) -> float:
     return float(grad_sq_stack(f.values, f.grid))
 
 
-def _fourier_weights(grid: Grid) -> np.ndarray:
-    """1/(1 + 4 pi^2 |k|^2) on the discrete Fourier lattice."""
-    k = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
-    if grid.dim == 1:
-        k2 = k ** 2
-    else:
-        k2 = k[:, None] ** 2 + k[None, :] ** 2
-    return 1.0 / (1.0 + 4.0 * np.pi ** 2 * k2)
-
-
 def fourier_coefficients(f: Field) -> np.ndarray:
     """Normalized DFT: sum_k |f_hat_k|^2 equals the squared L2 norm."""
     return np.fft.fftn(f.reshaped()) / f.grid.size
+
+
+def _hminus1(v: np.ndarray, grid: Grid) -> np.ndarray:
+    """The H^-1 norm of every slice of a (..., grid.size) array: the root
+    of sum_k |f_hat_k|^2 w_k, w = 1/(1 + 4 pi^2 |k|^2) on the discrete
+    Fourier lattice, each slice's sum np.sum of that slice alone."""
+    k = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
+    k2 = k ** 2 if grid.dim == 1 else k[:, None] ** 2 + k[None, :] ** 2
+    w = 1.0 / (1.0 + 4.0 * np.pi ** 2 * k2)
+    # contiguous: the FFT of a broadcast row can differ in the last bits
+    block = np.ascontiguousarray(on_grid(v, grid))
+    fhat = np.fft.fftn(block, axes=tuple(range(-grid.dim, 0)))
+    energy = np.abs(fhat / grid.size) ** 2 * w
+    return np.sqrt(np.sum(energy.reshape(v.shape), axis=-1))
 
 
 def norm(f: Field, kind: str) -> float:
@@ -331,9 +330,7 @@ def norm(f: Field, kind: str) -> float:
     if kind == "H1":
         return float(np.sqrt(vol * np.dot(v, v) + grad_sq_stack(v, f.grid)))
     if kind == "Hminus1":
-        fhat = fourier_coefficients(f)
-        w = _fourier_weights(f.grid)
-        return float(np.sqrt(np.sum(np.abs(fhat) ** 2 * w)))
+        return float(_hminus1(v, f.grid))
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
@@ -354,32 +351,21 @@ def spacetime_norm(traj: Trajectory, kind: str,
     else:
         def rows(a, b):
             return data[a:b] - minus.data[a:b]
+
+    def squares(a, b):
+        x = rows(a, b)
+        return x * x
     if kind == "L2Q":
-        def squares(a, b):
-            x = rows(a, b)
-            return x * x
         return float(np.sqrt(quadrature(squares, g)))
     if kind == "L1Q":
         return quadrature(lambda a, b: np.abs(rows(a, b)), g)
     if kind == "LinfL2":
-        sums = np.empty(g.steps + 1)
-        for a, b in row_blocks(g.steps + 1, g.size):
-            x = rows(a, b)
-            sums[a:b] = np.sum(x * x, axis=1)
+        sums = per_slice(lambda a, b: np.sum(squares(a, b), axis=1),
+                         g.steps + 1, g)
         return float(np.sqrt(g.cell_volume() * sums).max())
     if kind == "L1Hminus1":
-        # per-slice H^-1 norms; a C-contiguous block sums each slice as
-        # np.sum of that slice alone
-        w = _fourier_weights(g)
-        axes = tuple(range(1, g.dim + 1))
-        per_slice = np.empty(g.steps)
-        for a, b in row_blocks(g.steps, g.size):
-            block = np.ascontiguousarray(rows(a, b)).reshape(
-                (-1,) + g.shape)
-            fhat = np.fft.fftn(block, axes=axes) / g.size
-            energy = (np.abs(fhat) ** 2 * w).reshape(len(block), -1)
-            per_slice[a:b] = np.sqrt(np.sum(energy, axis=1))
-        return float(g.tau * math.fsum(per_slice.tolist()))
+        per = per_slice(lambda a, b: _hminus1(rows(a, b), g), g.steps, g)
+        return float(g.tau * math.fsum(per.tolist()))
     raise ValueError(f"unknown spacetime norm kind {kind!r}")
 
 

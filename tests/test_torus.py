@@ -6,9 +6,9 @@ import pytest
 from crossdifflab.torus import (Field, Grid, Trajectory, dump_field,
                                 dump_slices, dump_trajectory,
                                 fourier_coefficients, grad_sq_stack,
-                                gradient_norm_sq, integrate, lap_array,
-                                lap_stack, laplacian, load_slices, make_grid,
-                                norm, spacetime_norm)
+                                gradient_norm_sq, integrate, lap_stack,
+                                laplacian, load_slices, make_grid, norm,
+                                spacetime_norm)
 
 
 def test_grid_validation():
@@ -82,7 +82,7 @@ def test_laplacian_brute_force_oracle():
     rng = np.random.default_rng(3)
     g = make_grid(1, 8, 1.0, 1)
     v = rng.standard_normal(8)
-    lap = lap_array(v, g)
+    lap = lap_stack(v, g)
     for i in range(8):
         expect = (v[(i + 1) % 8] - 2 * v[i] + v[(i - 1) % 8]) / g.h ** 2
         assert abs(lap[i] - expect) < 1e-9 * abs(expect) + 1e-9
@@ -92,7 +92,7 @@ def test_laplacian_2d_brute_force():
     rng = np.random.default_rng(4)
     g = make_grid(2, 8, 1.0, 1)
     v = rng.standard_normal(g.size)
-    lap = lap_array(v, g).reshape(8, 8)
+    lap = lap_stack(v, g).reshape(8, 8)
     w = v.reshape(8, 8)
     i, j = 5, 2
     expect = (w[(i + 1) % 8, j] + w[(i - 1) % 8, j]
@@ -190,12 +190,26 @@ def test_spacetime_l1hminus1_constant_in_time():
                - 0.5 * norm(f, "Hminus1")) < 1e-13
 
 
-def test_lap_out_must_be_contiguous_in_2d():
-    # a strided out could only be reshaped by a copy, losing the result
-    g = make_grid(2, 8, 1.0, 1)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_spacetime_l1hminus1_one_step_is_tau_times_hminus1(dim):
+    # one helper computes both: the one slice's H^-1 norm, bit for bit
+    rng = np.random.default_rng(dim)
+    g = make_grid(dim, 16, 0.25, 1)
+    tr = Trajectory(g, rng.standard_normal((2, g.size)))
+    assert (spacetime_norm(tr, "L1Hminus1")
+            == g.tau * norm(tr.slice(0), "Hminus1"))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_lap_into_strided_out(dim):
+    # splitting the last axis of a strided array is a view, so the result
+    # lands in `out` itself
+    rng = np.random.default_rng(7)
+    g = make_grid(dim, 8, 1.0, 1)
+    v = rng.standard_normal(g.size)
     out = np.empty((g.size, 2))[:, 0]
-    with pytest.raises(ValueError, match="C-contiguous"):
-        lap_stack(np.ones(g.size), g, out)
+    assert lap_stack(v, g, out) is out
+    assert np.array_equal(out, lap_stack(v, g))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -225,7 +239,7 @@ def test_traj_helpers_match_per_slice():
     tl = lap_stack(data, g)
     tg = grad_sq_stack(data, g)
     for k in range(4):
-        assert np.allclose(tl[k], lap_array(data[k], g))
+        assert np.allclose(tl[k], lap_stack(data[k], g))
         assert abs(tg[k] - grad_sq_stack(data[k], g)) < 1e-10
 
 

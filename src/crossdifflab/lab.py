@@ -62,6 +62,25 @@ def _integer(value, path: str, positive: bool = False) -> int:
     return value
 
 
+def _number(value, path: str, positive: bool = False) -> float:
+    """The float config value at `path`, an int or a float.  A bool, a
+    string, None, NaN, +-inf and, when `positive`, one <= 0 are
+    ConfigErrors, not parsed."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max
+            or positive and not value > 0):
+        what = "a finite positive number" if positive else "a finite number"
+        raise ConfigError(f"{path} must be {what}, got {value!r}")
+    return float(value)
+
+
+def _numbers(values, path: str) -> list:
+    """The list of float config values at `path`, each read by _number."""
+    if not isinstance(values, list):
+        raise ConfigError(f"{path} must be a list")
+    return [_number(x, f"{path}[{i}]") for i, x in enumerate(values)]
+
+
 def _check_keys(d: dict, allowed, required, path: str) -> None:
     for key in d:
         if key not in allowed:
@@ -100,18 +119,22 @@ def _family_field(grid: Grid, spec: dict, path: str, seed: int) -> Field:
     fam = spec["family"]
     if fam == "constant":
         _check_keys(spec, {"family", "value"}, {"value"}, path)
-        return Field.constant(grid, float(spec["value"]))
+        # the field names NaN and +-inf "non-finite", then _number refuses
+        # a value that is a bool or a string
+        field = Field.constant(grid, float(spec["value"]))
+        _number(spec["value"], f"{path}.value")
+        return field
     if fam == "fourier_mode":
         _check_keys(spec, {"family", "k", "amp", "offset"}, {"k"}, path)
         k = _integer(spec["k"], f"{path}.k")
-        amp = float(spec.get("amp", 1.0))
-        off = float(spec.get("offset", 0.0))
+        amp = _number(spec.get("amp", 1.0), f"{path}.amp")
+        off = _number(spec.get("offset", 0.0), f"{path}.offset")
         return Field.from_function(
             grid, lambda *xs: off + amp * np.cos(2 * np.pi * k * xs[0]))
     if fam == "piecewise":
         _check_keys(spec, {"family", "levels"}, {"levels"}, path)
-        levels = np.asarray(spec["levels"], dtype=np.float64)
-        if levels.ndim != 1 or levels.size < 1:
+        levels = np.array(_numbers(spec["levels"], f"{path}.levels"))
+        if levels.size < 1:
             raise ConfigError(f"{path}.levels must be a non-empty list")
         edges = np.floor(np.arange(grid.n) * levels.size / grid.n).astype(int)
         line = levels[edges]
@@ -122,7 +145,8 @@ def _family_field(grid: Grid, spec: dict, path: str, seed: int) -> Field:
         return Field(grid, np.ascontiguousarray(vals).reshape(-1))
     if fam == "random":
         _check_keys(spec, {"family", "seed", "lo", "hi"}, {"lo", "hi"}, path)
-        lo, hi = float(spec["lo"]), float(spec["hi"])
+        lo = _number(spec["lo"], f"{path}.lo")
+        hi = _number(spec["hi"], f"{path}.hi")
         if not lo < hi:
             raise ConfigError(f"{path}: need lo < hi")
         rng = philox_rng(seed, _integer(spec.get("seed", 0), f"{path}.seed"))
@@ -131,10 +155,12 @@ def _family_field(grid: Grid, spec: dict, path: str, seed: int) -> Field:
         # periodic Gaussian bump of the given width at the origin
         _check_keys(spec, {"family", "base", "peak", "width"},
                     {"base", "peak", "width"}, path)
-        base, peak = float(spec["base"]), float(spec["peak"])
+        base = _number(spec["base"], f"{path}.base")
+        peak = _number(spec["peak"], f"{path}.peak")
+        width = _number(spec["width"], f"{path}.width", positive=True)
         x = np.arange(grid.n) * grid.h
         d = np.minimum(x, 1.0 - x)
-        line = base + (peak - base) * np.exp(-(d / float(spec["width"])) ** 2)
+        line = base + (peak - base) * np.exp(-(d / width) ** 2)
         if grid.dim == 2:
             line = np.sqrt(line[:, None] * line[None, :])
         return Field(grid, line.reshape(-1))
@@ -167,7 +193,8 @@ def _build_grid(gd: dict, path: str, mu_sup_hint: float | None = None) -> Grid:
                 {"dim", "n", "t_final"}, path)
     with config_errors(path):
         grid = make_grid(_integer(gd["dim"], f"{path}.dim"),
-                         _integer(gd["n"], f"{path}.n"), float(gd["t_final"]),
+                         _integer(gd["n"], f"{path}.n"),
+                         _number(gd["t_final"], f"{path}.t_final"),
                          _integer(gd.get("steps", 1), f"{path}.steps"))
         if "steps" not in gd:
             grid = make_grid(grid.dim, grid.n, grid.t_final,
@@ -228,7 +255,8 @@ def _validate_kernel_eps(raw: dict) -> None:
                        "config.grid")
     for path, eps in widths:
         with config_errors(path):
-            check_width(grid, eps)
+            check_width(grid, eps)  # names a NaN width "not a number"
+        _number(eps, path)  # then refuses a bool or a string
 
 
 # ---------------------------------------------------------------------------
@@ -346,11 +374,8 @@ def random_duality_problem(grid: Grid, seed: int, index: int):
 def _run_verify_duality(cfg: RunConfig):
     raw = cfg.raw
     count = _integer(raw.get("count", 20), "config.count", positive=True)
-    threshold = raw.get("threshold", 1e-11)
-    if (isinstance(threshold, bool) or not isinstance(threshold, (int, float))
-            or not 0.0 < threshold <= sys.float_info.max):
-        raise ConfigError("config.threshold must be a finite positive "
-                          f"number, got {threshold!r}")
+    threshold = _number(raw.get("threshold", 1e-11), "config.threshold",
+                        positive=True)
     grid = _build_grid(raw["grid"], "config.grid",
                        mu_sup_hint=DUALITY_MU_RANGE[1])
     worst = 0.0
@@ -360,7 +385,7 @@ def _run_verify_duality(cfg: RunConfig):
         z = kolmo_mod.solve_forward(p).trajectory
         worst = max(worst, dual_mod.duality_residual(z, p, s))
     checks = {"duality_identity": bool(worst <= threshold)}
-    constants = {"max_residual": float(worst), "threshold": float(threshold)}
+    constants = {"max_residual": float(worst), "threshold": threshold}
     return grid, checks, constants, {}
 
 
@@ -403,15 +428,16 @@ def _skt_spec(cfg: RunConfig, identity_kernels=False) -> skt_mod.SktSpec:
                     {"kind", "d"}, path + ".coeff")
         rd = _object(sp["reaction"], path + ".reaction")
         _check_keys(rd, {"rho", "s"}, {"rho", "s"}, path + ".reaction")
+        # lo, hi, kink and pivot default as in CoeffFamily
+        numbers = {k: _number(v, f"{path}.coeff.{k}") for k, v in cd.items()
+                   if k not in ("kind", "c")}
+        c = _numbers(cd.get("c", []), f"{path}.coeff.c")
         with config_errors(path):
-            coeffs.append(skt_mod.CoeffFamily(
-                kind=cd["kind"], d=float(cd["d"]),
-                c=tuple(float(x) for x in cd.get("c", [])),
-                lo=float(cd.get("lo", 0.0)), hi=float(cd.get("hi", np.inf)),
-                kink=float(cd.get("kink", 0.0)),
-                pivot=float(cd.get("pivot", 0.0))))
+            coeffs.append(skt_mod.CoeffFamily(kind=cd["kind"], c=tuple(c),
+                                              **numbers))
             reactions.append(skt_mod.ReactionFamily(
-                rho=float(rd["rho"]), s=tuple(float(x) for x in rd["s"])))
+                rho=_number(rd["rho"], f"{path}.reaction.rho"),
+                s=tuple(_numbers(rd["s"], f"{path}.reaction.s"))))
     hi_max = max(cf.hi for cf in coeffs)
     if not np.isfinite(hi_max):
         raise ConfigError("config.species: every coefficient needs a finite "

@@ -28,6 +28,13 @@ def _smoothed_abs(y: np.ndarray, sigma: float) -> np.ndarray:
             + sigma * np.sqrt(2.0 / np.pi) * np.exp(-y ** 2 / (2 * sigma ** 2)))
 
 
+def _check_finite(**numbers) -> None:
+    """A ValueError naming the first of the numbers that is NaN or +-inf."""
+    for name, x in numbers.items():
+        if not np.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x}")
+
+
 @dataclass(frozen=True)
 class CoeffFamily:
     """Bounded continuous diffusion coefficient a_i.
@@ -53,6 +60,11 @@ class CoeffFamily:
         if self.kind not in ("constant", "clamped_affine",
                              "rational_saturating", "kinked_affine"):
             raise ValueError(f"unknown coefficient kind {self.kind!r}")
+        _check_finite(d=self.d, lo=self.lo, kink=self.kink, pivot=self.pivot,
+                      sigma=self.sigma,
+                      **{f"c[{j}]": cj for j, cj in enumerate(self.c)})
+        if np.isnan(self.hi):  # +inf is the unbounded default
+            raise ValueError("hi must not be NaN")
         if self.kind == "constant":
             if self.d <= 0:
                 raise ValueError("constant coefficient must be positive")
@@ -99,6 +111,8 @@ class ReactionFamily:
     s: tuple
 
     def __post_init__(self):
+        _check_finite(rho=self.rho,
+                      **{f"s[{j}]": sj for j, sj in enumerate(self.s)})
         if any(sj < 0 for sj in self.s):
             raise ValueError("competition coefficients must be >= 0")
 

@@ -32,6 +32,12 @@ class Grid:
     steps: int
 
     def __post_init__(self):
+        for name in ("dim", "n", "steps"):  # numpy integers too, not bools
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, np.integer))):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         if not _is_power_of_two(self.n) or self.n < 8:
@@ -72,7 +78,7 @@ class Grid:
 
 
 def make_grid(dim: int, n: int, t_final: float, steps: int) -> Grid:
-    return Grid(dim=dim, n=n, t_final=float(t_final), steps=int(steps))
+    return Grid(dim=dim, n=n, t_final=float(t_final), steps=steps)
 
 
 @dataclass(frozen=True)

@@ -456,6 +456,69 @@ def test_duality_threshold_accepts_an_integer():
     assert man.passed and man.constants["threshold"] == 1.0
 
 
+SKT = {"kind": "skt", "grid": dict(GRID), "species": SKT_SPECIES}
+SPIKE = {"family": "spike", "base": 1.0, "peak": 2.0, "width": 0.1}
+FOURIER = {"family": "fourier_mode", "k": 1, "amp": 0.5, "offset": 1.0}
+# (config, the keys down to the float value, the path its error names)
+FLOAT_KEYS = {
+    "t_final": (_kolmo_raw(), ("grid", "t_final"), "config.grid.t_final"),
+    "constant": (_kolmo_raw(), ("mu", "value"), "config.mu"),
+    "amp": (_kolmo_raw(z0=FOURIER), ("z0", "amp"), "config.z0.amp"),
+    "offset": (_kolmo_raw(z0=FOURIER), ("z0", "offset"), "config.z0.offset"),
+    "levels": (_kolmo_raw(mu={"family": "piecewise", "levels": [1.0, 2.0]}),
+               ("mu", "levels", 1), "config.mu.levels[1]"),
+    "random-lo": (_kolmo_raw(z0=RANDOM), ("z0", "lo"), "config.z0.lo"),
+    "random-hi": (_kolmo_raw(z0=RANDOM), ("z0", "hi"), "config.z0.hi"),
+    "base": (_kolmo_raw(mu=SPIKE), ("mu", "base"), "config.mu.base"),
+    "peak": (_kolmo_raw(mu=SPIKE), ("mu", "peak"), "config.mu.peak"),
+    "width": (_kolmo_raw(mu=SPIKE), ("mu", "width"), "config.mu.width"),
+    **{key: (SKT, ("species", 0, "coeff", key),
+             f"config.species[0].coeff.{key}")
+       for key in ("d", "lo", "hi", "kink", "pivot")},
+    "c": (SKT, ("species", 0, "coeff", "c", 0),
+          "config.species[0].coeff.c[0]"),
+    "rho": (SKT, ("species", 0, "reaction", "rho"),
+            "config.species[0].reaction.rho"),
+    "s": (SKT, ("species", 0, "reaction", "s", 1),
+          "config.species[0].reaction.s[1]"),
+    # n = 256 resolves a width of 0.01, so "0.01" is refused as a string
+    "kernel_eps": (dict(SKT, grid=dict(GRID, n=256)),
+                   ("species", 0, "kernel_eps"),
+                   "config.species[0].kernel_eps"),
+    "eps": (dict(STABILITY, grid=dict(GRID, n=256)), ("eps", 1),
+            "config.eps"),
+    "threshold": ({"kind": "verify_duality", "grid": dict(GRID), "count": 1},
+                  ("threshold",), "config.threshold"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(FLOAT_KEYS))
+@pytest.mark.parametrize("value", [True, "0.01", float("nan"),
+                                   float("inf")],
+                         ids=["true", "string", "NaN", "Infinity"])
+def test_float_values_are_finite_numbers(key, value):
+    # true would run as 1.0 and "0.01" as 0.01; NaN and Infinity are no
+    # numbers to run with: each is refused, naming the value's path
+    raw, keys, where = FLOAT_KEYS[key]
+    raw = json.loads(json.dumps(raw))
+    cur = raw
+    for k in keys[:-1]:
+        cur = cur[k]
+    cur[keys[-1]] = value
+    with pytest.raises(ConfigError) as exc:
+        run(parse_config(json.dumps(raw)))
+    assert where in str(exc.value)
+
+
+@pytest.mark.parametrize("width", [0, 0.0, -0.1])
+def test_spike_width_must_be_positive(width):
+    # a zero width divided by zero, with a RuntimeWarning, before the
+    # field's own non-finite check refused it
+    with pytest.raises(ConfigError, match=r"^p\.width must be a finite "
+                                          "positive number"):
+        build_field(make_grid(1, 32, 1.0, 1), dict(SPIKE, width=width), "p")
+
+
 # ---------------------------------------------------------------------------
 # determinism and artifacts
 

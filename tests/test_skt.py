@@ -1,5 +1,7 @@
 """Triangular cross-diffusion systems and kernel-to-Dirac studies."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -273,3 +275,37 @@ def test_regularization_study_converges():
     assert dists[-1] < 0.05 * ref_norms[0]
     with pytest.raises(ValueError, match="no kinked"):
         regularization_study(_two_species(g), 1.0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda x: CoeffFamily("constant", x), "d"),
+    (lambda x: CoeffFamily("clamped_affine", x, c=(1.0,), lo=0.5, hi=2.0),
+     "d"),
+    (lambda x: CoeffFamily("clamped_affine", 1.0, c=(1.0, x), lo=0.5,
+                           hi=2.0), "c[1]"),
+    (lambda x: CoeffFamily("rational_saturating", 1.0, c=(1.0,), lo=x,
+                           hi=2.0), "lo"),
+    (lambda x: CoeffFamily("kinked_affine", 1.0, lo=0.5, hi=2.0, kink=x),
+     "kink"),
+    (lambda x: CoeffFamily("kinked_affine", 1.0, lo=0.5, hi=2.0, pivot=x),
+     "pivot"),
+    (lambda x: CoeffFamily("kinked_affine", 1.0, lo=0.5, hi=2.0, sigma=x),
+     "sigma"),
+    (lambda x: ReactionFamily(x, (1.0, 0.0)), "rho"),
+    (lambda x: ReactionFamily(1.0, (0.0, x)), "s[1]"),
+], ids=["constant-d", "d", "c", "lo", "kink", "pivot", "sigma", "rho", "s"])
+@pytest.mark.parametrize("value", [NAN, INF, -INF], ids=str)
+def test_families_refuse_non_finite_numbers(make, name, value):
+    # a NaN d used to pass `d <= 0` and end in NumericalBlowUp at step 1
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be "
+                                         "finite"):
+        make(value)
+
+
+def test_coeff_hi_may_be_unbounded_but_not_nan():
+    with pytest.raises(ValueError, match="hi must not be NaN"):
+        CoeffFamily("clamped_affine", 1.0, c=(1.0,), lo=0.5, hi=NAN)
+    assert CoeffFamily("clamped_affine", 1.0, c=(1.0,), lo=0.5).hi == INF

@@ -78,6 +78,23 @@ def test_laplacian_eigenfunction_exact():
                            atol=1e-9 * lam)
 
 
+@pytest.mark.parametrize("args", [
+    (1, 64, 0.1, 2.9), (1, 64.0, 0.1, 10), (2.0, 64, 0.1, 10),
+    (True, 64, 0.1, 10), (1, 64, 0.1, True)],
+    ids=["steps-2.9", "n-64.0", "dim-2.0", "dim-true", "steps-true"])
+def test_grid_sizes_must_be_integers(args):
+    # 2.9 steps used to run as 2, and a float n died in `&` with a bare
+    # TypeError
+    with pytest.raises(ValueError, match="must be an integer"):
+        make_grid(*args)
+
+
+def test_grid_accepts_numpy_integers():
+    g = make_grid(np.int64(2), np.int32(16), 0.5, np.int64(3))
+    assert g == make_grid(2, 16, 0.5, 3)
+    assert all(type(x) is int for x in (g.dim, g.n, g.steps))
+
+
 def test_laplacian_brute_force_oracle():
     rng = np.random.default_rng(3)
     g = make_grid(1, 8, 1.0, 1)

@@ -310,18 +310,22 @@ def fourier_coefficients(f: Field) -> np.ndarray:
     return np.fft.fftn(f.reshaped()) / f.grid.size
 
 
-def _hminus1(v: np.ndarray, grid: Grid) -> np.ndarray:
-    """The H^-1 norm of every slice of a (..., grid.size) array: the root
-    of sum_k |f_hat_k|^2 w_k, w = 1/(1 + 4 pi^2 |k|^2) on the discrete
-    Fourier lattice, each slice's sum np.sum of that slice alone."""
+def _hminus1(rows, count: int, grid: Grid) -> np.ndarray:
+    """The H^-1 norms of the `count` slices whose rows a..b-1 `rows(a, b)`
+    gives, over per_slice: the root of sum_k |f_hat_k|^2 w_k, w = 1/(1 +
+    4 pi^2 |k|^2) on the discrete Fourier lattice, made once per call."""
     k = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
     k2 = k ** 2 if grid.dim == 1 else k[:, None] ** 2 + k[None, :] ** 2
     w = 1.0 / (1.0 + 4.0 * np.pi ** 2 * k2)
-    # contiguous: the FFT of a broadcast row can differ in the last bits
-    block = np.ascontiguousarray(on_grid(v, grid))
-    fhat = np.fft.fftn(block, axes=tuple(range(-grid.dim, 0)))
-    energy = np.abs(fhat / grid.size) ** 2 * w
-    return np.sqrt(np.sum(energy.reshape(v.shape), axis=-1))
+
+    def values(a, b):
+        # contiguous: the FFT of a broadcast row can differ in the last bits
+        block = on_grid(np.ascontiguousarray(rows(a, b)), grid)
+        fhat = np.fft.fftn(block, axes=tuple(range(1, grid.dim + 1)))
+        fhat /= grid.size
+        energy = np.abs(fhat) ** 2 * w
+        return np.sqrt(np.sum(energy.reshape(b - a, -1), axis=1))
+    return per_slice(values, count, grid)
 
 
 def norm(f: Field, kind: str) -> float:
@@ -336,7 +340,7 @@ def norm(f: Field, kind: str) -> float:
     if kind == "H1":
         return float(np.sqrt(vol * np.dot(v, v) + grad_sq_stack(v, f.grid)))
     if kind == "Hminus1":
-        return float(_hminus1(v, f.grid))
+        return float(_hminus1(lambda a, b: v[None], 1, f.grid)[0])
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
@@ -370,8 +374,7 @@ def spacetime_norm(traj: Trajectory, kind: str,
                          g.steps + 1, g)
         return float(np.sqrt(g.cell_volume() * sums).max())
     if kind == "L1Hminus1":
-        per = per_slice(lambda a, b: _hminus1(rows(a, b), g), g.steps, g)
-        return float(g.tau * math.fsum(per.tolist()))
+        return float(g.tau * math.fsum(_hminus1(rows, g.steps, g).tolist()))
     raise ValueError(f"unknown spacetime norm kind {kind!r}")
 
 

@@ -1,8 +1,8 @@
 """Command-line entry points.
 
 Exit codes: 0 = all checks passed, 1 = a check failed, 2 = config error
-(a bad config, flag, dump or CDL_THREADS, named in one line) or unreadable
-input file, 3 = numerical abort (CFL violation or blow-up).
+(a bad config, flag or dump, named in one line) or unreadable input
+file, 3 = numerical abort (CFL violation or blow-up).
 """
 
 from __future__ import annotations

@@ -119,11 +119,7 @@ def _family_field(grid: Grid, spec: dict, path: str, seed: int) -> Field:
     fam = spec["family"]
     if fam == "constant":
         _check_keys(spec, {"family", "value"}, {"value"}, path)
-        # the field names NaN and +-inf "non-finite", then _number refuses
-        # a value that is a bool or a string
-        field = Field.constant(grid, float(spec["value"]))
-        _number(spec["value"], f"{path}.value")
-        return field
+        return Field.constant(grid, _number(spec["value"], f"{path}.value"))
     if fam == "fourier_mode":
         _check_keys(spec, {"family", "k", "amp", "offset"}, {"k"}, path)
         k = _integer(spec["k"], f"{path}.k")
@@ -191,16 +187,13 @@ def _build_grid(gd: dict, path: str, mu_sup_hint: float | None = None) -> Grid:
     not a number, or not a valid grid, is a ConfigError."""
     _check_keys(gd, {"dim", "n", "t_final", "steps"},
                 {"dim", "n", "t_final"}, path)
+    dim = _integer(gd["dim"], f"{path}.dim")
+    n = _integer(gd["n"], f"{path}.n")
+    t_final = _number(gd["t_final"], f"{path}.t_final")
     with config_errors(path):
-        grid = make_grid(_integer(gd["dim"], f"{path}.dim"),
-                         _integer(gd["n"], f"{path}.n"),
-                         _number(gd["t_final"], f"{path}.t_final"),
-                         _integer(gd.get("steps", 1), f"{path}.steps"))
-        if "steps" not in gd:
-            grid = make_grid(grid.dim, grid.n, grid.t_final,
-                             kolmo_mod.steps_for(grid.dim, grid.n,
-                                                 grid.t_final, mu_sup_hint))
-    return grid
+        steps = (_integer(gd["steps"], f"{path}.steps") if "steps" in gd
+                 else kolmo_mod.steps_for(dim, n, t_final, mu_sup_hint))
+        return make_grid(dim, n, t_final, steps)
 
 
 def _mu_grid(cfg: RunConfig):
@@ -211,7 +204,7 @@ def _mu_grid(cfg: RunConfig):
     probe = _build_grid(dict(gd, steps=1), "config.grid")
     mu = build_field(probe, cfg.raw["mu"], "config.mu", cfg.seed)
     grid = _build_grid(gd, "config.grid", mu_sup_hint=float(mu.values.max()))
-    return grid, Trajectory.constant_in_time(grid, Field(grid, mu.values))
+    return grid, Trajectory.constant_in_time(grid, mu)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -232,7 +225,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(msg)
     _, required, optional = _KINDS[kind]
     _check_keys(raw, {"kind", "grid", "seed", *required, *optional},
-                {"grid"}, "config")
+                ("grid", *required), "config")
     _object(raw["grid"], "config.grid")
     seed = _integer(raw.get("seed", 0), "config.seed")
     _validate_kernel_eps(raw)
@@ -240,10 +233,13 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _validate_kernel_eps(raw: dict) -> None:
-    """Every kernel width of the config fits its grid (mollify's rule)."""
+    """The config's eps and species lists are non-empty lists, and every
+    kernel width fits its grid (mollify's rule)."""
     for key in ("eps", "species"):
         if not isinstance(raw.get(key, []), list):
             raise ConfigError(f"config.{key} must be a list")
+        if raw.get(key) == []:
+            raise ConfigError(f"config.{key} must not be empty")
     widths = [("config.eps", eps) for eps in raw.get("eps", [])]
     widths += [(f"config.species[{i}].kernel_eps", sp["kernel_eps"])
                for i, sp in enumerate(raw.get("species", []))
@@ -255,8 +251,7 @@ def _validate_kernel_eps(raw: dict) -> None:
                        "config.grid")
     for path, eps in widths:
         with config_errors(path):
-            check_width(grid, eps)  # names a NaN width "not a number"
-        _number(eps, path)  # then refuses a bool or a string
+            check_width(grid, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -397,10 +392,7 @@ def _run_stability(cfg: RunConfig):
         g = _field_trajectory(grid, raw["g"], "config.g", cfg.seed)
     else:
         g = Trajectory.constant(grid, 0.0)
-    eps_list = [float(e) for e in raw["eps"]]
-    if not eps_list:
-        raise ConfigError("config.eps must not be empty")
-    rows = dual_mod.stability_study(mu, eps_list, z0, g)
+    rows = dual_mod.stability_study(mu, raw["eps"], z0, g)
     dists = [r.z_distance for r in rows]
     ok = all(b <= a * 1.10 for a, b in zip(dists, dists[1:]))
     checks = {"z_distance_non_increasing": ok}
@@ -415,8 +407,6 @@ def _skt_spec(cfg: RunConfig, identity_kernels=False) -> skt_mod.SktSpec:
     count is the CFL count for the largest coefficient bound `hi`."""
     raw = cfg.raw
     species = raw["species"]
-    if not species:
-        raise ConfigError("config.species must not be empty")
     coeffs, reactions = [], []
     for i, sp in enumerate(species):
         path = f"config.species[{i}]"
@@ -444,7 +434,7 @@ def _skt_spec(cfg: RunConfig, identity_kernels=False) -> skt_mod.SktSpec:
                           "hi, the bound the CFL step is set from")
     grid = _build_grid(raw["grid"], "config.grid", mu_sup_hint=hi_max)
     kernels = [None if identity_kernels or sp.get("kernel_eps") is None
-               else make_kernel(grid, float(sp["kernel_eps"]))
+               else make_kernel(grid, sp["kernel_eps"])
                for sp in species]
     init = [build_field(grid, sp["init"], f"config.species[{i}].init",
                         cfg.seed) for i, sp in enumerate(species)]
@@ -467,12 +457,9 @@ def _run_skt(cfg: RunConfig):
 
 
 def _run_converge(cfg: RunConfig):
-    eps_list = [float(e) for e in cfg.raw["eps"]]
-    if not eps_list:
-        raise ConfigError("config.eps must not be empty")
     spec = _skt_spec(cfg, identity_kernels=True)
     grid = spec.grid
-    table = skt_mod.converge_study(spec, eps_list)
+    table = skt_mod.converge_study(spec, cfg.raw["eps"])
     count = spec.species_count
     dists = np.array([r.distances for r in table.rows])
     ok = bool(np.all(dists[1:] <= dists[:-1] * 1.10))
@@ -512,19 +499,15 @@ _KINDS = {
 
 
 def run(cfg: RunConfig, outdir: str | None = None) -> RunManifest:
-    """Check the config's required keys, run its kind and write the
-    artifacts, then manifest.json, into `outdir` (atomically, each).  A
-    value the problem constructors refuse (a ValueError other than a CFL
-    violation, or a TypeError) is a ConfigError."""
+    """Run the config's kind and write the artifacts, then manifest.json,
+    into `outdir` (atomically, each).  A value the problem constructors
+    refuse (a ValueError other than a CFL violation, or a TypeError) is a
+    ConfigError."""
     start = time.perf_counter()
     if outdir:
         os.makedirs(outdir, exist_ok=True)
-    runner, required, _ = _KINDS[cfg.kind]
-    for key in required:
-        if key not in cfg.raw:
-            raise ConfigError(f"missing key config.{key}")
     try:
-        grid, checks, constants, artifacts = runner(cfg)
+        grid, checks, constants, artifacts = _KINDS[cfg.kind][0](cfg)
     except (ConfigError, kolmo_mod.CflViolation):
         raise
     except (TypeError, ValueError) as exc:
@@ -566,12 +549,9 @@ def _set_path(d: dict, dotted: str, value):
 
 
 def sweep(cfg: RunConfig, axis: str, values, outdir: str | None = None):
-    """Independent runs along one numeric config axis; failures are
-    recorded per point and the sweep continues."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    def one(iv):
-        i, v = iv
+    """Independent runs along one numeric config axis, one after another;
+    failures are recorded per point and the sweep continues."""
+    def one(i, v):
         raw = json.loads(json.dumps(cfg.raw))
         _set_path(raw, axis, v)
         sub = os.path.join(outdir, f"point_{i:03d}") if outdir else None
@@ -580,8 +560,4 @@ def sweep(cfg: RunConfig, axis: str, values, outdir: str | None = None):
         except Exception as exc:  # recorded, sweep continues
             return exc
 
-    with config_errors("CDL_THREADS"):
-        pool = ThreadPoolExecutor(
-            max_workers=int(os.environ.get("CDL_THREADS", "0")) or None)
-    with pool:
-        return list(pool.map(one, enumerate(values)))
+    return [one(i, v) for i, v in enumerate(values)]

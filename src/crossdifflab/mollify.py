@@ -7,6 +7,7 @@ is exactly 1; circular convolution then conserves mass to round-off.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +39,10 @@ class Kernel:
 def check_width(grid: Grid, eps: float) -> float:
     """eps as a float if a kernel of that width fits the grid, 2h <= eps
     <= 0.5 (resolved, and wrapped by N_IMAGES); a ValueError otherwise,
-    also for NaN, which no comparison admits."""
+    also for NaN, which no comparison admits, and for a bool or a value
+    that is not a real number."""
+    if isinstance(eps, bool) or not isinstance(eps, numbers.Real):
+        raise ValueError(f"kernel width must be a real number, got {eps!r}")
     eps = float(eps)
     if np.isnan(eps):
         raise ValueError("kernel width is not a number: eps=nan")

@@ -11,6 +11,7 @@ mollify module, for convolutions.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import struct
 from dataclasses import dataclass
@@ -42,8 +43,12 @@ class Grid:
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         if not _is_power_of_two(self.n) or self.n < 8:
             raise ValueError(f"n must be a power of two >= 8, got {self.n}")
-        if not self.t_final > 0:
-            raise ValueError(f"t_final must be positive, got {self.t_final}")
+        t_final = self.t_final
+        if (isinstance(t_final, bool) or not isinstance(t_final, numbers.Real)
+                or not 0 < t_final < math.inf):
+            raise ValueError(
+                f"t_final must be a finite positive number, got {t_final!r}")
+        object.__setattr__(self, "t_final", float(t_final))
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
 
@@ -78,7 +83,7 @@ class Grid:
 
 
 def make_grid(dim: int, n: int, t_final: float, steps: int) -> Grid:
-    return Grid(dim=dim, n=n, t_final=float(t_final), steps=steps)
+    return Grid(dim=dim, n=n, t_final=t_final, steps=steps)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """`import crossdifflab` loads numpy and no scipy module: scipy is loaded
 only by the two functions that call it (`weights.a2_ratio_correlation`'s
 `spearmanr` and the sigma > 0 branch of `skt._smoothed_abs`'s `erf`).
-No module of the package imports a private name of another."""
+No module of the package imports a private name of another, and every
+source file parses as Python 3.10, the requires-python floor."""
 
 import ast
 import os
@@ -41,3 +42,16 @@ def test_no_module_imports_a_private_name_of_a_sibling():
                           if alias.name.startswith("_")
                           and not alias.name.endswith("__")]
     assert found == []
+
+
+@pytest.mark.parametrize("folder", ["src", "bench", "tests", "demos"])
+def test_sources_parse_as_python_3_10(folder):
+    # the interpreter running the tests may be newer than the floor; a
+    # syntax that 3.10 lacks would otherwise show only on a 3.10 run
+    bad = []
+    for path in sorted((ROOT / folder).rglob("*.py")):
+        try:
+            ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+        except SyntaxError as exc:
+            bad.append(f"{path.relative_to(ROOT)}: {exc}")
+    assert bad == []

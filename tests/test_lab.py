@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from crossdifflab.cli import main
-from crossdifflab.lab import (ConfigError, RunManifest, atomic_write_text,
-                              build_field, parse_config, philox_rng, run,
-                              sweep, write_csv)
+from crossdifflab.lab import (_KINDS, ConfigError, RunManifest,
+                              atomic_write_text, build_field, parse_config,
+                              philox_rng, run, sweep, write_csv)
 from crossdifflab.torus import (Field, dump_field, dump_slices, load_slices,
                                 make_grid)
 
@@ -129,7 +129,8 @@ def test_build_field_errors(tmp_path):
 def test_non_finite_field_value_is_config_error(tmp_path, capsys):
     g = make_grid(1, 32, 1.0, 1)
     for value in (float("nan"), float("inf"), -float("inf")):
-        with pytest.raises(ConfigError, match="p: field contains non-finite"):
+        with pytest.raises(ConfigError,
+                           match="p.value must be a finite number"):
             build_field(g, {"family": "constant", "value": value}, "p")
     # json writes NaN, which Python's json reads back: the config parses
     cfgp = _write(tmp_path, "nan.json", {
@@ -318,10 +319,9 @@ def test_run_weights():
 
 
 def test_missing_required_section():
-    cfg = parse_config(json.dumps({"kind": "dual", "grid": dict(GRID),
-                                   "s": {"family": "constant", "value": 1.0}}))
-    with pytest.raises(ConfigError, match="config.mu"):
-        run(cfg)
+    with pytest.raises(ConfigError, match="missing key config.mu"):
+        parse_config(json.dumps({"kind": "dual", "grid": dict(GRID),
+                                 "s": {"family": "constant", "value": 1.0}}))
 
 
 def _kolmo_raw(**extra):
@@ -378,6 +378,62 @@ def test_malformed_values_are_config_errors(tmp_path, capsys, raw):
         assert main([SUBCOMMANDS[raw["kind"]], "--config", cfgp]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and err.count("\n") == 1
+
+
+# a value for every required key of every kind
+REQUIRED = {"mu": CONST, "z0": CONST, "s": CONST, "eps": [0.2, 0.1],
+            "species": SKT_SPECIES, "weight": CONST}
+
+
+def _cli_argv(kind, path):
+    command = dict(SUBCOMMANDS, skt="skt-run",
+                   converge="skt-converge").get(kind)
+    if command is None:  # weights has no subcommand; sweep parses any kind
+        return ["sweep", "--config", path, "--axis", "seed", "--values", "1"]
+    return [command, "--config", path]
+
+
+@pytest.mark.parametrize("kind, key", [
+    (kind, key) for kind, (_, required, _) in _KINDS.items()
+    for key in required])
+def test_missing_required_key_is_refused_at_parse_time(tmp_path, capsys,
+                                                       kind, key):
+    # a config that parses can be run: run checks no keys of its own
+    raw = {"kind": kind, "grid": dict(GRID),
+           **{k: REQUIRED[k] for k in _KINDS[kind][1] if k != key}}
+    with pytest.raises(ConfigError, match=rf"^missing key config\.{key}$"):
+        parse_config(json.dumps(raw))
+    assert main(_cli_argv(kind, _write(tmp_path, "bad.json", raw))) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: missing key config.{key}\n"
+
+
+@pytest.mark.parametrize("kind, key", [
+    ("stability", "eps"), ("converge", "eps"), ("skt", "species"),
+    ("converge", "species")])
+def test_empty_lists_are_refused_at_parse_time(tmp_path, capsys, kind, key):
+    raw = {"kind": kind, "grid": dict(GRID),
+           **{k: REQUIRED[k] for k in _KINDS[kind][1]}, key: []}
+    with pytest.raises(ConfigError, match=rf"^config\.{key} must not be "
+                                          "empty$"):
+        parse_config(json.dumps(raw))
+    assert main(_cli_argv(kind, _write(tmp_path, "bad.json", raw))) == 2
+    assert capsys.readouterr().err.startswith("config error")
+
+
+@pytest.mark.parametrize("raw, where", [
+    (dict(STABILITY, eps=[True]), "config.eps"),
+    ({"kind": "skt", "grid": dict(GRID),
+      "species": _species_with(0, "kernel_eps", True)},
+     "config.species[0].kernel_eps"),
+], ids=["eps", "kernel_eps"])
+def test_bool_kernel_width_is_no_number(raw, where):
+    # true was read as 1.0 and refused as "kernel too wide: eps=1.0"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(raw))
+    assert str(exc.value).startswith(where + ": ")
+    assert "real number" in str(exc.value)
+    assert "too wide" not in str(exc.value)
 
 
 COUNTED = {
@@ -608,12 +664,6 @@ def test_sweep_over_seed_uses_each_seed():
         assert m.constants == run(_cfg(seed=seed, z0=z0)).constants
 
 
-def test_sweep_respects_thread_cap(tmp_path, monkeypatch):
-    monkeypatch.setenv("CDL_THREADS", "1")
-    res = sweep(_cfg(), "seed", [1, 2])
-    assert len(res) == 2
-
-
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -720,25 +770,18 @@ def test_cli_unreadable_inputs_are_one_line_errors(tmp_path, capsys):
         assert why in err and err.count("\n") == 1, (argv, err)
 
 
-@pytest.mark.parametrize("argv, env, named", [
-    (["skt-converge", "--config", "{converge}", "--eps", "abc"], None,
-     "--eps"),
-    (["skt-converge", "--config", "{converge}", "--eps", "0.2,nan"], None,
+@pytest.mark.parametrize("argv, named", [
+    (["skt-converge", "--config", "{converge}", "--eps", "abc"], "--eps"),
+    (["skt-converge", "--config", "{converge}", "--eps", "0.2,nan"],
      "config.eps"),
     (["sweep", "--config", "{kolmogorov}", "--axis", "seed",
-      "--values", "1,abc"], None, "--values"),
-    (["sweep", "--config", "{kolmogorov}", "--axis", "seed",
-      "--values", "1"], "abc", "CDL_THREADS"),
-    (["sweep", "--config", "{kolmogorov}", "--axis", "seed",
-      "--values", "1"], "-1", "CDL_THREADS"),
-    (["a2-check", "--weight", "constant:2", "--n", "48"], None, "--n 48"),
-    (["a2-check", "--weight", "constant:2", "--dim", "3"], None, "--dim 3"),
-    (["maximal", "--field", "{n48}"], None, "{n48}"),
-    (["a2-check", "--weight", "{n48}"], None, "{n48}"),
-], ids=["eps", "eps-nan", "values", "threads-abc", "threads-negative", "n",
-        "dim", "maximal-dump", "a2-dump"])
-def test_cli_bad_input_is_one_line_config_error(tmp_path, capsys,
-                                                monkeypatch, argv, env,
+      "--values", "1,abc"], "--values"),
+    (["a2-check", "--weight", "constant:2", "--n", "48"], "--n 48"),
+    (["a2-check", "--weight", "constant:2", "--dim", "3"], "--dim 3"),
+    (["maximal", "--field", "{n48}"], "{n48}"),
+    (["a2-check", "--weight", "{n48}"], "{n48}"),
+], ids=["eps", "eps-nan", "values", "n", "dim", "maximal-dump", "a2-dump"])
+def test_cli_bad_input_is_one_line_config_error(tmp_path, capsys, argv,
                                                 named):
     paths = {
         "converge": _write(tmp_path, "c.json", {
@@ -748,8 +791,6 @@ def test_cli_bad_input_is_one_line_config_error(tmp_path, capsys,
         "n48": str(tmp_path / "n48.cdl"),
     }
     dump_slices(paths["n48"], 1, 48, np.ones((1, 48)))
-    if env is not None:
-        monkeypatch.setenv("CDL_THREADS", env)
     assert main([a.format(**paths) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and err.count("\n") == 1, err

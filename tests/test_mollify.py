@@ -6,9 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from crossdifflab.mollify import (Kernel, KernelSequence, convolve,
-                                  convolve_array, dirac_defect, dump_kernel,
-                                  kernel_sequence, make_kernel)
+from crossdifflab.mollify import (Kernel, KernelSequence, check_width,
+                                  convolve, convolve_array, dirac_defect,
+                                  dump_kernel, kernel_sequence, make_kernel)
 from crossdifflab.torus import Field, integrate, make_grid
 
 
@@ -28,6 +28,15 @@ def test_kernel_resolution_limits():
     with pytest.raises(ValueError, match="too wide"):
         make_kernel(g, 0.6)
     make_kernel(g, 2.0 * g.h)  # boundary width is allowed
+
+
+@pytest.mark.parametrize("eps", [True, "0.1", None])
+def test_check_width_refuses_what_is_no_real_number(eps):
+    # true was read as 1.0 and "0.1" as 0.1; None died in float()
+    g = make_grid(1, 64, 1.0, 1)
+    with pytest.raises(ValueError, match="must be a real number"):
+        check_width(g, eps)
+    assert check_width(g, np.float32(0.25)) == 0.25
 
 
 def test_convolution_constant_exact():

@@ -89,10 +89,21 @@ def test_grid_sizes_must_be_integers(args):
         make_grid(*args)
 
 
+@pytest.mark.parametrize("t_final", [
+    float("inf"), float("nan"), 0.0, -1.0, True, "0.1", None])
+def test_grid_t_final_must_be_a_finite_positive_number(t_final):
+    # an infinite horizon made tau infinite, and a solve then aborted with a
+    # CflViolation; "0.1" was parsed and true read as 1.0
+    with pytest.raises(ValueError, match="t_final must be a finite positive "
+                                         "number"):
+        make_grid(1, 64, t_final, 10)
+
+
 def test_grid_accepts_numpy_integers():
     g = make_grid(np.int64(2), np.int32(16), 0.5, np.int64(3))
     assert g == make_grid(2, 16, 0.5, 3)
     assert all(type(x) is int for x in (g.dim, g.n, g.steps))
+    assert type(make_grid(1, 16, np.float32(0.5), 3).t_final) is float
 
 
 def test_laplacian_brute_force_oracle():

@@ -6,9 +6,9 @@ __version__ = "0.1.0"
 
 from .torus import (Field, Grid, Trajectory, gradient_norm_sq, integrate,
                     laplacian, make_grid, norm, spacetime_norm)
-from .mollify import (Kernel, KernelSequence, convolve, dirac_defect,
-                      kernel_sequence, make_kernel)
-from .kolmo import (KolmogorovProblem, SolveReport, cfl_timestep, check_mass,
+from .mollify import (Kernel, check_widths, convolve, dirac_defect,
+                      kernel_sequence, make_kernel, make_kernels)
+from .kolmo import (KolmogorovProblem, SolveReport, cfl_timestep,
                     comparison_check, solve_forward, steps_for)
 from .dual import (DualProblem, EstimateReport, duality_residual, solve_dual,
                    stability_study, verify_apriori)

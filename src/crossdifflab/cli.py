@@ -36,13 +36,6 @@ def _load_field(path: str) -> Field:
         return Field(make_grid(dim, n, 1.0, 1), data[0])
 
 
-def _finish(manifest) -> int:
-    if isinstance(manifest, RunManifest):
-        print(manifest.to_json(), end="")
-        return 0 if manifest.passed else 1
-    return 1
-
-
 def _config_command(sub, kind):
     def handler(args):
         cfg = _load_config(args.config, kind)
@@ -50,7 +43,9 @@ def _config_command(sub, kind):
             with config_errors("--eps"):
                 eps = [float(e) for e in args.eps.split(",")]
             cfg = parse_config(json.dumps(dict(cfg.raw, eps=eps)))
-        return _finish(run(cfg, args.out))
+        manifest = run(cfg, args.out)
+        print(manifest.to_json(), end="")
+        return 0 if manifest.passed else 1
     sub.add_argument("--config", required=True)
     sub.add_argument("--out", default=None,
                      help="output directory for manifest/CSV/dumps")

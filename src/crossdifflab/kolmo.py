@@ -38,11 +38,12 @@ class NumericalBlowUp(RuntimeError):
 
 
 def check_inputs(problem, *names) -> None:
-    """A ValueError naming the first given trajectory of the problem that
-    lives on another grid or holds NaN or +-inf.  Only its distinct rows
-    are read, by their minimum and maximum: NaN propagates through both,
-    and inf shows in one."""
-    for name in names:
+    """A ValueError naming the first of mu and the given trajectories of
+    the problem that lives on another grid or holds NaN or +-inf, then one
+    if mu is not positively lower-bounded.  Only distinct rows are read,
+    by their minimum and maximum: NaN propagates through both, and inf
+    shows in one."""
+    for name in ("mu", *names):
         traj = getattr(problem, name)
         if traj is None:
             continue
@@ -52,6 +53,8 @@ def check_inputs(problem, *names) -> None:
         rows = traj.distinct_rows()
         if not (np.isfinite(rows.min()) and np.isfinite(rows.max())):
             raise ValueError(f"{name} holds a non-finite value")
+    if problem.mu.distinct_rows().min() <= 0.0:
+        raise ValueError("mu must be positively lower-bounded")
 
 
 @dataclass(frozen=True)
@@ -65,9 +68,7 @@ class KolmogorovProblem:
     def __post_init__(self):
         if (self.source is None) == (self.reaction is None):
             raise ValueError("exactly one of source/reaction must be given")
-        check_inputs(self, "mu", "source", "reaction")
-        if self.mu.distinct_rows().min() <= 0.0:
-            raise ValueError("mu must be positively lower-bounded")
+        check_inputs(self, "source", "reaction")
         if self.reaction is not None and self.z0.values.min() < 0.0:
             raise ValueError("reaction mode requires z0 >= 0")
 
@@ -85,7 +86,6 @@ class SolveReport:
     min_value: float
     mass_drift: float
     cfl_used: float      # tau as a fraction of the raw stability bound
-    steps_taken: int
 
 
 def cfl_timestep(grid: Grid, mu_sup: float) -> float:
@@ -172,13 +172,14 @@ def solve_forward(p: KolmogorovProblem) -> SolveReport:
     return SolveReport(
         trajectory=Trajectory(g, out),
         min_value=float(out.min()),
-        mass_drift=check_mass_array(out, p) if source else np.nan,
+        mass_drift=_mass_drift(out, p) if source else np.nan,
         cfl_used=cfl_used,
-        steps_taken=g.steps,
     )
 
 
-def check_mass_array(data: np.ndarray, p: KolmogorovProblem) -> float:
+def _mass_drift(data: np.ndarray, p: KolmogorovProblem) -> float:
+    """The mass ledger of a source-mode trajectory: the max over k of
+    |int z^k - int z^0 - sum_{j<k} tau int G^j|."""
     g = p.grid
     vol = g.cell_volume()
     mass = vol * data.sum(axis=1)                       # per slice k=0..K
@@ -186,13 +187,6 @@ def check_mass_array(data: np.ndarray, p: KolmogorovProblem) -> float:
     expected = mass[0] + g.tau * np.concatenate(
         [[0.0], np.cumsum(src_mass)])
     return float(np.abs(mass - expected).max())
-
-
-def check_mass(report: SolveReport, p: KolmogorovProblem) -> float:
-    """Max over k of |int z^k - int z^0 - sum_{j<k} tau int G^j|."""
-    if p.mode != "source":
-        raise ValueError("mass ledger is defined for source mode only")
-    return check_mass_array(report.trajectory.data, p)
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,9 @@ from . import dual as dual_mod
 from . import kolmo as kolmo_mod
 from . import skt as skt_mod
 from . import weights as weights_mod
-from .mollify import check_width, make_kernel
+from .mollify import check_widths, make_kernel
 from .torus import (Field, Grid, Trajectory, atomic_write_text,
-                    dump_trajectory, load_slices, make_grid, norm, per_slice,
+                    dump_trajectory, load_slices, make_grid, norm,
                     spacetime_norm)
 
 
@@ -233,15 +233,15 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _validate_kernel_eps(raw: dict) -> None:
-    """The config's eps and species lists are non-empty lists, and every
-    kernel width fits its grid (mollify's rule)."""
+    """The config's eps and species lists are non-empty lists, and eps and
+    each species kernel_eps follow mollify's rule of width lists."""
     for key in ("eps", "species"):
         if not isinstance(raw.get(key, []), list):
             raise ConfigError(f"config.{key} must be a list")
         if raw.get(key) == []:
             raise ConfigError(f"config.{key} must not be empty")
-    widths = [("config.eps", eps) for eps in raw.get("eps", [])]
-    widths += [(f"config.species[{i}].kernel_eps", sp["kernel_eps"])
+    widths = [("config.eps", raw["eps"])] if "eps" in raw else []
+    widths += [(f"config.species[{i}].kernel_eps", [sp["kernel_eps"]])
                for i, sp in enumerate(raw.get("species", []))
                if isinstance(sp, dict) and sp.get("kernel_eps") is not None]
     if not widths:
@@ -251,7 +251,7 @@ def _validate_kernel_eps(raw: dict) -> None:
                        "config.grid")
     for path, eps in widths:
         with config_errors(path):
-            check_width(grid, eps)
+            check_widths(grid, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -304,31 +304,23 @@ def _run_kolmogorov(cfg: RunConfig):
     if ("source" in raw) == ("reaction" in raw):
         raise ConfigError("exactly one of config.source/config.reaction "
                           "must be present")
+    mode = "source" if "source" in raw else "reaction"
     grid, mu = _mu_grid(cfg)
     z0 = build_field(grid, raw["z0"], "config.z0", cfg.seed)
-    kwargs = {}
-    if "source" in raw:
-        kwargs["source"] = _field_trajectory(grid, raw["source"],
-                                             "config.source", cfg.seed)
-    else:
-        kwargs["reaction"] = _field_trajectory(grid, raw["reaction"],
-                                               "config.reaction", cfg.seed)
-    p = kolmo_mod.KolmogorovProblem(grid=grid, mu=mu, z0=z0, **kwargs)
+    rhs = _field_trajectory(grid, raw[mode], f"config.{mode}", cfg.seed)
+    p = kolmo_mod.KolmogorovProblem(grid=grid, mu=mu, z0=z0, **{mode: rhs})
     rep = kolmo_mod.solve_forward(p)
-    data = rep.trajectory.data
-    checks = {"finite": bool(per_slice(
-        lambda a, b: np.isfinite(data[a:b]).all(axis=1), len(data),
-        grid).all())}
-    if p.mode == "source":
-        checks["mass_ledger"] = rep.mass_drift <= 1e-9 * max(
-            1.0, norm(z0, "L1"))
-    if z0.values.min() >= 0 and (p.mode == "reaction"
-                                 or p.source.distinct_rows().min() >= 0):
-        checks["non_negative"] = rep.min_value >= 0.0
     constants = {"min_value": rep.min_value, "cfl_used": rep.cfl_used,
                  "final_l2": norm(rep.trajectory.slice(grid.steps), "L2")}
-    if p.mode == "source":
+    # the march refuses every state with NaN or +-inf, and z0 is finite
+    checks = {"finite": bool(np.isfinite(rep.min_value))}
+    if mode == "source":
+        checks["mass_ledger"] = rep.mass_drift <= 1e-9 * max(
+            1.0, norm(z0, "L1"))
         constants["mass_drift"] = rep.mass_drift
+    if z0.values.min() >= 0 and (mode == "reaction"
+                                 or rhs.distinct_rows().min() >= 0):
+        checks["non_negative"] = rep.min_value >= 0.0
     return grid, checks, constants, {"trajectory.cdl": rep.trajectory}
 
 

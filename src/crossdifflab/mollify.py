@@ -54,6 +54,22 @@ def check_width(grid: Grid, eps: float) -> float:
     return eps
 
 
+def check_order(eps) -> None:
+    """A ValueError unless the widths are strictly decreasing."""
+    if any(b >= a for a, b in zip(eps, eps[1:])):
+        raise ValueError(f"eps must be strictly decreasing, got {eps}")
+
+
+def check_widths(grid: Grid, widths) -> list:
+    """The rule of every width list, toward the Dirac mass: non-empty,
+    each width by check_width, strictly decreasing.  Returns the floats."""
+    widths = [check_width(grid, eps) for eps in widths]
+    if not widths:
+        raise ValueError("kernel width list is empty")
+    check_order(widths)
+    return widths
+
+
 def make_kernel(grid: Grid, eps: float) -> Kernel:
     eps = check_width(grid, eps)
     x = np.arange(grid.n) * grid.h
@@ -93,43 +109,17 @@ def convolve_array(v: np.ndarray, k: Kernel) -> np.ndarray:
     return out.reshape(v.shape)
 
 
-class KernelSequence:
-    """Kernels with strictly decreasing eps, approaching the Dirac mass."""
-
-    def __init__(self, kernels):
-        kernels = list(kernels)
-        if not kernels:
-            raise ValueError("empty kernel sequence")
-        self.check_order([k.eps for k in kernels])
-        self.kernels = kernels
-
-    @staticmethod
-    def check_order(eps) -> None:
-        """The rule of every width list: a ValueError unless strictly
-        decreasing."""
-        if any(b >= a for a, b in zip(eps, eps[1:])):
-            raise ValueError(f"eps must be strictly decreasing, got {eps}")
-
-    def __iter__(self):
-        return iter(self.kernels)
-
-    def __len__(self):
-        return len(self.kernels)
-
-    @property
-    def eps_list(self):
-        return [k.eps for k in self.kernels]
+def make_kernels(grid: Grid, widths) -> list:
+    """One kernel per width, the whole list checked before any is made."""
+    return [make_kernel(grid, eps) for eps in check_widths(grid, widths)]
 
 
 def kernel_sequence(grid: Grid, eps0: float, factor: float,
-                    count: int) -> KernelSequence:
+                    count: int) -> list:
+    """The kernels of widths eps0 * factor^j, j < count."""
     if not 0.0 < factor < 1.0:
         raise ValueError(f"factor must be in (0,1), got {factor}")
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    check_width(grid, eps0 * factor ** (count - 1))  # the finest one
-    return KernelSequence(
-        [make_kernel(grid, eps0 * factor ** j) for j in range(count)])
+    return make_kernels(grid, [eps0 * factor ** j for j in range(count)])
 
 
 def dirac_defect(k: Kernel) -> float:

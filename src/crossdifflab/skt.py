@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .kolmo import diffuse, march
-from .mollify import KernelSequence, convolve_array, dirac_defect, make_kernel
+from .mollify import check_order, convolve_array, dirac_defect, make_kernels
 from .torus import GhostCells, Grid, Trajectory, spacetime_norm
 
 
@@ -231,7 +231,7 @@ class ConvergenceTable:
     rows: tuple
 
     def __post_init__(self):
-        KernelSequence.check_order([r.eps for r in self.rows])
+        check_order([r.eps for r in self.rows])
 
 
 def _with_kernels(spec: SktSpec, kernels) -> SktSpec:
@@ -244,8 +244,7 @@ def converge_study(spec_template: SktSpec, eps_list) -> ConvergenceTable:
     before the first march."""
     if any(k is not None for k in spec_template.kernels):
         raise ValueError("template must use identity kernels")
-    kernels = KernelSequence(make_kernel(spec_template.grid, eps)
-                             for eps in eps_list)
+    kernels = make_kernels(spec_template.grid, eps_list)
     ref = solve_system(spec_template)
     rows = []
     for kern in kernels:

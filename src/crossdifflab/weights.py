@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import (DualProblem, EstimateReport, mu_half_delta_phi_sq,
-                   solve_dual)
-from .mollify import KernelSequence, convolve_array
+                   relative_gap, solve_dual)
+from .mollify import convolve_array
 from .torus import (Field, Grid, Trajectory, grad_sq_stack, lap_stack,
                     quadrature)
 
@@ -104,9 +104,9 @@ def a2_constant(w: Weight) -> float:
     return best
 
 
-def domination_check(f: Field, ks: KernelSequence,
-                     tiny: float = 1e-300) -> EstimateReport:
-    """Measured constant A* in |f * rho_eps| <= A* M|f|, over the sequence."""
+def domination_check(f: Field, ks, tiny: float = 1e-300) -> EstimateReport:
+    """Measured constant A* in |f * rho_eps| <= A* M|f|, over the kernels
+    `ks`."""
     mf = maximal_function(f).values
     a_star = 0.0
     for kern in ks:
@@ -164,8 +164,7 @@ def energy_identity_case_ii(mu_x: Field, s: Trajectory,
     lhs = 0.5 * vol * float(np.sum(inv_mu * pd[0] ** 2))
     lhs += g.tau * math.fsum(grad_sq_stack(pd[:-1], g).tolist())
     rhs = -quadrature(lambda a, b: pd[a:b] * inv_mu[None, :] * sd[a:b], g)
-    scale = abs(lhs) + abs(rhs)
-    gap = abs(lhs - rhs) / scale if scale > 0 else 0.0
+    gap = relative_gap(lhs, -rhs)
     return EstimateReport(lhs=lhs, rhs=rhs, ratio=gap, passed=gap <= slack,
                           label=f"x-only energy identity, slack={slack}")
 
@@ -184,7 +183,6 @@ def energy_identity_case_iii(mu_t, s: Trajectory,
     pd, sd = phi.data, s.data
     lhs = 0.5 * float(grad_sq_stack(pd[0], g)) + mu_half_delta_phi_sq(p, phi)
     rhs = quadrature(lambda a, b: lap_stack(pd[a:b], g) * sd[a:b], g)
-    scale = abs(lhs) + abs(rhs)
-    gap = abs(lhs - rhs) / scale if scale > 0 else 0.0
+    gap = relative_gap(lhs, -rhs)
     return EstimateReport(lhs=lhs, rhs=rhs, ratio=gap, passed=gap <= slack,
                           label=f"t-only energy identity, slack={slack}")

@@ -6,9 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from crossdifflab.mollify import (Kernel, KernelSequence, check_width,
+from crossdifflab.mollify import (Kernel, check_width, check_widths,
                                   convolve, convolve_array, dirac_defect,
-                                  dump_kernel, kernel_sequence, make_kernel)
+                                  dump_kernel, kernel_sequence, make_kernel,
+                                  make_kernels)
 from crossdifflab.torus import Field, integrate, make_grid
 
 
@@ -107,12 +108,11 @@ def test_dirac_defect_tracks_eps():
 def test_kernel_sequence_validation():
     g = make_grid(1, 64, 1.0, 1)
     ks = kernel_sequence(g, 0.4, 0.5, 3)
-    assert ks.eps_list == [0.4, 0.2, 0.1]
-    assert len(ks) == 3
+    assert [k.eps for k in ks] == [0.4, 0.2, 0.1]
     with pytest.raises(ValueError, match="strictly decreasing"):
-        KernelSequence([make_kernel(g, 0.1), make_kernel(g, 0.2)])
+        make_kernels(g, [0.1, 0.2])
     with pytest.raises(ValueError, match="empty"):
-        KernelSequence([])
+        make_kernels(g, [])
     with pytest.raises(ValueError, match="factor"):
         kernel_sequence(g, 0.4, 1.5, 3)
     # finest member 0.1*0.5^2 = 0.025 < 2/64 must be rejected up front

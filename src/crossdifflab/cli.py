@@ -14,7 +14,7 @@ import sys
 from .kolmo import CflViolation, NumericalBlowUp
 from .lab import (ConfigError, RunManifest, build_field, config_errors,
                   parse_config, run, sweep)
-from .torus import Field, dump_field, load_slices, make_grid
+from .torus import Field, dump_field, load_field, make_grid
 from .weights import Weight, a2_constant, maximal_function
 
 
@@ -32,8 +32,7 @@ def _load_field(path: str) -> Field:
     """The first slice of a field dump, on the dump's own grid; a malformed
     dump, or one whose dim or n is not a valid grid, is a ConfigError."""
     with config_errors(path):
-        dim, n, data = load_slices(path)
-        return Field(make_grid(dim, n, 1.0, 1), data[0])
+        return load_field(path)
 
 
 def _config_command(sub, kind):

@@ -25,7 +25,7 @@ from . import skt as skt_mod
 from . import weights as weights_mod
 from .mollify import check_widths, make_kernel
 from .torus import (Field, Grid, Trajectory, atomic_write_text,
-                    dump_trajectory, load_slices, make_grid, norm,
+                    dump_trajectory, load_field, make_grid, norm,
                     spacetime_norm)
 
 
@@ -162,12 +162,12 @@ def _family_field(grid: Grid, spec: dict, path: str, seed: int) -> Field:
         return Field(grid, line.reshape(-1))
     if fam == "dump":
         _check_keys(spec, {"family", "path"}, {"path"}, path)
-        dim, n, data = load_slices(spec["path"])
-        if (dim, n) != (grid.dim, grid.n):
+        dump = load_field(spec["path"])
+        if (dump.grid.dim, dump.grid.n) != (grid.dim, grid.n):
             raise ConfigError(
-                f"{path}: dump is dim={dim}, n={n}; grid wants "
-                f"dim={grid.dim}, n={grid.n}")
-        return Field(grid, data[0])
+                f"{path}: dump is dim={dump.grid.dim}, n={dump.grid.n}; "
+                f"grid wants dim={grid.dim}, n={grid.n}")
+        return Field(grid, dump.values)
     raise ConfigError(f"{path}.family: unknown family {fam!r}")
 
 
@@ -198,11 +198,15 @@ def _build_grid(gd: dict, path: str, mu_sup_hint: float | None = None) -> Grid:
 
 def _mu_grid(cfg: RunConfig):
     """The config grid and config.mu on it.  A field does not depend on the
-    time axis, so mu is built once, on a one-step grid, and its sup sets
-    the CFL step count when grid.steps is not given."""
+    time axis, so mu is built once, on a one-step grid, checked to be
+    positive, and its sup sets the CFL step count when grid.steps is not
+    given."""
     gd = cfg.raw["grid"]
     probe = _build_grid(dict(gd, steps=1), "config.grid")
     mu = build_field(probe, cfg.raw["mu"], "config.mu", cfg.seed)
+    if not mu.values.min() > 0.0:
+        raise ConfigError("config.mu must be positively lower-bounded, got "
+                          f"minimum {mu.values.min()}")
     grid = _build_grid(gd, "config.grid", mu_sup_hint=float(mu.values.max()))
     return grid, Trajectory.constant_in_time(grid, mu)
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +21,7 @@ N_IMAGES = 3  # wrap images per axis; enough for eps <= 0.5 to 1e-12
 @dataclass(frozen=True, eq=False)
 class Kernel:
     """Non-negative unit-mass kernel of width `eps` sampled on `grid`, with
-    its FFT computed once."""
+    its FFT computed once; `eps` goes through check_width."""
 
     grid: Grid
     eps: float
@@ -28,7 +29,7 @@ class Kernel:
     _fft: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "eps", float(self.eps))
+        object.__setattr__(self, "eps", check_width(self.grid, self.eps))
         object.__setattr__(self, "_fft",
                            np.fft.rfftn(self.values.reshaped()))
 
@@ -39,9 +40,11 @@ class Kernel:
 def check_width(grid: Grid, eps: float) -> float:
     """eps as a float if a kernel of that width fits the grid, 2h <= eps
     <= 0.5 (resolved, and wrapped by N_IMAGES); a ValueError otherwise,
-    also for NaN, which no comparison admits, and for a bool or a value
-    that is not a real number."""
-    if isinstance(eps, bool) or not isinstance(eps, numbers.Real):
+    also for NaN, which no comparison admits, and for a bool, a value that
+    is not a real number or an int beyond the float range."""
+    if (isinstance(eps, bool) or not isinstance(eps, numbers.Real)
+            or isinstance(eps, numbers.Rational)
+            and abs(eps) > sys.float_info.max):
         raise ValueError(f"kernel width must be a real number, got {eps!r}")
     eps = float(eps)
     if np.isnan(eps):

@@ -14,6 +14,7 @@ import math
 import numbers
 import os
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,10 @@ class Grid:
             raise ValueError(f"n must be a power of two >= 8, got {self.n}")
         t_final = self.t_final
         if (isinstance(t_final, bool) or not isinstance(t_final, numbers.Real)
-                or not 0 < t_final < math.inf):
+                or not 0 < t_final < math.inf
+                # an int beyond the float range, which float() refuses
+                or isinstance(t_final, numbers.Rational)
+                and t_final > sys.float_info.max):
             raise ValueError(
                 f"t_final must be a finite positive number, got {t_final!r}")
         object.__setattr__(self, "t_final", float(t_final))
@@ -427,6 +431,19 @@ def load_slices(path):
     """Returns (dim, n, array of shape (slice_count, n**dim)), read straight
     into the array it returns.  The file size is checked against the header
     before anything is allocated."""
+    return _read_dump(path)
+
+
+def load_field(path) -> Field:
+    """Slice 0 of a dump, on a one-step grid of the dump's dim and n; the
+    dump is checked as by load_slices, and only that slice is read."""
+    dim, n, data = _read_dump(path, 1)
+    return Field(make_grid(dim, n, 1.0, 1), data[0])
+
+
+def _read_dump(path, rows=None):
+    """(dim, n, the first `rows` slices, or all of them) of a dump whose
+    size matches its header."""
     with open(path, "rb") as fh:
         head = fh.read(HEADER.size)
         if len(head) < HEADER.size:
@@ -437,7 +454,10 @@ def load_slices(path):
         size = HEADER.size + 8 * count * n ** dim
         if os.fstat(fh.fileno()).st_size != size:
             raise ValueError("truncated field dump")
-        data = np.empty((count, n ** dim), dtype="<f8")
+        rows = count if rows is None else rows
+        if rows > count:
+            raise ValueError(f"field dump holds {count} slices, not {rows}")
+        data = np.empty((rows, n ** dim), dtype="<f8")
         raw = data.view(np.uint8).reshape(-1)
         if fh.readinto(raw) != raw.size:  # the file shrank since fstat
             raise ValueError("truncated field dump")

@@ -142,6 +142,25 @@ def test_non_finite_field_value_is_config_error(tmp_path, capsys):
     assert "config error: config.mu" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mu, least", [
+    ({"family": "constant", "value": -1.0}, "-1.0"),
+    ({"family": "fourier_mode", "k": 1, "amp": 2.0, "offset": 1.0}, "-1.0"),
+], ids=["constant", "fourier_mode"])
+def test_mu_not_positive_is_config_error_naming_mu(tmp_path, capsys, mu,
+                                                   least):
+    # the constant was reported as "config.grid: mu_sup must be finite and
+    # positive" while the grid was sized, the mode as "mu must be
+    # positively lower-bounded" with no path
+    raw = _kolmo_raw(mu=mu)
+    with pytest.raises(ConfigError, match=r"^config\.mu must be positively "
+                                          rf"lower-bounded, got minimum {least}"):
+        run(parse_config(json.dumps(raw)))
+    assert main(["solve-kolmogorov", "--config",
+                 _write(tmp_path, "mu.json", raw)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config.mu") and err.count("\n") == 1
+
+
 def test_philox_rng_properties():
     a = philox_rng(1, 3).standard_normal(4)
     b = philox_rng(1, 3).standard_normal(4)
@@ -419,6 +438,20 @@ def test_empty_lists_are_refused_at_parse_time(tmp_path, capsys, kind, key):
         parse_config(json.dumps(raw))
     assert main(_cli_argv(kind, _write(tmp_path, "bad.json", raw))) == 2
     assert capsys.readouterr().err.startswith("config error")
+
+
+@pytest.mark.parametrize("kind", ["stability", "converge"])
+@pytest.mark.parametrize("eps", [[0.1, 0.2], [0.2, 0.2]],
+                         ids=["increasing", "repeated"])
+def test_unordered_eps_is_refused_at_parse_time(tmp_path, capsys, kind, eps):
+    # parse_config checked each width alone, so only run refused the order
+    raw = {"kind": kind, "grid": dict(GRID),
+           **{k: REQUIRED[k] for k in _KINDS[kind][1]}, "eps": eps}
+    with pytest.raises(ConfigError, match=r"^config\.eps: eps must be "
+                                          "strictly decreasing"):
+        parse_config(json.dumps(raw))
+    assert main(_cli_argv(kind, _write(tmp_path, "bad.json", raw))) == 2
+    assert capsys.readouterr().err.startswith("config error: config.eps: ")
 
 
 @pytest.mark.parametrize("raw, where", [
@@ -774,13 +807,15 @@ def test_cli_unreadable_inputs_are_one_line_errors(tmp_path, capsys):
     (["skt-converge", "--config", "{converge}", "--eps", "abc"], "--eps"),
     (["skt-converge", "--config", "{converge}", "--eps", "0.2,nan"],
      "config.eps"),
+    (["skt-converge", "--config", "{converge}", "--eps", "0.1,0.2"],
+     "config.eps: eps must be strictly decreasing"),
     (["sweep", "--config", "{kolmogorov}", "--axis", "seed",
       "--values", "1,abc"], "--values"),
     (["a2-check", "--weight", "constant:2", "--n", "48"], "--n 48"),
     (["a2-check", "--weight", "constant:2", "--dim", "3"], "--dim 3"),
     (["maximal", "--field", "{n48}"], "{n48}"),
     (["a2-check", "--weight", "{n48}"], "{n48}"),
-], ids=["eps", "eps-nan", "values", "n", "dim", "maximal-dump", "a2-dump"])
+], ids=["eps", "eps-nan", "eps-increasing", "values", "n", "dim", "maximal-dump", "a2-dump"])
 def test_cli_bad_input_is_one_line_config_error(tmp_path, capsys, argv,
                                                 named):
     paths = {

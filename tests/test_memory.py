@@ -10,8 +10,9 @@ import pytest
 from crossdifflab.dual import DualProblem, verify_apriori
 from crossdifflab.kolmo import (KolmogorovProblem, comparison_check,
                                 solve_forward)
-from crossdifflab.torus import (Field, Trajectory, dump_slices, load_slices,
-                                make_grid, spacetime_norm)
+from crossdifflab.lab import build_field
+from crossdifflab.torus import (Field, Trajectory, dump_slices, load_field,
+                                load_slices, make_grid, spacetime_norm)
 
 MB = 2 ** 20
 
@@ -60,6 +61,21 @@ def test_dump_and_load_peak(traj, tmp_path):
     peak = _peak(lambda: loaded.append(load_slices(path)))
     assert peak <= traj.data.nbytes + MB
     assert np.array_equal(loaded[0][2], traj.data)
+
+
+def test_load_field_reads_one_slice(tmp_path):
+    # a field is slice 0 of a dump: a 200-slice 64^2 dump (6.6 MB) was read
+    # whole for a 32 KB field
+    grid = make_grid(2, 64, 1.0, 1)
+    slices = np.random.default_rng(10).standard_normal((200, grid.size))
+    path = tmp_path / "many.cdl"
+    dump_slices(path, 2, 64, slices)
+    one = slices[0].nbytes
+    loaded = []
+    assert _peak(lambda: loaded.append(load_field(path))) < 2 * one
+    assert np.array_equal(loaded[0].values, slices[0])
+    spec = {"family": "dump", "path": str(path)}
+    assert _peak(lambda: build_field(grid, spec, "p")) < 2 * one
 
 
 def test_comparison_check_peak(traj):

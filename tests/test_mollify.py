@@ -31,9 +31,10 @@ def test_kernel_resolution_limits():
     make_kernel(g, 2.0 * g.h)  # boundary width is allowed
 
 
-@pytest.mark.parametrize("eps", [True, "0.1", None])
+@pytest.mark.parametrize("eps", [True, "0.1", None, 10 ** 400])
 def test_check_width_refuses_what_is_no_real_number(eps):
-    # true was read as 1.0 and "0.1" as 0.1; None died in float()
+    # true was read as 1.0 and "0.1" as 0.1; None died in float(), and
+    # 10**400 with an OverflowError
     g = make_grid(1, 64, 1.0, 1)
     with pytest.raises(ValueError, match="must be a real number"):
         check_width(g, eps)
@@ -138,4 +139,10 @@ def test_kernel_fft_cached():
     assert np.array_equal(k.fft(), np.fft.rfftn(k.values.reshaped()))
     with pytest.raises(dataclasses.FrozenInstanceError):
         k.eps = 0.2
-    assert type(Kernel(g, 1, k.values).eps) is float
+    assert type(Kernel(g, np.float64(0.1), k.values).eps) is float
+    # the width goes through check_width: "0.9" was read as 0.9, true and 1
+    # as 1.0, each for values of width 0.1
+    for eps, why in (("0.9", "real number"), (True, "real number"),
+                     (1, "too wide")):
+        with pytest.raises(ValueError, match=why):
+            Kernel(g, eps, k.values)

@@ -1,6 +1,7 @@
 """Property tests of the exact discrete guarantees over random grids,
 coefficients and data.  Derandomized, so every run draws the same cases."""
 
+import json
 import math
 
 import numpy as np
@@ -13,7 +14,8 @@ from crossdifflab.dual import (DualProblem, duality_pairings,
                                duality_residual, solve_dual, verify_apriori)
 from crossdifflab.kolmo import (KolmogorovProblem, cfl_timestep,
                                 comparison_check, solve_forward, steps_for)
-from crossdifflab.mollify import make_kernel
+from crossdifflab.lab import ConfigError, parse_config
+from crossdifflab.mollify import check_width, check_widths, make_kernel
 from crossdifflab.skt import CoeffFamily, ReactionFamily, SktSpec, solve_system
 from crossdifflab.torus import (STREAM_BLOCK, Field, GhostCells, Trajectory,
                                 grad_sq_stack, lap_array, lap_stack,
@@ -465,3 +467,42 @@ def test_maximal_function_is_largest_ball_mean(case):
         mean = _roll_ball_sum(a, grid, w) / (2 * w + 1) ** grid.dim
         np.maximum(best, mean, out=best)
     assert np.all(np.abs(mf - best) <= BALL_REL * best)
+
+
+# what a config may hold where a kernel width belongs
+WIDTHS = st.one_of(st.floats(0.0, 0.7), st.just(math.nan), st.booleans(),
+                   st.text(max_size=3), st.just(10 ** 400))
+
+
+@settings(PROPERTY, max_examples=200)
+@given(st.sampled_from((1, 2)), st.sampled_from((8, 16, 32, 64, 128, 256)),
+       st.one_of(st.lists(WIDTHS, max_size=4),
+                 st.lists(st.floats(0.0, 0.7), min_size=1, max_size=4,
+                          unique=True).map(lambda w: sorted(w)[::-1])))
+def test_width_lists_follow_one_rule(dim, n, widths):
+    # refused exactly when empty, when check_width refuses a width, or when
+    # the widths do not strictly decrease; parse_config refuses a stability
+    # config with that eps exactly then, naming config.eps
+    grid = make_grid(dim, n, 1.0, 1)
+
+    def accepted(width):
+        try:
+            check_width(grid, width)
+        except ValueError:
+            return False
+        return True
+    refused = (not widths or not all(map(accepted, widths))
+               or any(b >= a for a, b in zip(widths, widths[1:])))
+    try:
+        assert check_widths(grid, widths) == [float(w) for w in widths]
+        assert not refused
+    except ValueError:
+        assert refused
+    raw = {"kind": "stability", "grid": {"dim": dim, "n": n, "t_final": 0.01},
+           "eps": widths, "mu": {"family": "constant", "value": 1.0},
+           "z0": {"family": "constant", "value": 1.0}}
+    try:
+        assert parse_config(json.dumps(raw)).raw["eps"] == widths
+        assert not refused
+    except ConfigError as exc:
+        assert refused and str(exc).startswith("config.eps")

@@ -7,8 +7,8 @@ from crossdifflab.torus import (Field, Grid, Trajectory, dump_field,
                                 dump_slices, dump_trajectory,
                                 fourier_coefficients, grad_sq_stack,
                                 gradient_norm_sq, integrate, lap_stack,
-                                laplacian, load_slices, make_grid, norm,
-                                spacetime_norm)
+                                laplacian, load_field, load_slices,
+                                make_grid, norm, spacetime_norm)
 
 
 def test_grid_validation():
@@ -90,10 +90,11 @@ def test_grid_sizes_must_be_integers(args):
 
 
 @pytest.mark.parametrize("t_final", [
-    float("inf"), float("nan"), 0.0, -1.0, True, "0.1", None])
+    float("inf"), float("nan"), 0.0, -1.0, True, "0.1", None, 10 ** 400])
 def test_grid_t_final_must_be_a_finite_positive_number(t_final):
     # an infinite horizon made tau infinite, and a solve then aborted with a
-    # CflViolation; "0.1" was parsed and true read as 1.0
+    # CflViolation; "0.1" was parsed and true read as 1.0; 10**400 died in
+    # float() with an OverflowError
     with pytest.raises(ValueError, match="t_final must be a finite positive "
                                          "number"):
         make_grid(1, 64, t_final, 10)
@@ -313,6 +314,23 @@ def test_dump_zero_slices(tmp_path):
         assert (got_dim, got_n, data.shape) == (dim, n, (0, n ** dim))
     with pytest.raises(ValueError, match="slice length does not match"):
         dump_slices(tmp_path / "bad.cdl", 1, 8, np.empty((2, 5)))
+
+
+def test_load_field_is_slice_zero_of_a_checked_dump(tmp_path):
+    rng = np.random.default_rng(17)
+    slices = rng.standard_normal((5, 8 ** 2))
+    path = tmp_path / "five.cdl"
+    dump_slices(path, 2, 8, slices)
+    f = load_field(path)
+    assert f.grid == make_grid(2, 8, 1.0, 1)
+    assert np.array_equal(f.values, slices[0])
+    # the whole file is checked against its header, as load_slices does
+    path.write_bytes(path.read_bytes() + bytes(8))
+    with pytest.raises(ValueError, match="truncated field dump"):
+        load_field(path)
+    dump_slices(path, 1, 8, np.empty((0, 8)))
+    with pytest.raises(ValueError, match="holds 0 slices"):
+        load_field(path)
 
 
 def test_dump_with_trailing_bytes_rejected(tmp_path):

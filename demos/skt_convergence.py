@@ -29,11 +29,11 @@ spec = SktSpec(
     init=(Field(grid, 1.0 + 0.3 * np.cos(2 * np.pi * x)),
           Field(grid, 1.0 + 0.3 * np.sin(2 * np.pi * x))))
 
-table = converge_study(spec, [0.4, 0.2, 0.1, 0.05])
+rows = converge_study(spec, [0.4, 0.2, 0.1, 0.05])
 print(f"n={n}, T={t_final}, K={grid.steps} steps per run\n")
 print(f"{'eps':>6} {'2nd moment':>12} {'||u1_eps-u1||':>14} "
       f"{'||u2_eps-u2||':>14}")
-for row in table.rows:
+for row in rows:
     print(f"{row.eps:6.2f} {row.defect:12.4e} {row.distances[0]:14.6e} "
           f"{row.distances[1]:14.6e}")
 print("\nboth distances fall monotonically as the kernels approach the "

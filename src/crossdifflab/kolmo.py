@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .torus import (Field, GhostCells, Grid, Trajectory, lap_array,
-                    make_grid, on_grid, per_slice, row_blocks)
+from .torus import (Field, GhostCells, Grid, Trajectory, is_real,
+                    lap_array, make_grid, on_grid, per_slice, row_blocks)
 
 BLOWUP_LIMIT = 1e12
 CFL_SAFETY = 0.9
@@ -90,8 +90,9 @@ class SolveReport:
 
 def cfl_timestep(grid: Grid, mu_sup: float) -> float:
     """Largest safe tau for the explicit scheme, with a 0.9 safety factor."""
-    if not 0.0 < mu_sup < np.inf:
-        raise ValueError(f"mu_sup must be finite and positive, got {mu_sup}")
+    if not (is_real(mu_sup) and 0.0 < mu_sup < np.inf):
+        raise ValueError(
+            f"mu_sup must be finite and positive, got {mu_sup!r}")
     return CFL_SAFETY * grid.h ** 2 / (2.0 * grid.dim * mu_sup)
 
 

@@ -158,6 +158,11 @@ def _family_field(grid: Grid, spec: dict, path: str, seed: int) -> Field:
         d = np.minimum(x, 1.0 - x)
         line = base + (peak - base) * np.exp(-(d / width) ** 2)
         if grid.dim == 2:
+            # the root of a product of two lines keeps no sign
+            for key, level in (("base", base), ("peak", peak)):
+                if level < 0:
+                    raise ConfigError(f"{path}.{key} must be >= 0 on a 2-D "
+                                      f"grid, got {level!r}")
             line = np.sqrt(line[:, None] * line[None, :])
         return Field(grid, line.reshape(-1))
     if fam == "dump":
@@ -230,6 +235,9 @@ def parse_config(text: str) -> RunConfig:
     _, required, optional = _KINDS[kind]
     _check_keys(raw, {"kind", "grid", "seed", *required, *optional},
                 ("grid", *required), "config")
+    if kind == "kolmogorov" and ("source" in raw) == ("reaction" in raw):
+        raise ConfigError("exactly one of config.source/config.reaction "
+                          "must be present")
     _object(raw["grid"], "config.grid")
     seed = _integer(raw.get("seed", 0), "config.seed")
     _validate_kernel_eps(raw)
@@ -305,9 +313,6 @@ def _field_trajectory(grid: Grid, spec: dict, path: str,
 
 def _run_kolmogorov(cfg: RunConfig):
     raw = cfg.raw
-    if ("source" in raw) == ("reaction" in raw):
-        raise ConfigError("exactly one of config.source/config.reaction "
-                          "must be present")
     mode = "source" if "source" in raw else "reaction"
     grid, mu = _mu_grid(cfg)
     z0 = build_field(grid, raw["z0"], "config.z0", cfg.seed)
@@ -457,13 +462,13 @@ def _run_converge(cfg: RunConfig):
     grid = spec.grid
     table = skt_mod.converge_study(spec, cfg.raw["eps"])
     count = spec.species_count
-    dists = np.array([r.distances for r in table.rows])
+    dists = np.array([r.distances for r in table])
     ok = bool(np.all(dists[1:] <= dists[:-1] * 1.10))
     checks = {"distances_non_increasing": ok}
     constants = {f"final_dist_u{i + 1}": float(dists[-1, i])
                  for i in range(count)}
     header = ["eps", "defect"] + [f"dist_u{i + 1}" for i in range(count)]
-    rows = [(r.eps, r.defect, *r.distances) for r in table.rows]
+    rows = [(r.eps, r.defect, *r.distances) for r in table]
     return grid, checks, constants, {"converge.csv": (header, rows)}
 
 

@@ -7,13 +7,11 @@ is exactly 1; circular convolution then conserves mass to round-off.
 from __future__ import annotations
 
 import json
-import numbers
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .torus import Field, Grid, atomic_write_text, dump_field
+from .torus import Field, Grid, atomic_write_text, dump_field, is_real
 
 N_IMAGES = 3  # wrap images per axis; enough for eps <= 0.5 to 1e-12
 
@@ -40,11 +38,9 @@ class Kernel:
 def check_width(grid: Grid, eps: float) -> float:
     """eps as a float if a kernel of that width fits the grid, 2h <= eps
     <= 0.5 (resolved, and wrapped by N_IMAGES); a ValueError otherwise,
-    also for NaN, which no comparison admits, and for a bool, a value that
-    is not a real number or an int beyond the float range."""
-    if (isinstance(eps, bool) or not isinstance(eps, numbers.Real)
-            or isinstance(eps, numbers.Rational)
-            and abs(eps) > sys.float_info.max):
+    also for NaN, which no comparison admits, and for what is_real
+    refuses."""
+    if not is_real(eps):
         raise ValueError(f"kernel width must be a real number, got {eps!r}")
     eps = float(eps)
     if np.isnan(eps):
@@ -57,19 +53,14 @@ def check_width(grid: Grid, eps: float) -> float:
     return eps
 
 
-def check_order(eps) -> None:
-    """A ValueError unless the widths are strictly decreasing."""
-    if any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ValueError(f"eps must be strictly decreasing, got {eps}")
-
-
 def check_widths(grid: Grid, widths) -> list:
     """The rule of every width list, toward the Dirac mass: non-empty,
     each width by check_width, strictly decreasing.  Returns the floats."""
     widths = [check_width(grid, eps) for eps in widths]
     if not widths:
         raise ValueError("kernel width list is empty")
-    check_order(widths)
+    if any(b >= a for a, b in zip(widths, widths[1:])):
+        raise ValueError(f"eps must be strictly decreasing, got {widths}")
     return widths
 
 

@@ -10,13 +10,14 @@ distance between the two as the kernels shrink toward a Dirac mass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .kolmo import diffuse, march
-from .mollify import check_order, convolve_array, dirac_defect, make_kernels
-from .torus import GhostCells, Grid, Trajectory, spacetime_norm
+from .mollify import convolve_array, dirac_defect, make_kernels
+from .torus import GhostCells, Grid, Trajectory, is_real, spacetime_norm
 
 
 def _smoothed_abs(y: np.ndarray, sigma: float) -> np.ndarray:
@@ -28,11 +29,12 @@ def _smoothed_abs(y: np.ndarray, sigma: float) -> np.ndarray:
             + sigma * np.sqrt(2.0 / np.pi) * np.exp(-y ** 2 / (2 * sigma ** 2)))
 
 
-def _check_finite(**numbers) -> None:
-    """A ValueError naming the first of the numbers that is NaN or +-inf."""
-    for name, x in numbers.items():
-        if not np.isfinite(x):
-            raise ValueError(f"{name} must be finite, got {x}")
+def _check_finite(**values) -> None:
+    """A ValueError naming the first of the values that is NaN, +-inf or
+    not a real number by torus.is_real."""
+    for name, x in values.items():
+        if not (is_real(x) and math.isfinite(x)):
+            raise ValueError(f"{name} must be finite, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -63,8 +65,9 @@ class CoeffFamily:
         _check_finite(d=self.d, lo=self.lo, kink=self.kink, pivot=self.pivot,
                       sigma=self.sigma,
                       **{f"c[{j}]": cj for j, cj in enumerate(self.c)})
-        if np.isnan(self.hi):  # +inf is the unbounded default
-            raise ValueError("hi must not be NaN")
+        if not is_real(self.hi) or math.isnan(self.hi):  # +inf: unbounded
+            raise ValueError(f"hi must not be NaN or a non-number, "
+                             f"got {self.hi!r}")
         if self.kind == "constant":
             if self.d <= 0:
                 raise ValueError("constant coefficient must be positive")
@@ -226,35 +229,26 @@ class ConvergenceRow:
     distances: tuple     # per-species L2(Q_T) distance to the local run
 
 
-@dataclass(frozen=True)
-class ConvergenceTable:
-    rows: tuple
-
-    def __post_init__(self):
-        check_order([r.eps for r in self.rows])
+def _distances(sol, ref) -> tuple:
+    """The per-species L2(Q_T) distances of one run to the reference."""
+    return tuple(spacetime_norm(s, "L2Q", minus=r) for s, r in zip(sol, ref))
 
 
-def _with_kernels(spec: SktSpec, kernels) -> SktSpec:
-    return replace(spec, kernels=tuple(kernels))
-
-
-def converge_study(spec_template: SktSpec, eps_list) -> ConvergenceTable:
-    """Distance between the relaxed runs and the local (identity-kernel)
-    limit run, for each kernel width in eps_list.  Every width is checked
-    before the first march."""
+def converge_study(spec_template: SktSpec, eps_list) -> tuple:
+    """ConvergenceRows of the distance between the relaxed runs and the
+    local (identity-kernel) limit run, one per kernel width in eps_list.
+    Every width is checked before the first march."""
     if any(k is not None for k in spec_template.kernels):
         raise ValueError("template must use identity kernels")
     kernels = make_kernels(spec_template.grid, eps_list)
     ref = solve_system(spec_template)
+    count = spec_template.species_count
     rows = []
     for kern in kernels:
-        sol = solve_system(_with_kernels(
-            spec_template, [kern] * spec_template.species_count))
-        dists = tuple(spacetime_norm(s, "L2Q", minus=r)
-                      for s, r in zip(sol, ref))
+        sol = solve_system(replace(spec_template, kernels=(kern,) * count))
         rows.append(ConvergenceRow(eps=kern.eps, defect=dirac_defect(kern),
-                                   distances=dists))
-    return ConvergenceTable(rows=tuple(rows))
+                                   distances=_distances(sol, ref)))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -282,7 +276,6 @@ def regularization_study(spec: SktSpec, kink_strength: float,
     rows = []
     for sigma in sigmas:
         sol = solve_system(kinked(base_spec, sigma=float(sigma)))
-        dists = tuple(spacetime_norm(s, "L2Q", minus=r)
-                      for s, r in zip(sol, ref))
-        rows.append(RegularizationRow(sigma=float(sigma), distances=dists))
+        rows.append(RegularizationRow(sigma=float(sigma),
+                                      distances=_distances(sol, ref)))
     return rows, ref_norms

@@ -24,6 +24,16 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def is_real(x) -> bool:
+    """Whether x is a real number that float() takes, NaN and +-inf too:
+    not a bool, not a non-number such as a string, and not an int beyond
+    the float range, which float() refuses.  Only such ints are compared
+    with the float range, so a numpy float never overflows here."""
+    return (not isinstance(x, bool) and isinstance(x, numbers.Real)
+            and not (isinstance(x, numbers.Rational)
+                     and abs(x) > sys.float_info.max))
+
+
 @dataclass(frozen=True)
 class Grid:
     """Space-time discretization of [0, t_final] x torus^dim."""
@@ -45,11 +55,7 @@ class Grid:
         if not _is_power_of_two(self.n) or self.n < 8:
             raise ValueError(f"n must be a power of two >= 8, got {self.n}")
         t_final = self.t_final
-        if (isinstance(t_final, bool) or not isinstance(t_final, numbers.Real)
-                or not 0 < t_final < math.inf
-                # an int beyond the float range, which float() refuses
-                or isinstance(t_final, numbers.Rational)
-                and t_final > sys.float_info.max):
+        if not is_real(t_final) or not 0 < t_final < math.inf:
             raise ValueError(
                 f"t_final must be a finite positive number, got {t_final!r}")
         object.__setattr__(self, "t_final", float(t_final))
@@ -427,23 +433,11 @@ def dump_slices(path, dim: int, n: int, slices: np.ndarray) -> None:
     atomic_write(path, write)
 
 
-def load_slices(path):
-    """Returns (dim, n, array of shape (slice_count, n**dim)), read straight
-    into the array it returns.  The file size is checked against the header
-    before anything is allocated."""
-    return _read_dump(path)
-
-
-def load_field(path) -> Field:
-    """Slice 0 of a dump, on a one-step grid of the dump's dim and n; the
-    dump is checked as by load_slices, and only that slice is read."""
-    dim, n, data = _read_dump(path, 1)
-    return Field(make_grid(dim, n, 1.0, 1), data[0])
-
-
-def _read_dump(path, rows=None):
-    """(dim, n, the first `rows` slices, or all of them) of a dump whose
-    size matches its header."""
+def load_slices(path, rows=None):
+    """Returns (dim, n, array of shape (rows, n**dim)): the first `rows`
+    slices of the dump, or all of them, read straight into the array it
+    returns.  The file size is checked against the header before anything
+    is allocated."""
     with open(path, "rb") as fh:
         head = fh.read(HEADER.size)
         if len(head) < HEADER.size:
@@ -462,6 +456,13 @@ def _read_dump(path, rows=None):
         if fh.readinto(raw) != raw.size:  # the file shrank since fstat
             raise ValueError("truncated field dump")
     return dim, n, data
+
+
+def load_field(path) -> Field:
+    """Slice 0 of a dump, on a one-step grid of the dump's dim and n; the
+    dump is checked as by load_slices, and only that slice is read."""
+    dim, n, data = load_slices(path, rows=1)
+    return Field(make_grid(dim, n, 1.0, 1), data[0])
 
 
 def dump_field(path, f: Field) -> None:

@@ -97,6 +97,22 @@ def test_duality_pairings_reuse_phi():
     assert abs(t1 + t2 + t3) < 1e-12 * (abs(t1) + abs(t2) + abs(t3))
 
 
+def test_duality_pairings_refuse_another_grid():
+    rng = np.random.default_rng(3)
+    g = _grid()
+    mu, z0, src, s = _random_problem(g, rng)
+    p = KolmogorovProblem(grid=g, mu=mu, z0=z0, source=src)
+    z = solve_forward(p).trajectory
+    other = make_grid(1, 32, 0.02, g.steps + 1)
+    with pytest.raises(ValueError, match="^grid mismatch$"):
+        duality_pairings(z, p, Trajectory.constant(other, 1.0))
+    q = KolmogorovProblem(grid=other, mu=Trajectory.constant(other, 1.0),
+                          z0=Field.constant(other, 1.0),
+                          source=Trajectory.constant(other, 0.0))
+    with pytest.raises(ValueError, match="^grid mismatch$"):
+        duality_pairings(z, q, s)
+
+
 def test_duality_requires_source_mode():
     g = _grid()
     p = KolmogorovProblem(grid=g, mu=Trajectory.constant(g, 1.0),

@@ -23,10 +23,13 @@ def test_cfl_timestep_formula():
         cfl_timestep(g, 0.0)
 
 
-@pytest.mark.parametrize("sup", [np.nan, np.inf, -np.inf, -1.0])
+@pytest.mark.parametrize("sup", [
+    np.nan, np.inf, -np.inf, -1.0, True, pytest.param("1", id="str"),
+    pytest.param(10 ** 400, id="int-beyond-float")])
 def test_cfl_refuses_a_sup_that_is_not_finite_and_positive(sup):
     # a NaN sup once gave a NaN bound, and a march under it passed its
-    # CFL check (tau > NaN is false) and ran
+    # CFL check (tau > NaN is false) and ran; True was taken as 1, and an
+    # int beyond the float range raised an OverflowError
     g = make_grid(1, 16, 0.01, 100)
     with pytest.raises(ValueError, match="finite and positive"):
         cfl_timestep(g, sup)
@@ -35,6 +38,12 @@ def test_cfl_refuses_a_sup_that_is_not_finite_and_positive(sup):
         march(g, sup, np.zeros((g.steps + 1, g.size)),
               lambda a, b: calls.append((a, b)))
     assert calls == []
+
+
+def test_cfl_takes_numpy_numbers():
+    g = make_grid(1, 16, 0.01, 100)
+    assert cfl_timestep(g, np.float32(2.0)) == cfl_timestep(g, 2.0) \
+        == cfl_timestep(g, np.int64(2))
 
 
 def test_steps_for_is_sufficient():

@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +49,18 @@ def test_missing_grid_and_bad_json():
         parse_config("{nope")
     with pytest.raises(ConfigError, match="JSON object"):
         parse_config("[1,2]")
+
+
+def test_readme_config_parses_and_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"^```json\n(.*?)^```$", readme, re.M | re.S)
+    man = run(parse_config(block))
+    assert man.passed and man.config["kind"] == "kolmogorov"
+
+
+def test_missing_kind():
+    with pytest.raises(ConfigError, match=r"^missing key config\.kind$"):
+        parse_config(json.dumps({"grid": GRID}))
 
 
 def test_under_resolved_eps_rejected():
@@ -124,6 +138,21 @@ def test_build_field_errors(tmp_path):
     dump_field(path, Field.constant(make_grid(1, 16, 1.0, 1), 1.0))
     with pytest.raises(ConfigError, match="grid wants"):
         build_field(g, {"family": "dump", "path": str(path)}, "p")
+
+
+def test_piecewise_2d_levels_vary_along_the_first_axis():
+    g = make_grid(2, 8, 1.0, 1)
+    v = build_field(g, {"family": "piecewise", "levels": [1.0, 3.0]},
+                    "p").reshaped()
+    assert np.all(v[:4] == 1.0) and np.all(v[4:] == 3.0)
+
+
+@pytest.mark.parametrize("levels, why", [([], "must be a non-empty list"),
+                                         (3, "must be a list")])
+def test_piecewise_levels_must_be_a_non_empty_list(levels, why):
+    with pytest.raises(ConfigError, match=rf"^p\.levels {why}$"):
+        build_field(make_grid(1, 32, 1.0, 1),
+                    {"family": "piecewise", "levels": levels}, "p")
 
 
 def test_non_finite_field_value_is_config_error(tmp_path, capsys):
@@ -218,6 +247,22 @@ def test_run_stability_csv(tmp_path):
     assert lines[0] == "eps,mu_distance,z_distance"
     assert len(lines) == 3
     assert float(lines[1].split(",")[0]) == 0.2
+
+
+def test_run_stability_reads_its_source_g():
+    raw = {"kind": "stability", "grid": dict(GRID), "eps": [0.2, 0.1],
+           "mu": {"family": "piecewise", "levels": [0.5, 1.5]},
+           "z0": {"family": "fourier_mode", "k": 1, "offset": 1.0}}
+
+    def distances(**g):
+        man = run(parse_config(json.dumps(dict(raw, **g))))
+        assert man.passed
+        return man.constants["final_z_distance"]
+    # no g is g = 0; another g gives other distances
+    assert distances(g={"family": "constant", "value": 0.0}) == distances()
+    assert distances(g={"family": "fourier_mode", "k": 2}) != distances()
+    with pytest.raises(ConfigError, match=r"^config\.g\.family: unknown"):
+        run(parse_config(json.dumps(dict(raw, g={"family": "nope"}))))
 
 
 SKT_SPECIES = [
@@ -440,6 +485,19 @@ def test_empty_lists_are_refused_at_parse_time(tmp_path, capsys, kind, key):
     assert capsys.readouterr().err.startswith("config error")
 
 
+@pytest.mark.parametrize("modes", [("source", "reaction"), ()],
+                         ids=["both", "neither"])
+def test_kolmogorov_needs_one_right_hand_side_at_parse_time(tmp_path, capsys,
+                                                           modes):
+    raw = {"kind": "kolmogorov", "grid": dict(GRID), "mu": CONST,
+           "z0": CONST, **{mode: CONST for mode in modes}}
+    msg = "exactly one of config.source/config.reaction must be present"
+    with pytest.raises(ConfigError, match=rf"^{re.escape(msg)}$"):
+        parse_config(json.dumps(raw))
+    assert main(_cli_argv("kolmogorov", _write(tmp_path, "k.json", raw))) == 2
+    assert capsys.readouterr().err == f"config error: {msg}\n"
+
+
 @pytest.mark.parametrize("kind", ["stability", "converge"])
 @pytest.mark.parametrize("eps", [[0.1, 0.2], [0.2, 0.2]],
                          ids=["increasing", "repeated"])
@@ -608,6 +666,32 @@ def test_spike_width_must_be_positive(width):
         build_field(make_grid(1, 32, 1.0, 1), dict(SPIKE, width=width), "p")
 
 
+@pytest.mark.parametrize("base, peak, key", [
+    (-2.0, -1.0, "base"), (-1.0, 2.0, "base"), (1.0, -0.5, "peak")])
+def test_2d_spike_refuses_a_negative_level(tmp_path, capsys, base, peak,
+                                           key):
+    # the 2-D spike is the root of the product of two lines, which keeps no
+    # sign: base -2, peak -1 gave a field in [1, 2], and base -1, peak 2 a
+    # RuntimeWarning; 1-D keeps negative levels
+    spike = dict(SPIKE, base=base, peak=peak)
+    with pytest.raises(ConfigError, match=rf"^p\.{key} must be >= 0 on a "
+                                          "2-D grid"):
+        build_field(make_grid(2, 16, 1.0, 1), spike, "p")
+    assert build_field(make_grid(1, 16, 1.0, 1), spike, "p").values[0] \
+        == peak
+
+    raw = _kolmo_raw(grid={"dim": 2, "n": 8, "t_final": 0.001}, z0=spike)
+    assert main(_cli_argv("kolmogorov", _write(tmp_path, "k.json", raw))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config.z0.{key} must be >= 0")
+    assert err.count("\n") == 1
+    argv = ["a2-check", "--weight", f"spike:{base},{peak},0.1", "--dim", "2"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: --weight.{key} must be >= 0")
+    assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # determinism and artifacts
 
@@ -684,8 +768,10 @@ def test_sweep_axis_and_errors(tmp_path):
     assert isinstance(res[0], ConfigError)
     assert isinstance(res[1], RunManifest)
 
-    with pytest.raises(ConfigError, match="not found"):
-        sweep(cfg, "grid.missing", [1])
+    for axis in ("grid.missing", "nope.n", "grid.n.deeper"):
+        with pytest.raises(ConfigError, match=rf"^sweep axis '{axis}' not "
+                                              "found in config$"):
+            sweep(cfg, axis, [1])
 
 
 def test_sweep_over_seed_uses_each_seed():

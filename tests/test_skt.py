@@ -8,7 +8,7 @@ import pytest
 from crossdifflab import skt as skt_mod
 from crossdifflab.kolmo import CflViolation, NumericalBlowUp, steps_for
 from crossdifflab.mollify import convolve_array, make_kernel
-from crossdifflab.skt import (CoeffFamily, ConvergenceTable, ReactionFamily,
+from crossdifflab.skt import (CoeffFamily, ConvergenceRow, ReactionFamily,
                               SktSpec, _smoothed_abs, converge_study,
                               evaluate_coeff, regularization_study,
                               solve_system, step)
@@ -112,6 +112,12 @@ def test_spec_triangularity_enforced():
     const = CoeffFamily(kind="constant", d=1.0)
     with pytest.raises(ValueError, match="coeff 0"):
         SktSpec(grid=g, coeffs=(too_many, const),
+                reactions=(react, react), kernels=(None, None), init=(u, u))
+    # a clamped_affine of no species has arity 0, but is not constant-in-u
+    with pytest.raises(ValueError, match="^last species coefficient must be "
+                                         "constant-in-u$"):
+        SktSpec(grid=g, coeffs=(coeff_ok, CoeffFamily(
+                    kind="clamped_affine", d=1.0, c=(), lo=0.5, hi=2.0)),
                 reactions=(react, react), kernels=(None, None), init=(u, u))
     with pytest.raises(ValueError, match="negative"):
         SktSpec(grid=g, coeffs=(coeff_ok, const),
@@ -233,20 +239,16 @@ def test_step_gives_the_march_bits_with_or_without_scratch(dim):
 def test_converge_study_small():
     g = _grid(n=64)
     spec = _two_species(g)
-    table = converge_study(spec, [0.2, 0.1, 0.05])
-    assert isinstance(table, ConvergenceTable)
-    d = np.array([r.distances for r in table.rows])
+    rows = converge_study(spec, [0.2, 0.1, 0.05])
+    assert isinstance(rows, tuple)
+    assert all(isinstance(r, ConvergenceRow) for r in rows)
+    assert [r.eps for r in rows] == [0.2, 0.1, 0.05]
+    d = np.array([r.distances for r in rows])
     assert np.all(d[1:] <= d[:-1])          # strictly improving here
-    defects = [r.defect for r in table.rows]
+    defects = [r.defect for r in rows]
     assert defects == sorted(defects, reverse=True)
     with pytest.raises(ValueError, match="identity kernels"):
         converge_study(_two_species(g, eps1=0.1), [0.2, 0.1])
-
-
-def test_convergence_table_order():
-    row = converge_study(_two_species(_grid(n=64)), [0.1]).rows[0]
-    with pytest.raises(ValueError, match="strictly decreasing"):
-        ConvergenceTable(rows=(row, row))
 
 
 @pytest.mark.parametrize("eps", [[0.1, 0.2], [0.2, 0.01]],
@@ -297,12 +299,33 @@ NAN, INF = float("nan"), float("inf")
     (lambda x: ReactionFamily(x, (1.0, 0.0)), "rho"),
     (lambda x: ReactionFamily(1.0, (0.0, x)), "s[1]"),
 ], ids=["constant-d", "d", "c", "lo", "kink", "pivot", "sigma", "rho", "s"])
-@pytest.mark.parametrize("value", [NAN, INF, -INF], ids=str)
+@pytest.mark.parametrize("value", [
+    NAN, INF, -INF, True, pytest.param("1", id="str"),
+    pytest.param(10 ** 400, id="int-beyond-float")], ids=str)
 def test_families_refuse_non_finite_numbers(make, name, value):
-    # a NaN d used to pass `d <= 0` and end in NumericalBlowUp at step 1
+    # a NaN d used to pass `d <= 0` and end in NumericalBlowUp at step 1;
+    # a bool passed as 0 or 1, and a string or an int beyond the float
+    # range raised a TypeError from numpy
     with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be "
                                          "finite"):
         make(value)
+
+
+@pytest.mark.parametrize("hi", [True, "2", 10 ** 400],
+                         ids=["True", "str", "int-beyond-float"])
+def test_coeff_hi_must_be_a_real_number(hi):
+    with pytest.raises(ValueError, match="^hi must not be NaN or a "
+                                         "non-number"):
+        CoeffFamily("clamped_affine", 1.0, c=(1.0,), lo=0.5, hi=hi)
+    assert CoeffFamily("clamped_affine", 1.0, c=(1.0,), lo=0.5,
+                       hi=np.float32(2.0)).hi == 2.0
+
+
+def test_families_take_numpy_numbers():
+    cf = CoeffFamily("clamped_affine", np.float32(1.0), c=(np.float64(1.0),),
+                     lo=np.float32(0.5), hi=np.int64(2))
+    assert cf.evaluate([np.zeros(3)]).tolist() == [1.0] * 3
+    assert ReactionFamily(np.float32(0.5), (np.int64(0),)).rho == 0.5
 
 
 def test_coeff_hi_may_be_unbounded_but_not_nan():

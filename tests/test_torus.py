@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from crossdifflab.torus import (Field, Grid, Trajectory, dump_field,
-                                dump_slices, dump_trajectory,
+from crossdifflab.torus import (Field, Grid, Trajectory, atomic_write,
+                                dump_field, dump_slices, dump_trajectory,
                                 fourier_coefficients, grad_sq_stack,
                                 gradient_norm_sq, integrate, lap_stack,
                                 laplacian, load_field, load_slices,
@@ -211,6 +211,16 @@ def test_spacetime_norms_left_endpoint():
     assert spacetime_norm(spiky, "LinfL2") > 0.0
 
 
+def test_spacetime_norm_refuses_another_grid_and_an_unknown_kind():
+    g = make_grid(1, 16, 0.7, 5)
+    tr = Trajectory.constant(g, 1.0)
+    other = Trajectory.constant(make_grid(1, 16, 0.7, 6), 1.0)
+    with pytest.raises(ValueError, match="^grid mismatch$"):
+        spacetime_norm(tr, "L2Q", minus=other)
+    with pytest.raises(ValueError, match="^unknown spacetime norm kind 'L7'"):
+        spacetime_norm(tr, "L7")
+
+
 def test_spacetime_l1hminus1_constant_in_time():
     g = make_grid(1, 32, 0.5, 8)
     f = Field.from_function(g, lambda x: np.cos(2 * np.pi * x))
@@ -361,3 +371,18 @@ def test_dump_bad_magic_and_truncation(tmp_path):
     clipped.write_bytes(good.read_bytes()[:12])     # header is 13 bytes
     with pytest.raises(ValueError, match="truncated field dump"):
         load_slices(clipped)
+
+
+def test_atomic_write_that_fails_keeps_the_old_file(tmp_path):
+    # a reader sees the old file or the new one, never a partial one, and
+    # a failed write leaves no temporary file behind
+    path = tmp_path / "out.cdl"
+    path.write_bytes(b"old")
+
+    def write(fh):
+        fh.write(b"partial")
+        raise OSError("disk full")
+    with pytest.raises(OSError, match="disk full"):
+        atomic_write(path, write)
+    assert path.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.cdl"]

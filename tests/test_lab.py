@@ -45,6 +45,8 @@ def test_unknown_kind_suggestion():
 def test_missing_grid_and_bad_json():
     with pytest.raises(ConfigError, match="config.grid"):
         parse_config(json.dumps({"kind": "kolmogorov"}))
+    with pytest.raises(ConfigError, match=r"^missing key config\.kind$"):
+        parse_config(json.dumps({"grid": GRID}))
     with pytest.raises(ConfigError, match="invalid JSON"):
         parse_config("{nope")
     with pytest.raises(ConfigError, match="JSON object"):
@@ -56,11 +58,6 @@ def test_readme_config_parses_and_runs():
     (block,) = re.findall(r"^```json\n(.*?)^```$", readme, re.M | re.S)
     man = run(parse_config(block))
     assert man.passed and man.config["kind"] == "kolmogorov"
-
-
-def test_missing_kind():
-    with pytest.raises(ConfigError, match=r"^missing key config\.kind$"):
-        parse_config(json.dumps({"grid": GRID}))
 
 
 def test_under_resolved_eps_rejected():

@@ -127,6 +127,8 @@ def verify_apriori(p: DualProblem, phi: Trajectory) -> list:
     Second report: ||Phi||^2_{LinfL2} against (||mu||_{L1Q}+1) times the
     same right-hand side; the measured constant is recorded, not judged.
     """
+    if phi.grid != p.grid:
+        raise ValueError("grid mismatch")
     mu, s = p.mu.data, p.s.data
     grad_sup = float(grad_sq_stack(phi.data, p.grid).max())
     lap_term = mu_half_delta_phi_sq(p, phi)

@@ -25,7 +25,7 @@ from . import skt as skt_mod
 from . import weights as weights_mod
 from .mollify import check_widths, make_kernel
 from .torus import (Field, Grid, Trajectory, atomic_write_text,
-                    dump_trajectory, load_field, make_grid, norm,
+                    dump_trajectory, is_integer, load_field, make_grid, norm,
                     spacetime_norm)
 
 
@@ -55,8 +55,7 @@ def _object(value, path: str) -> dict:
 def _integer(value, path: str, positive: bool = False) -> int:
     """The integer config value at `path`.  A bool, a float (2.9 or 2.0), a
     string and a positive one below 1 are ConfigErrors, not truncated."""
-    if (isinstance(value, bool) or not isinstance(value, int)
-            or positive and value < 1):
+    if not is_integer(value) or positive and value < 1:
         what = "a positive integer" if positive else "an integer"
         raise ConfigError(f"{path} must be {what}, got {value!r}")
     return value

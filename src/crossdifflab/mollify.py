@@ -1,7 +1,12 @@
-"""Periodic mollifiers: wrapped Gaussians, FFT convolution, Dirac sequences.
+"""Periodic mollifiers: wrapped Gaussians, circular convolution, Dirac
+sequences.
 
 Kernels are sampled on the grid and renormalized so the discrete integral
-is exactly 1; circular convolution then conserves mass to round-off.
+is exactly 1; circular convolution then conserves mass to round-off.  On a
+1-D grid of at most DIRECT_MAX points a kernel convolves by one product
+with its circulant matrix, built once, whose entries are non-negative, so
+a non-negative density stays exactly non-negative.  Every other grid
+convolves by FFT (rfftn/irfftn), non-negative only to round-off.
 """
 
 from __future__ import annotations
@@ -11,25 +16,42 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .torus import Field, Grid, atomic_write_text, dump_field, is_real
+from .torus import (Field, Grid, atomic_write_text, dump_field, is_integer,
+                    is_real)
 
 N_IMAGES = 3  # wrap images per axis; enough for eps <= 0.5 to 1e-12
+# largest 1-D n convolved by the circulant matrix: up to here one
+# matrix-vector product beats the call overhead of two FFTs; above, its n^2
+# work loses
+DIRECT_MAX = 256
 
 
 @dataclass(frozen=True, eq=False)
 class Kernel:
     """Non-negative unit-mass kernel of width `eps` sampled on `grid`, with
-    its FFT computed once; `eps` goes through check_width."""
+    its FFT computed once, and on a 1-D grid of at most DIRECT_MAX points
+    its circulant matrix h * K[(i - j) mod n] too (h is a power of two,
+    so the scaling is exact on normal numbers); `values` must live on
+    `grid`, and `eps` goes through check_width."""
 
     grid: Grid
     eps: float
     values: Field
     _fft: np.ndarray = field(init=False, repr=False)
+    _circulant: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.values.grid != self.grid:
+            raise ValueError("kernel values live on a different grid")
         object.__setattr__(self, "eps", check_width(self.grid, self.eps))
         object.__setattr__(self, "_fft",
                            np.fft.rfftn(self.values.reshaped()))
+        g = self.grid
+        circulant = None
+        if g.dim == 1 and g.n <= DIRECT_MAX:
+            i = np.arange(g.n)
+            circulant = self.values.values[(i[:, None] - i) % g.n] * g.h
+        object.__setattr__(self, "_circulant", circulant)
 
     def fft(self) -> np.ndarray:
         return self._fft
@@ -87,18 +109,15 @@ def convolve(f: Field, k: Kernel) -> Field:
 
 
 def convolve_array(v: np.ndarray, k: Kernel) -> np.ndarray:
-    """Circular convolution of a flat array with the kernel (times h^dim).
-    In 1-D rfftn and irfftn reduce to exactly rfft and irfft, so those are
-    called directly."""
+    """Circular convolution of a flat array with the kernel (times h^dim):
+    one product with the kernel's circulant matrix where it has one, else
+    an rfftn, a product with the kernel FFT and an irfftn."""
+    if k._circulant is not None:
+        return np.dot(k._circulant, v)
     g = k.grid
-    if g.dim == 1:
-        fv = np.fft.rfft(v)
-        fv *= k.fft()
-        out = np.fft.irfft(fv, g.n)
-    else:
-        fv = np.fft.rfftn(v.reshape(g.shape))
-        fv *= k.fft()
-        out = np.fft.irfftn(fv, s=g.shape, axes=(0, 1))
+    fv = np.fft.rfftn(v.reshape(g.shape))
+    fv *= k.fft()
+    out = np.fft.irfftn(fv, s=g.shape, axes=tuple(range(g.dim)))
     out *= g.cell_volume()
     return out.reshape(v.shape)
 
@@ -111,8 +130,12 @@ def make_kernels(grid: Grid, widths) -> list:
 def kernel_sequence(grid: Grid, eps0: float, factor: float,
                     count: int) -> list:
     """The kernels of widths eps0 * factor^j, j < count."""
-    if not 0.0 < factor < 1.0:
-        raise ValueError(f"factor must be in (0,1), got {factor}")
+    if not is_real(eps0):
+        raise ValueError(f"eps0 must be a real number, got {eps0!r}")
+    if not (is_real(factor) and 0.0 < factor < 1.0):
+        raise ValueError(f"factor must be in (0,1), got {factor!r}")
+    if not is_integer(count):
+        raise ValueError(f"count must be an integer, got {count!r}")
     return make_kernels(grid, [eps0 * factor ** j for j in range(count)])
 
 

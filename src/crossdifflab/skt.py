@@ -264,6 +264,9 @@ def regularization_study(spec: SktSpec, kink_strength: float,
     the reference solution norms."""
     if all(cf.kind != "kinked_affine" for cf in spec.coeffs):
         raise ValueError("spec has no kinked coefficient family")
+    sigmas = tuple(sigmas)
+    _check_finite(kink_strength=kink_strength,
+                  **{f"sigmas[{j}]": sj for j, sj in enumerate(sigmas)})
 
     def kinked(base: SktSpec, **changes) -> SktSpec:
         return replace(base, coeffs=tuple(

@@ -5,7 +5,10 @@ uniform time axis of `steps` intervals covering [0, t_final].  The
 Laplacian is the 2N+1 point centered stencil, chosen over a spectral one
 so that explicit updates keep an M-matrix structure (exact positivity
 under the CFL bound).  The FFT is used only for H^-1 norms and, in the
-mollify module, for convolutions.
+mollify module, for convolutions on 2-D grids and on 1-D grids of more
+than mollify.DIRECT_MAX points; smaller 1-D grids convolve by a product
+with the kernel's circulant matrix, exactly non-negative on non-negative
+data.
 """
 
 from __future__ import annotations
@@ -34,6 +37,11 @@ def is_real(x) -> bool:
                      and abs(x) > sys.float_info.max))
 
 
+def is_integer(x) -> bool:
+    """Whether x is an integer, a numpy one too, and not a bool."""
+    return not isinstance(x, bool) and isinstance(x, numbers.Integral)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Space-time discretization of [0, t_final] x torus^dim."""
@@ -44,10 +52,9 @@ class Grid:
     steps: int
 
     def __post_init__(self):
-        for name in ("dim", "n", "steps"):  # numpy integers too, not bools
+        for name in ("dim", "n", "steps"):
             value = getattr(self, name)
-            if (isinstance(value, bool)
-                    or not isinstance(value, (int, np.integer))):
+            if not is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         if self.dim not in (1, 2):

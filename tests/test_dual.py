@@ -139,6 +139,21 @@ def test_apriori_estimate_random_mu():
         assert np.isfinite(rep2.ratio)
 
 
+def test_apriori_estimate_refuses_phi_of_another_grid():
+    # the same n and twice as many steps: its rows were read as p's, and
+    # the report passed with another ratio
+    rng = np.random.default_rng(5)
+    g = _grid(n=16)
+    mu, _, _, s = _random_problem(g, rng)
+    p = DualProblem(grid=g, mu=mu, s=s)
+    g2 = make_grid(1, 16, 2 * g.t_final, 2 * g.steps)
+    phi2 = solve_dual(DualProblem(
+        grid=g2, mu=Trajectory.constant_in_time(g2, Field(g2, mu.data[0])),
+        s=Trajectory.constant_in_time(g2, Field(g2, s.data[0]))))
+    with pytest.raises(ValueError, match="^grid mismatch$"):
+        verify_apriori(p, phi2)
+
+
 def test_smooth_mu_preserves_constants():
     g = _grid()
     k = make_kernel(g, 0.1)

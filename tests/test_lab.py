@@ -3,6 +3,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -948,3 +950,29 @@ def test_cli_sweep(tmp_path, capsys):
     assert code == 2           # the n=48 point is a config error
     assert "grid.n=32: pass" in out
     assert "grid.n=48: ERROR" in out
+
+
+def test_converge_csv_does_not_depend_on_blas_threads(tmp_path):
+    # the benchmark runs with one BLAS thread, the tests with the default;
+    # n=256 is the largest 1-D grid that convolves by a matrix-vector
+    # product, the one a threaded BLAS is likeliest to split
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "kind": "converge", "grid": {"dim": 1, "n": 256, "t_final": 0.0005},
+        "species": SKT_SPECIES, "eps": [0.2, 0.1, 0.05]}))
+    root = Path(__file__).resolve().parent.parent
+    csv = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+        out = tmp_path / threads
+        code = ("import sys; from crossdifflab.cli import main; "
+                "sys.exit(main(sys.argv[1:]))")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "skt-converge", "--config",
+             str(cfg), "--out", str(out)],
+            cwd=root, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        csv.append((out / "converge.csv").read_bytes())
+    assert csv[0] == csv[1]

@@ -175,6 +175,12 @@ def _ref_dual(p):
 
 def _ref_convolve(v, kern):
     g = kern.grid
+    if g.dim == 1 and g.n <= 256:
+        # the direct sum h * sum_j K[(i - j) mod n] v_j: row i of the
+        # circulant is the reversed kernel K[-j mod n] shifted by i
+        first = np.roll(kern.values.values[::-1], 1)
+        circulant = np.stack([np.roll(first, i) for i in range(g.n)])
+        return np.dot(circulant * g.h, v)
     fv = np.fft.rfftn(v.reshape(g.shape))
     kf = np.fft.rfftn(kern.values.reshaped())
     out = np.fft.irfftn(fv * kf, s=g.shape,

@@ -1,4 +1,5 @@
-"""Wrapped-Gaussian kernels, FFT convolution and Dirac sequences."""
+"""Wrapped-Gaussian kernels, circulant and FFT convolution, and Dirac
+sequences."""
 
 import dataclasses
 import json
@@ -6,10 +7,10 @@ import json
 import numpy as np
 import pytest
 
-from crossdifflab.mollify import (Kernel, check_width, check_widths,
-                                  convolve, convolve_array, dirac_defect,
-                                  dump_kernel, kernel_sequence, make_kernel,
-                                  make_kernels)
+from crossdifflab.mollify import (DIRECT_MAX, Kernel, check_width,
+                                  check_widths, convolve, convolve_array,
+                                  dirac_defect, dump_kernel, kernel_sequence,
+                                  make_kernel, make_kernels)
 from crossdifflab.torus import Field, integrate, make_grid
 
 
@@ -58,16 +59,18 @@ def test_convolution_mass_conservation():
 
 
 def test_convolution_direct_sum_oracle():
-    # FFT circular convolution against the O(n^2) definition at n=16
+    # both paths against the O(n^2) definition: the circulant product at
+    # n=16 and n=256, the FFT at n=512
     rng = np.random.default_rng(1)
-    g = make_grid(1, 16, 1.0, 1)
-    k = make_kernel(g, 0.2)
-    v = rng.standard_normal(16)
-    fast = convolve_array(v, k)
-    kv = k.values.values
-    slow = np.array([sum(kv[(i - j) % 16] * v[j] for j in range(16))
-                     for i in range(16)]) * g.cell_volume()
-    assert np.abs(fast - slow).max() < 1e-12
+    for n in (16, 256, 512):
+        g = make_grid(1, n, 1.0, 1)
+        k = make_kernel(g, 0.2)
+        v = rng.standard_normal(n)
+        fast = convolve_array(v, k)
+        kv = k.values.values.tolist()
+        slow = np.array([sum(kv[(i - j) % n] * v[j] for j in range(n))
+                         for i in range(n)]) * g.cell_volume()
+        assert np.abs(fast - slow).max() < 1e-12
 
 
 def test_convolution_of_delta_recovers_kernel():
@@ -119,6 +122,44 @@ def test_kernel_sequence_validation():
     # finest member 0.1*0.5^2 = 0.025 < 2/64 must be rejected up front
     with pytest.raises(ValueError, match="under-resolved"):
         kernel_sequence(g, 0.1, 0.5, 3)
+
+
+@pytest.mark.parametrize("args, name", [
+    ((0.4, 0.5, True), "count"), ((0.4, 0.5, 2.5), "count"),
+    ((0.4, 0.5, "3"), "count"), ((0.4, "0.5", 3), "factor"),
+    ((True, 0.5, 3), "eps0"), (("0.4", 0.5, 3), "eps0")], ids=repr)
+def test_kernel_sequence_refuses_loose_scalars(args, name):
+    # count=True was one kernel, count=2.5 and the strings a bare TypeError,
+    # and eps0=True a width of 1.0
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        kernel_sequence(make_grid(1, 64, 1.0, 1), *args)
+
+
+def test_kernel_values_must_live_on_its_grid():
+    # values of a 64-point grid on a 32-point kernel were read as its first
+    # 32 entries by the circulant
+    k = make_kernel(make_grid(1, 64, 1.0, 1), 0.1)
+    with pytest.raises(ValueError, match="different grid"):
+        Kernel(make_grid(1, 32, 1.0, 1), 0.1, k.values)
+
+
+def test_convolution_paths_by_grid():
+    # 1-D grids up to 256 points multiply by the circulant, every other
+    # grid takes the rfftn/irfftn path
+    assert DIRECT_MAX == 256
+    rng = np.random.default_rng(4)
+    for dim, n in ((1, 8), (1, 256), (1, 512), (2, 16)):
+        g = make_grid(dim, n, 1.0, 1)
+        k = make_kernel(g, 0.25)
+        v = rng.random(g.size)
+        if dim == 1 and n <= 256:
+            i = np.arange(n)
+            expect = np.dot(k.values.values[(i[:, None] - i) % n] * g.h, v)
+        else:
+            expect = np.fft.irfftn(
+                np.fft.rfftn(v.reshape(g.shape)) * k.fft(), s=g.shape,
+                axes=tuple(range(dim))).reshape(-1) * g.cell_volume()
+        assert np.array_equal(convolve_array(v, k), expect)
 
 
 def test_dump_kernel_sidecar(tmp_path):

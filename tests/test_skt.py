@@ -279,6 +279,22 @@ def test_regularization_study_converges():
         regularization_study(_two_species(g), 1.0)
 
 
+@pytest.mark.parametrize("kink, sigmas, name", [
+    ("1", (0.2,), "kink_strength"), (True, (0.2,), "kink_strength"),
+    (float("nan"), (0.2,), "kink_strength"),
+    (1.0, ("0.1",), "sigmas[0]"), (1.0, (0.2, True), "sigmas[1]")], ids=repr)
+def test_regularization_study_refuses_loose_scalars(kink, sigmas, name,
+                                                    monkeypatch):
+    # "1" and True went through float(): sigmas ("0.1", True) ran with
+    # sigma 0.1 and 1.0; each is refused before the first solve
+    kinked = CoeffFamily(kind="kinked_affine", d=1.0, kink=1.0, pivot=1.0,
+                         lo=0.5, hi=3.0)
+    spec = _two_species(_grid(n=16, hi=3.0), coeff1=kinked)
+    monkeypatch.setattr(skt_mod, "solve_system", None)
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be finite"):
+        regularization_study(spec, kink, sigmas)
+
+
 NAN, INF = float("nan"), float("inf")
 
 

@@ -132,7 +132,7 @@ def verify_apriori(p: DualProblem, phi: Trajectory) -> list:
     mu, s = p.mu.data, p.s.data
     grad_sup = float(grad_sq_stack(phi.data, p.grid).max())
     lap_term = mu_half_delta_phi_sq(p, phi)
-    rhs1 = quadrature(lambda a, b: s[a:b] ** 2 / mu[a:b], p.grid)
+    rhs1 = quadrature(lambda a, b: s[a:b] ** 2 / mu[a:b], p.grid, s, mu)
     lhs1 = grad_sup + lap_term
     rep1 = EstimateReport(
         lhs=lhs1, rhs=rhs1,

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .torus import (Field, GhostCells, Grid, Trajectory, is_real,
-                    lap_array, make_grid, on_grid, per_slice, row_blocks)
+from .torus import (Field, GhostCells, Grid, Trajectory, distinct_count,
+                    is_real, lap_array, make_grid, on_grid, per_slice,
+                    row_blocks)
 
 BLOWUP_LIMIT = 1e12
 CFL_SAFETY = 0.9
@@ -180,13 +181,16 @@ def solve_forward(p: KolmogorovProblem) -> SolveReport:
 
 def _mass_drift(data: np.ndarray, p: KolmogorovProblem) -> float:
     """The mass ledger of a source-mode trajectory: the max over k of
-    |int z^k - int z^0 - sum_{j<k} tau int G^j|."""
+    |int z^k - int z^0 - sum_{j<k} tau int G^j|.  A constant-in-time G
+    is summed once (distinct_count): the cumulative sum then adds K copies
+    of that one row's mass, the bits of adding K equal row masses."""
     g = p.grid
     vol = g.cell_volume()
     mass = vol * data.sum(axis=1)                       # per slice k=0..K
-    src_mass = vol * p.source.data[:-1].sum(axis=1)     # G^0..G^{K-1}
-    expected = mass[0] + g.tau * np.concatenate(
-        [[0.0], np.cumsum(src_mass)])
+    src = p.source.data
+    src_mass = vol * src[:distinct_count(g.steps, src)].sum(axis=1)
+    expected = mass[0] + g.tau * np.concatenate(        # G^0..G^{K-1}
+        [[0.0], np.cumsum(np.broadcast_to(src_mass, g.steps))])
     return float(np.abs(mass - expected).max())
 
 

@@ -4,11 +4,16 @@ Everything lives on [0,1)^dim with n points per axis (h = 1/n) and a
 uniform time axis of `steps` intervals covering [0, t_final].  The
 Laplacian is the 2N+1 point centered stencil, chosen over a spectral one
 so that explicit updates keep an M-matrix structure (exact positivity
-under the CFL bound).  The FFT is used only for H^-1 norms and, in the
-mollify module, for convolutions on 2-D grids and on 1-D grids of more
-than mollify.DIRECT_MAX points; smaller 1-D grids convolve by a product
-with the kernel's circulant matrix, exactly non-negative on non-negative
-data.
+under the CFL bound).  The FFT is used only for H^-1 norms, as the real
+transform rfftn over the space axes, and, in the mollify module, for
+convolutions on 2-D grids and on 1-D grids of more than
+mollify.DIRECT_MAX points; smaller 1-D grids convolve by a product with
+the kernel's circulant matrix, exactly non-negative on non-negative data.
+
+A space-time reduction reads only the rows that can differ: when all the
+trajectories it reads are constant in time (broadcast views of one row),
+it reads one row and multiplies by the number of slices, with the same
+bits (distinct_count).
 """
 
 from __future__ import annotations
@@ -155,7 +160,8 @@ class Trajectory:
         """The rows that can differ: the one row of a constant-in-time
         trajectory (a broadcast view, whose rows share memory), all K+1
         rows otherwise.  A scan for a minimum or maximum reads these."""
-        return self.data[:1] if self.data.strides[0] == 0 else self.data
+        d = self.data
+        return d[:1] if distinct_count(len(d), d) == 1 else d
 
     @staticmethod
     def constant_in_time(grid: Grid, f: Field) -> "Trajectory":
@@ -192,18 +198,43 @@ def per_slice(values, count: int, grid: Grid) -> np.ndarray:
     return out
 
 
-def quadrature(rows, grid: Grid) -> float:
+def distinct_count(count: int, *arrays) -> int:
+    """The one rule for constant-in-time data: how many of `count` rows,
+    read alike from each of `arrays`, can differ.  1 when every array is a
+    broadcast view (row stride 0: all its rows are one row in memory),
+    `count` otherwise and when no array is given."""
+    if arrays and all(a.strides[0] == 0 for a in arrays):
+        return 1
+    return count
+
+
+def time_sum(values, count: int, grid: Grid, *reads) -> float:
+    """math.fsum of the `count` per-slice values that `values(a, b)` gives
+    over per_slice, reading rows a..b-1 of each array of `reads` (none
+    given: all rows are read).  When distinct_count makes those rows one,
+    values(0, 1) is the only one taken, times count.  The bits are the
+    same: fsum of count equal values v is the correctly rounded count*v,
+    and count * fsum([v]) is one rounding of that same real number.  Only
+    a total beyond the float range differs: inf here, where fsum of all
+    the values raises OverflowError."""
+    distinct = distinct_count(count, *reads)
+    sums = per_slice(values, distinct, grid)
+    return count // distinct * math.fsum(sums.tolist())
+
+
+def quadrature(rows, grid: Grid, *reads) -> float:
     """The left-endpoint space-time quadrature tau h^dim sum_{k<K} of the
-    values whose rows k0..k1-1 `rows(k0, k1)` computes, over per_slice.
+    values whose rows k0..k1-1 `rows(k0, k1)` computes, over time_sum; when
+    `reads` are given, they are all the arrays whose rows `rows` reads.
 
     Each row is summed with np.sum and the row sums are added with
     math.fsum.  A row's np.sum inside a block of contiguous rows is np.sum
     of that row alone, and fsum is exactly rounded, so the result depends
-    on the row values only: not on the blocking, a stacked layout or the
-    order in which rows are summed."""
-    sums = per_slice(lambda a, b: np.sum(rows(a, b), axis=1), grid.steps,
-                     grid)
-    return float(grid.tau * grid.cell_volume() * math.fsum(sums.tolist()))
+    on the row values only: not on the blocking, a stacked layout, the
+    order in which rows are summed or whether constant-in-time reads are
+    read once."""
+    return float(grid.tau * grid.cell_volume() * time_sum(
+        lambda a, b: np.sum(rows(a, b), axis=1), grid.steps, grid, *reads))
 
 
 # ---------------------------------------------------------------------------
@@ -332,22 +363,33 @@ def fourier_coefficients(f: Field) -> np.ndarray:
     return np.fft.fftn(f.reshaped()) / f.grid.size
 
 
-def _hminus1(rows, count: int, grid: Grid) -> np.ndarray:
-    """The H^-1 norms of the `count` slices whose rows a..b-1 `rows(a, b)`
-    gives, over per_slice: the root of sum_k |f_hat_k|^2 w_k, w = 1/(1 +
-    4 pi^2 |k|^2) on the discrete Fourier lattice, made once per call."""
+def _hminus1(grid: Grid):
+    """The function that gives the H^-1 norms of each slice of a (m,
+    grid.size) block: the root of sum_k |F_k|^2 w_k / N^2, with F the DFT
+    of the slice, w = 1/(1 + 4 pi^2 |k|^2) on the discrete Fourier lattice
+    and N = grid.size.  The real FFT keeps the half k_last = 0..n/2 of the
+    last axis: each of the modes 1..n/2-1 stands for itself and its mirror
+    image and weighs twice, 0 and the Nyquist mode n/2 are their own
+    images and weigh once.  The weights, with the 1/N^2 folded in, are made
+    once per returned function."""
     k = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
-    k2 = k ** 2 if grid.dim == 1 else k[:, None] ** 2 + k[None, :] ** 2
-    w = 1.0 / (1.0 + 4.0 * np.pi ** 2 * k2)
+    half = np.arange(grid.n // 2 + 1.0)
+    k2 = half ** 2 if grid.dim == 1 else k[:, None] ** 2 + half[None, :] ** 2
+    twice = np.full(half.size, 2.0)
+    twice[0] = twice[-1] = 1.0
+    w = 1.0 / (1.0 + 4.0 * np.pi ** 2 * k2) * twice / grid.size ** 2
+    axes = tuple(range(1, grid.dim + 1))
 
-    def values(a, b):
-        # contiguous: the FFT of a broadcast row can differ in the last bits
-        block = on_grid(np.ascontiguousarray(rows(a, b)), grid)
-        fhat = np.fft.fftn(block, axes=tuple(range(1, grid.dim + 1)))
-        fhat /= grid.size
-        energy = np.abs(fhat) ** 2 * w
-        return np.sqrt(np.sum(energy.reshape(b - a, -1), axis=1))
-    return per_slice(values, count, grid)
+    def norms(block):
+        # contiguous, so that the bits do not depend on the block's layout
+        fhat = np.fft.rfftn(on_grid(np.ascontiguousarray(block), grid),
+                            axes=axes)
+        parts = fhat.view(np.float64)       # re, im interleaved
+        np.multiply(parts, parts, out=parts)
+        energy = parts[..., 0::2] + parts[..., 1::2]
+        energy *= w
+        return np.sqrt(np.sum(energy.reshape(len(block), -1), axis=1))
+    return norms
 
 
 def norm(f: Field, kind: str) -> float:
@@ -362,7 +404,7 @@ def norm(f: Field, kind: str) -> float:
     if kind == "H1":
         return float(np.sqrt(vol * np.dot(v, v) + grad_sq_stack(v, f.grid)))
     if kind == "Hminus1":
-        return float(_hminus1(lambda a, b: v[None], 1, f.grid)[0])
+        return float(_hminus1(f.grid)(v[None])[0])
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
@@ -372,15 +414,21 @@ def spacetime_norm(traj: Trajectory, kind: str,
     or of traj - minus when `minus` is given.  Streamed over blocks of
     slices: neither the difference nor any other trajectory-size array is
     formed.  Every time sum follows the quadrature rule: np.sum per slice,
-    math.fsum across slices."""
+    math.fsum across slices, over time_sum; so when every trajectory read
+    is constant in time (distinct_count), one slice is read, and the bits
+    are those of reading all of them."""
     g = traj.grid
     data = traj.data
     if minus is None:
+        reads = (data,)
+
         def rows(a, b):
             return data[a:b]
     elif minus.grid != g:
         raise ValueError("grid mismatch")
     else:
+        reads = (data, minus.data)
+
         def rows(a, b):
             return data[a:b] - minus.data[a:b]
 
@@ -388,15 +436,17 @@ def spacetime_norm(traj: Trajectory, kind: str,
         x = rows(a, b)
         return x * x
     if kind == "L2Q":
-        return float(np.sqrt(quadrature(squares, g)))
+        return float(np.sqrt(quadrature(squares, g, *reads)))
     if kind == "L1Q":
-        return quadrature(lambda a, b: np.abs(rows(a, b)), g)
+        return quadrature(lambda a, b: np.abs(rows(a, b)), g, *reads)
     if kind == "LinfL2":
         sums = per_slice(lambda a, b: np.sum(squares(a, b), axis=1),
-                         g.steps + 1, g)
+                         distinct_count(g.steps + 1, *reads), g)
         return float(np.sqrt(g.cell_volume() * sums).max())
     if kind == "L1Hminus1":
-        return float(g.tau * math.fsum(_hminus1(rows, g.steps, g).tolist()))
+        norms = _hminus1(g)
+        return float(g.tau * time_sum(lambda a, b: norms(rows(a, b)),
+                                      g.steps, g, *reads))
     raise ValueError(f"unknown spacetime norm kind {kind!r}")
 
 

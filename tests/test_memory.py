@@ -43,6 +43,19 @@ def test_spacetime_norm_peak(traj, kind):
         < traj.data.nbytes / 8
 
 
+@pytest.mark.parametrize("kind", ["L2Q", "L1Q", "LinfL2", "L1Hminus1"])
+def test_constant_in_time_norm_reads_one_row(kind):
+    # a broadcast view of one 1-D row over 10^4 steps: a streamed block
+    # would hold 256 of its rows, the whole trajectory 10^4 + 1
+    grid = make_grid(1, 128, 0.1, 10 ** 4)
+    f = Field(grid, np.random.default_rng(11).standard_normal(grid.size))
+    const = Trajectory.constant_in_time(grid, f)
+    spacetime_norm(const, kind)   # the FFT's first call sets up its plans
+    few_rows = 16 * f.values.nbytes
+    assert _peak(lambda: spacetime_norm(const, kind)) < few_rows
+    assert _peak(lambda: spacetime_norm(const, kind, minus=const)) < few_rows
+
+
 def test_verify_apriori_peak(traj):
     g = traj.grid
     p = DualProblem(grid=g,

@@ -354,6 +354,61 @@ def test_streamed_apriori_and_pairings_are_whole_array(case, constant):
     assert g == tau * vol * _row_rule(fp.source.data[:-1] * pd[1:])
 
 
+@st.composite
+def constant_in_time_cases(draw):
+    """A grid (dim 1 or 2, n in 8/16/32, 1 to 64 steps) at 0.999 times the
+    CFL step of a mu up to 2 scale, with scale from 1e-5 to 1e5, and a
+    generator for the data on it."""
+    dim = draw(st.sampled_from((1, 2)))
+    n = draw(st.sampled_from((8, 16, 32)))
+    steps = draw(st.integers(1, 64))
+    scale = 10.0 ** draw(st.floats(-5.0, 5.0))
+    tau = 0.999 * cfl_timestep(make_grid(dim, n, 1.0, 1), 2.0 * scale)
+    grid = make_grid(dim, n, steps * tau, steps)
+    return grid, scale, np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def _bits(*values):
+    return [float(v).hex() for v in values]
+
+
+@PROPERTY
+@given(constant_in_time_cases())
+def test_constant_in_time_inputs_read_once_give_the_same_bits(case):
+    # a broadcast trajectory is read as its one row, times K; its
+    # materialized copy row by row.  The copy is C-ordered: np.array of a
+    # broadcast view is Fortran-ordered, and np.sum over a row that is not
+    # contiguous is sequential, not pairwise
+    grid, scale, rng = case
+
+    def pair(values):
+        view = Trajectory.constant_in_time(grid, Field(grid, scale * values))
+        return view, Trajectory(grid, np.ascontiguousarray(view.data))
+
+    a, a_copy = pair(rng.standard_normal(grid.size))
+    b, b_copy = pair(rng.standard_normal(grid.size))
+    full = Trajectory(grid, scale * rng.standard_normal(
+        (grid.steps + 1, grid.size)))
+    for kind in ("L2Q", "L1Q", "LinfL2", "L1Hminus1"):
+        for minus, minus_copy in ((None, None), (b, b_copy), (full, full)):
+            assert (_bits(spacetime_norm(a, kind, minus=minus))
+                    == _bits(spacetime_norm(a_copy, kind, minus=minus_copy)))
+
+    mu, mu_copy = pair(rng.uniform(0.5, 2.0, grid.size))
+    p, p_copy = DualProblem(grid, mu, a), DualProblem(grid, mu_copy, a_copy)
+    phi = solve_dual(p)
+    assert np.array_equal(solve_dual(p_copy).data, phi.data)
+    reports = [[_bits(r.lhs, r.rhs, r.ratio) for r in verify_apriori(q, phi)]
+               for q in (p, p_copy)]
+    assert reports[0] == reports[1]
+
+    z0 = Field(grid, scale * rng.standard_normal(grid.size))
+    drifts = [solve_forward(KolmogorovProblem(
+        grid=grid, mu=m, z0=z0, source=src)).mass_drift
+        for m, src in ((mu, b), (mu_copy, b_copy))]
+    assert _bits(drifts[0]) == _bits(drifts[1])
+
+
 # ---------------------------------------------------------------------------
 # the quadrature rule depends on the row values only
 

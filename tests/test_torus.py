@@ -1,5 +1,7 @@
 """Grids, fields, discrete operators, norms and binary dumps."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -237,6 +239,72 @@ def test_spacetime_l1hminus1_one_step_is_tau_times_hminus1(dim):
     tr = Trajectory(g, rng.standard_normal((2, g.size)))
     assert (spacetime_norm(tr, "L1Hminus1")
             == g.tau * norm(tr.slice(0), "Hminus1"))
+
+
+# H^-1 norms on the real FFT's half spectrum: a mode that is its own mirror
+# image (every index 0 or n/2) weighs once, any other mode twice
+
+EPS = np.finfo(np.float64).eps
+
+
+def _cos_mode(grid, k):
+    """cos(2 pi k.x) on the grid, for one integer k per axis."""
+    return Field.from_function(grid, lambda *x: np.cos(
+        2 * np.pi * sum(kk * xx for kk, xx in zip(k, x))))
+
+
+def _cos_mode_hminus1(k, n):
+    """The closed form sqrt(sum |c_k|^2 w_k) over the mode k and its mirror
+    image -k: one coefficient 1 when they are one mode, 1/2 each else."""
+    c_sq = [1.0] if all(2 * kk % n == 0 for kk in k) else [0.25, 0.25]
+    w = 1.0 / (1.0 + 4.0 * np.pi ** 2 * sum(kk ** 2 for kk in k))
+    return math.sqrt(sum(c * w for c in c_sq))
+
+
+def _edge_modes(dim, n):
+    """The constant mode, the Nyquist mode of each axis, doubled modes on
+    the last axis and, in 2-D, the Nyquist index of the last axis paired
+    with an inner index of the first (its mirror image sits in the half
+    spectrum too).  The inner indices stay small: cos(2 pi k x) at a large
+    k is sampled several ulps away from the pure mode."""
+    if dim == 1:
+        return [(0,), (n // 2,), (1,), (3,)]
+    return [(0, 0), (n // 2, 0), (0, n // 2), (n // 2, n // 2), (0, 3),
+            (n // 2, 1), (3, n // 2)]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n", [8, 256])
+def test_hminus1_edge_modes_closed_form(dim, n):
+    g = make_grid(dim, n, 1.0, 1)
+    for k in _edge_modes(dim, n):
+        expect = _cos_mode_hminus1(k, n)
+        got = norm(_cos_mode(g, k), "Hminus1")
+        assert abs(got - expect) <= 8 * EPS * expect, k
+
+
+def _hminus1_by_fftn(v, grid):
+    """The H^-1 norm over the full complex spectrum of np.fft.fftn."""
+    fhat = np.fft.fftn(v.reshape(grid.shape)) / grid.size
+    k = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
+    k2 = k ** 2 if grid.dim == 1 else k[:, None] ** 2 + k[None, :] ** 2
+    return np.sqrt(np.sum(np.abs(fhat) ** 2 / (1.0 + 4.0 * np.pi ** 2 * k2)))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n", [8, 256])
+def test_hminus1_matches_the_complex_transform(dim, n):
+    g = make_grid(dim, n, 0.5, 5)
+    rng = np.random.default_rng(dim * n)
+    tr = Trajectory(g, rng.standard_normal((g.steps + 1, g.size))
+                    * 10.0 ** rng.uniform(-5, 5, (g.steps + 1, 1)))
+    ref = [_hminus1_by_fftn(row, g) for row in tr.data]
+    for k, expect in enumerate(ref):
+        got = norm(tr.slice(k), "Hminus1")
+        assert abs(got - expect) <= 8 * EPS * expect
+    expect = g.tau * math.fsum(ref[:-1])
+    assert (abs(spacetime_norm(tr, "L1Hminus1") - expect)
+            <= 8 * EPS * expect)
 
 
 @pytest.mark.parametrize("dim", [1, 2])

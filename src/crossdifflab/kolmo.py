@@ -188,8 +188,9 @@ def _mass_drift(data: np.ndarray, p: KolmogorovProblem) -> float:
     vol = g.cell_volume()
     mass = vol * data.sum(axis=1)                       # per slice k=0..K
     src = p.source.data
+    # G^0..G^{K-1}, or the one row of a constant-in-time G
     src_mass = vol * src[:distinct_count(g.steps, src)].sum(axis=1)
-    expected = mass[0] + g.tau * np.concatenate(        # G^0..G^{K-1}
+    expected = mass[0] + g.tau * np.concatenate(
         [[0.0], np.cumsum(np.broadcast_to(src_mass, g.steps))])
     return float(np.abs(mass - expected).max())
 

@@ -50,7 +50,7 @@ def test_constant_in_time_norm_reads_one_row(kind):
     grid = make_grid(1, 128, 0.1, 10 ** 4)
     f = Field(grid, np.random.default_rng(11).standard_normal(grid.size))
     const = Trajectory.constant_in_time(grid, f)
-    spacetime_norm(const, kind)   # the FFT's first call sets up its plans
+    spacetime_norm(const, kind)   # a first FFT call imports numpy.fft
     few_rows = 16 * f.values.nbytes
     assert _peak(lambda: spacetime_norm(const, kind)) < few_rows
     assert _peak(lambda: spacetime_norm(const, kind, minus=const)) < few_rows

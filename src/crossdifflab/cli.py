@@ -38,7 +38,7 @@ def _load_field(path: str) -> Field:
 def _config_command(sub, kind):
     def handler(args):
         cfg = _load_config(args.config, kind)
-        if getattr(args, "eps", None):
+        if getattr(args, "eps", None) is not None:
             with config_errors("--eps"):
                 eps = [float(e) for e in args.eps.split(",")]
             cfg = parse_config(json.dumps(dict(cfg.raw, eps=eps)))

@@ -158,10 +158,16 @@ class StabilityRow:
 
 
 def smooth_mu(mu: Trajectory, kernel: Kernel) -> Trajectory:
-    """Convolve every time slice of mu in space."""
+    """Convolve every time slice of mu in space.  The kernel averages, so
+    each true value lies in [min mu, max mu]; an FFT convolution is exact
+    only to round-off of about eps * max mu, which can leave a value of a
+    mu spanning many decades at or below 0.  Then every value below min mu
+    is raised to it, which is within that round-off of the true value."""
     out = np.empty_like(mu.data)
     for k in range(mu.data.shape[0]):
         out[k] = convolve_array(mu.data[k], kernel)
+    if out.min() <= 0.0:
+        np.maximum(out, mu.distinct_rows().min(), out=out)
     return Trajectory(mu.grid, out)
 
 

@@ -4,6 +4,9 @@ Configs are strict: unknown keys are fatal (with a spelling suggestion),
 all randomness flows from the config seed through a counter-based
 generator, and every artifact is written atomically so repeated runs with
 the same config are byte-identical.
+
+`parse_config` reads every value once and builds the run, so a config is
+refused there or not at all; `run` only solves and writes.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -107,8 +111,10 @@ def philox_rng(seed: int, *counters: int) -> np.random.Generator:
 
 def build_field(grid: Grid, spec: dict, path: str, seed: int = 0) -> Field:
     """The field of one family spec.  A spec whose values cannot be used (a
-    non-number, NaN or an infinity, an unreadable dump) is a ConfigError."""
-    with config_errors(path):
+    non-number, NaN or an infinity, an unreadable dump) is a ConfigError.
+    An overflow on the way is silent: Field refuses a non-finite result,
+    and a finite one is right (a narrow spike's exp(-inf) = 0)."""
+    with config_errors(path), np.errstate(over="ignore", invalid="ignore"):
         return _family_field(grid, spec, path, seed)
 
 
@@ -166,6 +172,10 @@ def _family_field(grid: Grid, spec: dict, path: str, seed: int) -> Field:
         return Field(grid, line.reshape(-1))
     if fam == "dump":
         _check_keys(spec, {"family", "path"}, {"path"}, path)
+        # open() takes an int as a file descriptor: 0 would read stdin
+        if not isinstance(spec["path"], str):
+            raise ConfigError(f"{path}.path must be a string, got "
+                              f"{spec['path']!r}")
         dump = load_field(spec["path"])
         if (dump.grid.dim, dump.grid.n) != (grid.dim, grid.n):
             raise ConfigError(
@@ -180,9 +190,14 @@ def _family_field(grid: Grid, spec: dict, path: str, seed: int) -> Field:
 
 @dataclass
 class RunConfig:
+    """A parsed config, its JSON (echoed in the manifest) and its run:
+    `compute()` solves and returns (checks, constants, artifacts), the
+    artifacts an ordered {file name: Trajectory | (CSV header, rows)}."""
     kind: str
     raw: dict
     seed: int
+    grid: Grid
+    compute: Callable[[], tuple]
 
 
 def _build_grid(gd: dict, path: str, mu_sup_hint: float | None = None) -> Grid:
@@ -200,14 +215,14 @@ def _build_grid(gd: dict, path: str, mu_sup_hint: float | None = None) -> Grid:
         return make_grid(dim, n, t_final, steps)
 
 
-def _mu_grid(cfg: RunConfig):
+def _mu_grid(raw: dict, seed: int):
     """The config grid and config.mu on it.  A field does not depend on the
     time axis, so mu is built once, on a one-step grid, checked to be
     positive, and its sup sets the CFL step count when grid.steps is not
     given."""
-    gd = cfg.raw["grid"]
+    gd = raw["grid"]
     probe = _build_grid(dict(gd, steps=1), "config.grid")
-    mu = build_field(probe, cfg.raw["mu"], "config.mu", cfg.seed)
+    mu = build_field(probe, raw["mu"], "config.mu", seed)
     if not mu.values.min() > 0.0:
         raise ConfigError("config.mu must be positively lower-bounded, got "
                           f"minimum {mu.values.min()}")
@@ -216,6 +231,9 @@ def _mu_grid(cfg: RunConfig):
 
 
 def parse_config(text: str) -> RunConfig:
+    """The run of a config text.  Every value is read here, once: the schema,
+    then the kind's plan builds the grid, fields, widths, counts and
+    problems; a value that cannot be run is a ConfigError naming it."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -231,7 +249,7 @@ def parse_config(text: str) -> RunConfig:
         if hint:
             msg += f" (did you mean {hint[0]!r}?)"
         raise ConfigError(msg)
-    _, required, optional = _KINDS[kind]
+    plan, required, optional = _KINDS[kind]
     _check_keys(raw, {"kind", "grid", "seed", *required, *optional},
                 ("grid", *required), "config")
     if kind == "kolmogorov" and ("source" in raw) == ("reaction" in raw):
@@ -239,30 +257,12 @@ def parse_config(text: str) -> RunConfig:
                           "must be present")
     _object(raw["grid"], "config.grid")
     seed = _integer(raw.get("seed", 0), "config.seed")
-    _validate_kernel_eps(raw)
-    return RunConfig(kind=kind, raw=raw, seed=seed)
-
-
-def _validate_kernel_eps(raw: dict) -> None:
-    """The config's eps and species lists are non-empty lists, and eps and
-    each species kernel_eps follow mollify's rule of width lists."""
     for key in ("eps", "species"):
         if not isinstance(raw.get(key, []), list):
             raise ConfigError(f"config.{key} must be a list")
         if raw.get(key) == []:
             raise ConfigError(f"config.{key} must not be empty")
-    widths = [("config.eps", raw["eps"])] if "eps" in raw else []
-    widths += [(f"config.species[{i}].kernel_eps", [sp["kernel_eps"]])
-               for i, sp in enumerate(raw.get("species", []))
-               if isinstance(sp, dict) and sp.get("kernel_eps") is not None]
-    if not widths:
-        return
-    # the time axis does not matter here, so t_final may be left out
-    grid = _build_grid({"t_final": 1.0, **raw["grid"], "steps": 1},
-                       "config.grid")
-    for path, eps in widths:
-        with config_errors(path):
-            check_widths(grid, eps)
+    return RunConfig(kind, raw, seed, *plan(raw, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +300,8 @@ def write_csv(path: str, header, rows) -> None:
 
 
 # ---------------------------------------------------------------------------
-# runners: each computes one kind and returns (grid, checks, constants,
-# artifacts), the artifacts an ordered {file name: Trajectory, or (CSV
-# header, rows)} that `run` writes
+# plans: each reads and builds one kind's run from (raw, seed) and returns
+# (grid, compute); compute only solves
 
 def _field_trajectory(grid: Grid, spec: dict, path: str,
                       seed: int) -> Trajectory:
@@ -310,42 +309,50 @@ def _field_trajectory(grid: Grid, spec: dict, path: str,
         grid, build_field(grid, spec, path, seed))
 
 
-def _run_kolmogorov(cfg: RunConfig):
-    raw = cfg.raw
+def _plan_kolmogorov(raw: dict, seed: int):
     mode = "source" if "source" in raw else "reaction"
-    grid, mu = _mu_grid(cfg)
-    z0 = build_field(grid, raw["z0"], "config.z0", cfg.seed)
-    rhs = _field_trajectory(grid, raw[mode], f"config.{mode}", cfg.seed)
-    p = kolmo_mod.KolmogorovProblem(grid=grid, mu=mu, z0=z0, **{mode: rhs})
-    rep = kolmo_mod.solve_forward(p)
-    constants = {"min_value": rep.min_value, "cfl_used": rep.cfl_used,
-                 "final_l2": norm(rep.trajectory.slice(grid.steps), "L2")}
-    # the march refuses every state with NaN or +-inf, and z0 is finite
-    checks = {"finite": bool(np.isfinite(rep.min_value))}
-    if mode == "source":
-        checks["mass_ledger"] = rep.mass_drift <= 1e-9 * max(
-            1.0, norm(z0, "L1"))
-        constants["mass_drift"] = rep.mass_drift
-    if z0.values.min() >= 0 and (mode == "reaction"
-                                 or rhs.distinct_rows().min() >= 0):
-        checks["non_negative"] = rep.min_value >= 0.0
-    return grid, checks, constants, {"trajectory.cdl": rep.trajectory}
+    grid, mu = _mu_grid(raw, seed)
+    z0 = build_field(grid, raw["z0"], "config.z0", seed)
+    rhs = _field_trajectory(grid, raw[mode], f"config.{mode}", seed)
+    with config_errors("config"):
+        p = kolmo_mod.KolmogorovProblem(grid=grid, mu=mu, z0=z0,
+                                        **{mode: rhs})
+
+    def compute():
+        rep = kolmo_mod.solve_forward(p)
+        constants = {"min_value": rep.min_value, "cfl_used": rep.cfl_used,
+                     "final_l2": norm(rep.trajectory.slice(grid.steps),
+                                      "L2")}
+        # the march refuses every state with NaN or +-inf, and z0 is finite
+        checks = {"finite": bool(np.isfinite(rep.min_value))}
+        if mode == "source":
+            checks["mass_ledger"] = rep.mass_drift <= 1e-9 * max(
+                1.0, norm(z0, "L1"))
+            constants["mass_drift"] = rep.mass_drift
+        if z0.values.min() >= 0 and (mode == "reaction"
+                                     or rhs.distinct_rows().min() >= 0):
+            checks["non_negative"] = rep.min_value >= 0.0
+        return checks, constants, {"trajectory.cdl": rep.trajectory}
+    return grid, compute
 
 
-def _run_dual(cfg: RunConfig):
-    raw = cfg.raw
-    grid, mu = _mu_grid(cfg)
-    s = _field_trajectory(grid, raw["s"], "config.s", cfg.seed)
-    p = dual_mod.DualProblem(grid=grid, mu=mu, s=s)
-    phi = dual_mod.solve_dual(p)
-    reps = dual_mod.verify_apriori(p, phi)
-    checks = {"apriori_energy": reps[0].passed}
-    if s.distinct_rows().min() >= 0:
-        checks["sign_non_positive"] = bool(phi.data.max() <= 1e-13)
-    constants = {"apriori_ratio": reps[0].ratio,
-                 "supnorm_constant": reps[1].ratio,
-                 "phi0_l2": norm(phi.slice(0), "L2")}
-    return grid, checks, constants, {"phi.cdl": phi}
+def _plan_dual(raw: dict, seed: int):
+    grid, mu = _mu_grid(raw, seed)
+    s = _field_trajectory(grid, raw["s"], "config.s", seed)
+    with config_errors("config"):
+        p = dual_mod.DualProblem(grid=grid, mu=mu, s=s)
+
+    def compute():
+        phi = dual_mod.solve_dual(p)
+        reps = dual_mod.verify_apriori(p, phi)
+        checks = {"apriori_energy": reps[0].passed}
+        if s.distinct_rows().min() >= 0:
+            checks["sign_non_positive"] = bool(phi.data.max() <= 1e-13)
+        constants = {"apriori_ratio": reps[0].ratio,
+                     "supnorm_constant": reps[1].ratio,
+                     "phi0_l2": norm(phi.slice(0), "L2")}
+        return checks, constants, {"phi.cdl": phi}
+    return grid, compute
 
 
 # the range random_duality_problem draws mu from; its upper end sets the
@@ -366,46 +373,52 @@ def random_duality_problem(grid: Grid, seed: int, index: int):
     return mu, z0, g, s
 
 
-def _run_verify_duality(cfg: RunConfig):
-    raw = cfg.raw
+def _plan_verify_duality(raw: dict, seed: int):
     count = _integer(raw.get("count", 20), "config.count", positive=True)
     threshold = _number(raw.get("threshold", 1e-11), "config.threshold",
                         positive=True)
     grid = _build_grid(raw["grid"], "config.grid",
                        mu_sup_hint=DUALITY_MU_RANGE[1])
-    worst = 0.0
-    for i in range(count):
-        mu, z0, g, s = random_duality_problem(grid, cfg.seed, i)
-        p = kolmo_mod.KolmogorovProblem(grid=grid, mu=mu, z0=z0, source=g)
-        z = kolmo_mod.solve_forward(p).trajectory
-        worst = max(worst, dual_mod.duality_residual(z, p, s))
-    checks = {"duality_identity": bool(worst <= threshold)}
-    constants = {"max_residual": float(worst), "threshold": threshold}
-    return grid, checks, constants, {}
+
+    # drawn from the seed one at a time, after parsing: no value reaches them
+    def compute():
+        worst = 0.0
+        for i in range(count):
+            mu, z0, g, s = random_duality_problem(grid, seed, i)
+            p = kolmo_mod.KolmogorovProblem(grid=grid, mu=mu, z0=z0, source=g)
+            z = kolmo_mod.solve_forward(p).trajectory
+            worst = max(worst, dual_mod.duality_residual(z, p, s))
+        checks = {"duality_identity": bool(worst <= threshold)}
+        constants = {"max_residual": float(worst), "threshold": threshold}
+        return checks, constants, {}
+    return grid, compute
 
 
-def _run_stability(cfg: RunConfig):
-    raw = cfg.raw
-    grid, mu = _mu_grid(cfg)
-    z0 = build_field(grid, raw["z0"], "config.z0", cfg.seed)
-    if "g" in raw:
-        g = _field_trajectory(grid, raw["g"], "config.g", cfg.seed)
-    else:
-        g = Trajectory.constant(grid, 0.0)
-    rows = dual_mod.stability_study(mu, raw["eps"], z0, g)
-    dists = [r.z_distance for r in rows]
-    ok = all(b <= a * 1.10 for a, b in zip(dists, dists[1:]))
-    checks = {"z_distance_non_increasing": ok}
-    constants = {"final_z_distance": dists[-1]}
-    table = [(r.eps, r.mu_distance, r.z_distance) for r in rows]
-    return grid, checks, constants, {
-        "stability.csv": (["eps", "mu_distance", "z_distance"], table)}
+def _plan_stability(raw: dict, seed: int):
+    grid, mu = _mu_grid(raw, seed)
+    z0 = build_field(grid, raw["z0"], "config.z0", seed)
+    g = (_field_trajectory(grid, raw["g"], "config.g", seed) if "g" in raw
+         else Trajectory.constant(grid, 0.0))
+    with config_errors("config.eps"):
+        eps = check_widths(grid, raw["eps"])
+
+    def compute():
+        rows = dual_mod.stability_study(mu, eps, z0, g)
+        dists = [r.z_distance for r in rows]
+        ok = all(b <= a * 1.10 for a, b in zip(dists, dists[1:]))
+        checks = {"z_distance_non_increasing": ok}
+        constants = {"final_z_distance": dists[-1]}
+        table = [(r.eps, r.mu_distance, r.z_distance) for r in rows]
+        return checks, constants, {
+            "stability.csv": (["eps", "mu_distance", "z_distance"], table)}
+    return grid, compute
 
 
-def _skt_spec(cfg: RunConfig, identity_kernels=False) -> skt_mod.SktSpec:
+def _skt_spec(raw: dict, seed: int,
+              identity_kernels=False) -> skt_mod.SktSpec:
     """The cross-diffusion system of a config; without grid.steps, the step
-    count is the CFL count for the largest coefficient bound `hi`."""
-    raw = cfg.raw
+    count is the CFL count for the largest coefficient bound `hi`.  Every
+    kernel_eps is checked, also where `identity_kernels` leaves it out."""
     species = raw["species"]
     coeffs, reactions = [], []
     for i, sp in enumerate(species):
@@ -433,85 +446,96 @@ def _skt_spec(cfg: RunConfig, identity_kernels=False) -> skt_mod.SktSpec:
         raise ConfigError("config.species: every coefficient needs a finite "
                           "hi, the bound the CFL step is set from")
     grid = _build_grid(raw["grid"], "config.grid", mu_sup_hint=hi_max)
-    kernels = [None if identity_kernels or sp.get("kernel_eps") is None
-               else make_kernel(grid, sp["kernel_eps"])
-               for sp in species]
+    kernels = []
+    for i, sp in enumerate(species):
+        with config_errors(f"config.species[{i}].kernel_eps"):
+            eps = sp.get("kernel_eps")
+            kernel = None if eps is None else make_kernel(grid, eps)
+        kernels.append(None if identity_kernels else kernel)
     init = [build_field(grid, sp["init"], f"config.species[{i}].init",
-                        cfg.seed) for i, sp in enumerate(species)]
-    return skt_mod.SktSpec(grid=grid, coeffs=tuple(coeffs),
-                           reactions=tuple(reactions),
-                           kernels=tuple(kernels), init=tuple(init))
+                        seed) for i, sp in enumerate(species)]
+    with config_errors("config.species"):
+        return skt_mod.SktSpec(grid=grid, coeffs=tuple(coeffs),
+                               reactions=tuple(reactions),
+                               kernels=tuple(kernels), init=tuple(init))
 
 
-def _run_skt(cfg: RunConfig):
-    spec = _skt_spec(cfg)
-    grid = spec.grid
-    sols = skt_mod.solve_system(spec)
-    min_val = min(float(t.data.min()) for t in sols)
-    checks = {"non_negative": min_val >= 0.0}
-    constants = {"min_value": min_val}
-    for i, t in enumerate(sols):
-        constants[f"l2q_u{i + 1}"] = spacetime_norm(t, "L2Q")
-    return grid, checks, constants, {
-        f"species_{i + 1}.cdl": t for i, t in enumerate(sols)}
+def _plan_skt(raw: dict, seed: int):
+    spec = _skt_spec(raw, seed)
+
+    def compute():
+        sols = skt_mod.solve_system(spec)
+        min_val = min(float(t.data.min()) for t in sols)
+        checks = {"non_negative": min_val >= 0.0}
+        constants = {"min_value": min_val}
+        for i, t in enumerate(sols):
+            constants[f"l2q_u{i + 1}"] = spacetime_norm(t, "L2Q")
+        return checks, constants, {
+            f"species_{i + 1}.cdl": t for i, t in enumerate(sols)}
+    return spec.grid, compute
 
 
-def _run_converge(cfg: RunConfig):
-    spec = _skt_spec(cfg, identity_kernels=True)
-    grid = spec.grid
-    table = skt_mod.converge_study(spec, cfg.raw["eps"])
-    count = spec.species_count
-    dists = np.array([r.distances for r in table])
-    ok = bool(np.all(dists[1:] <= dists[:-1] * 1.10))
-    checks = {"distances_non_increasing": ok}
-    constants = {f"final_dist_u{i + 1}": float(dists[-1, i])
-                 for i in range(count)}
-    header = ["eps", "defect"] + [f"dist_u{i + 1}" for i in range(count)]
-    rows = [(r.eps, r.defect, *r.distances) for r in table]
-    return grid, checks, constants, {"converge.csv": (header, rows)}
+def _plan_converge(raw: dict, seed: int):
+    spec = _skt_spec(raw, seed, identity_kernels=True)
+    with config_errors("config.eps"):
+        eps = check_widths(spec.grid, raw["eps"])
+
+    def compute():
+        table = skt_mod.converge_study(spec, eps)
+        count = spec.species_count
+        dists = np.array([r.distances for r in table])
+        ok = bool(np.all(dists[1:] <= dists[:-1] * 1.10))
+        checks = {"distances_non_increasing": ok}
+        constants = {f"final_dist_u{i + 1}": float(dists[-1, i])
+                     for i in range(count)}
+        header = ["eps", "defect"] + [f"dist_u{i + 1}" for i in range(count)]
+        rows = [(r.eps, r.defect, *r.distances) for r in table]
+        return checks, constants, {"converge.csv": (header, rows)}
+    return spec.grid, compute
 
 
-def _run_weights(cfg: RunConfig):
-    raw = cfg.raw
+def _plan_weights(raw: dict, seed: int):
     grid = _build_grid({"t_final": 1.0, "steps": 1, **raw["grid"]},
                        "config.grid")
-    w = weights_mod.Weight(build_field(grid, raw["weight"], "config.weight",
-                                       cfg.seed))
+    field = build_field(grid, raw["weight"], "config.weight", seed)
+    with config_errors("config.weight"):
+        w = weights_mod.Weight(field)
     trials = _integer(raw.get("trials", 20), "config.trials", positive=True)
-    a2 = weights_mod.a2_constant(w)
-    ratio = weights_mod.maximal_boundedness(w, trials=trials, seed=cfg.seed)
-    checks = {"a2_at_least_one": a2 >= 1.0, "ratio_finite": ratio.passed}
-    constants = {"a2_constant": a2, "maximal_ratio": ratio.lhs}
-    return grid, checks, constants, {}
+    if seed < 0:  # it seeds numpy's default_rng, which takes none
+        raise ConfigError(f"config.seed must be >= 0 for weights, got {seed}")
+
+    def compute():
+        a2 = weights_mod.a2_constant(w)
+        ratio = weights_mod.maximal_boundedness(w, trials=trials, seed=seed)
+        checks = {"a2_at_least_one": a2 >= 1.0,
+                  "ratio_finite": ratio.passed}
+        constants = {"a2_constant": a2, "maximal_ratio": ratio.lhs}
+        return checks, constants, {}
+    return grid, compute
 
 
-# kind -> (runner, top-level keys its config must have, keys it may
-# have); every kind also takes kind, grid and seed, and no other key
+# kind -> (plan, top-level keys its config must have, keys it may have);
+# every kind also takes kind, grid and seed, and no other key
 _KINDS = {
-    "kolmogorov": (_run_kolmogorov, ("mu", "z0"), ("source", "reaction")),
-    "dual": (_run_dual, ("mu", "s"), ()),
-    "verify_duality": (_run_verify_duality, (), ("count", "threshold")),
-    "stability": (_run_stability, ("mu", "z0", "eps"), ("g",)),
-    "skt": (_run_skt, ("species",), ()),
-    "converge": (_run_converge, ("eps", "species"), ()),
-    "weights": (_run_weights, ("weight",), ("trials",)),
+    "kolmogorov": (_plan_kolmogorov, ("mu", "z0"), ("source", "reaction")),
+    "dual": (_plan_dual, ("mu", "s"), ()),
+    "verify_duality": (_plan_verify_duality, (), ("count", "threshold")),
+    "stability": (_plan_stability, ("mu", "z0", "eps"), ("g",)),
+    "skt": (_plan_skt, ("species",), ()),
+    "converge": (_plan_converge, ("eps", "species"), ()),
+    "weights": (_plan_weights, ("weight",), ("trials",)),
 }
 
 
 def run(cfg: RunConfig, outdir: str | None = None) -> RunManifest:
-    """Run the config's kind and write the artifacts, then manifest.json,
-    into `outdir` (atomically, each).  A value the problem constructors
-    refuse (a ValueError other than a CFL violation, or a TypeError) is a
-    ConfigError."""
+    """Solve a parsed config and write its artifacts, then manifest.json,
+    into `outdir` (atomically, each).  parse_config has refused every value
+    that cannot be run, so this raises only a numerical abort (CflViolation,
+    NumericalBlowUp) or an OSError."""
     start = time.perf_counter()
     if outdir:
         os.makedirs(outdir, exist_ok=True)
-    try:
-        grid, checks, constants, artifacts = _KINDS[cfg.kind][0](cfg)
-    except (ConfigError, kolmo_mod.CflViolation):
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    checks, constants, artifacts = cfg.compute()
     paths = []
     for name, item in artifacts.items() if outdir else ():
         paths.append(os.path.join(outdir, name))
@@ -522,9 +546,8 @@ def run(cfg: RunConfig, outdir: str | None = None) -> RunManifest:
     manifest = RunManifest(
         config=cfg.raw,
         version=__version__,
-        grid={"dim": grid.dim, "n": grid.n, "t_final": grid.t_final,
-              "steps": grid.steps},
-        tau=grid.tau,
+        grid=asdict(cfg.grid),
+        tau=cfg.grid.tau,
         wall_time=time.perf_counter() - start,
         checks=checks,
         constants=constants,

@@ -73,6 +73,9 @@ class Grid:
         object.__setattr__(self, "t_final", float(t_final))
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
+        if (self.steps + 1) * self.size > np.iinfo(np.intp).max // 8:
+            raise ValueError(f"steps={self.steps}: a trajectory would have "
+                             "more values than an array can hold")
 
     @property
     def h(self) -> float:
@@ -222,19 +225,25 @@ def time_sum(values, count: int, grid: Grid, *reads) -> float:
     return count // distinct * math.fsum(sums.tolist())
 
 
+def row_sums(block: np.ndarray) -> np.ndarray:
+    """np.sum of each row of a (m, width) block, pairwise as numpy sums a
+    contiguous row: a block that is not C-contiguous (a Fortran-ordered one,
+    as np.array of a broadcast view) is copied to C order first."""
+    return np.sum(np.ascontiguousarray(block), axis=1)
+
+
 def quadrature(rows, grid: Grid, *reads) -> float:
     """The left-endpoint space-time quadrature tau h^dim sum_{k<K} of the
     values whose rows k0..k1-1 `rows(k0, k1)` computes, over time_sum; when
     `reads` are given, they are all the arrays whose rows `rows` reads.
 
-    Each row is summed with np.sum and the row sums are added with
-    math.fsum.  A row's np.sum inside a block of contiguous rows is np.sum
-    of that row alone, and fsum is exactly rounded, so the result depends
-    on the row values only: not on the blocking, a stacked layout, the
-    order in which rows are summed or whether constant-in-time reads are
-    read once."""
+    Each row is summed by row_sums and the row sums are added with
+    math.fsum.  A row's sum inside a block is the sum of that row alone,
+    and fsum is exactly rounded, so the result depends on the row values
+    only: not on the blocking, the layout, the order in which rows are
+    summed or whether constant-in-time reads are read once."""
     return float(grid.tau * grid.cell_volume() * time_sum(
-        lambda a, b: np.sum(rows(a, b), axis=1), grid.steps, grid, *reads))
+        lambda a, b: row_sums(rows(a, b)), grid.steps, grid, *reads))
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +449,7 @@ def spacetime_norm(traj: Trajectory, kind: str,
     if kind == "L1Q":
         return quadrature(lambda a, b: np.abs(rows(a, b)), g, *reads)
     if kind == "LinfL2":
-        sums = per_slice(lambda a, b: np.sum(squares(a, b), axis=1),
+        sums = per_slice(lambda a, b: row_sums(squares(a, b)),
                          distinct_count(g.steps + 1, *reads), g)
         return float(np.sqrt(g.cell_volume() * sums).max())
     if kind == "L1Hminus1":

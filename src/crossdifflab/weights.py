@@ -97,10 +97,15 @@ def a2_constant(w: Weight) -> float:
     # A2 does not change when nu is scaled; scaled to a largest value of 1,
     # a constant weight has integer ball sums and gives exactly 1
     nu = w.values.values / w.values.values.max()
+    # 1/nu, scaled by 2^-exp (exact) below 1, keeps finite ball sums; ldexp
+    # takes the scale back out of each mean product
+    inv = 1.0 / nu
+    _, exp = np.frexp(inv.max())
     best = 1.0  # size-1 balls give exactly 1
-    for size, sums in _ball_sums(np.stack((nu, 1.0 / nu)), g):
+    for size, sums in _ball_sums(np.stack((nu, np.ldexp(inv, -exp))), g):
         cells = size ** g.dim
-        best = max(best, float((sums[0] * sums[1]).max()) / cells ** 2)
+        best = max(best, float(np.ldexp(
+            (sums[0] * sums[1]).max() / cells ** 2, exp)))
     return best
 
 
@@ -118,22 +123,28 @@ def domination_check(f: Field, ks) -> EstimateReport:
 
 
 def weighted_l2(v: np.ndarray, w: Weight) -> float:
-    g = w.values.grid
-    return float(np.sqrt(g.cell_volume()
-                         * np.sum(w.values.values * v * v)))
+    return _nu_l2(v, w.values.values, w.values.grid)
+
+
+def _nu_l2(v: np.ndarray, nu: np.ndarray, grid: Grid) -> float:
+    return float(np.sqrt(grid.cell_volume() * np.sum(nu * v * v)))
 
 
 def maximal_boundedness(w: Weight, trials: int = 20,
                         seed: int = 0) -> EstimateReport:
     """Measured operator ratio sup ||Mf||_{L2_nu} / ||f||_{L2_nu} over
-    random fields."""
+    random fields.  nu is scaled by an even power of two to a largest value
+    near 1: exact, also under the root, so the ratio keeps its bits and
+    nu*f^2 cannot overflow."""
     g = w.values.grid
+    _, exp = np.frexp(w.values.values.max())
+    nu = np.ldexp(w.values.values, -2 * (exp // 2))
     rng = np.random.default_rng(seed)
     ratio = 0.0
     for _ in range(trials):
         v = rng.standard_normal(g.size)
         mf = maximal_function(Field(g, v)).values
-        ratio = max(ratio, weighted_l2(mf, w) / weighted_l2(v, w))
+        ratio = max(ratio, _nu_l2(mf, nu, g) / _nu_l2(v, nu, g))
     return EstimateReport(lhs=ratio, rhs=np.inf, ratio=ratio,
                           passed=np.isfinite(ratio) and ratio >= 1.0,
                           label=f"maximal operator ratio, {trials} trials")

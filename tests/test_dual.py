@@ -9,7 +9,7 @@ from crossdifflab.dual import (DualProblem, duality_pairings,
                                stability_study, verify_apriori)
 from crossdifflab.kolmo import (CflViolation, KolmogorovProblem,
                                 NumericalBlowUp, solve_forward, steps_for)
-from crossdifflab.mollify import make_kernel
+from crossdifflab.mollify import convolve_array, make_kernel
 from crossdifflab.torus import Field, Trajectory, make_grid, spacetime_norm
 
 
@@ -160,6 +160,24 @@ def test_smooth_mu_preserves_constants():
     mu = Trajectory.constant(g, 2.0)
     sm = smooth_mu(mu, k)
     assert np.abs(sm.data - 2.0).max() < 1e-12
+
+
+def test_smooth_mu_of_a_mu_spanning_300_decades_stays_positive():
+    # the FFT convolution leaves values at or below 0 where mu is 1e-300,
+    # which KolmogorovProblem refuses; they are raised to min mu, every
+    # value above it is kept
+    g = make_grid(2, 128, 1e-4, 3)
+    line = np.where(np.arange(128) < 64, 1e-300, 1.5)
+    mu = Trajectory.constant_in_time(
+        g, Field(g, np.repeat(line, 128)))
+    k = make_kernel(g, 0.02)
+    conv = convolve_array(mu.data[0], k)
+    assert conv.min() <= 0.0
+    sm = smooth_mu(mu, k)
+    kept = conv > 1e-300
+    assert np.array_equal(sm.data[:, kept], np.broadcast_to(
+        conv[kept], (g.steps + 1, kept.sum())))
+    assert np.all(sm.data[:, ~kept] == 1e-300)
 
 
 def test_stability_study_distances_shrink():

@@ -1,5 +1,8 @@
 """Forward solver: CFL, positivity, mass ledger, comparison principle."""
 
+import itertools
+import sys
+
 import numpy as np
 import pytest
 
@@ -16,9 +19,13 @@ def _grid(n=32, t_final=0.02, mu_sup=1.0, dim=1):
 
 
 def test_cfl_timestep_formula():
-    g = make_grid(2, 64, 1.0, 10)
-    assert abs(cfl_timestep(g, 2.0)
-               - 0.9 * g.h ** 2 / (2 * 2 * 2.0)) < 1e-18
+    # the bits of 0.9 h^2 / (2 dim mu) for a mu of any size: h^2 and 2 dim
+    # are powers of two, so dividing by them first rounds nothing
+    rng = np.random.default_rng(0)
+    for dim, n in itertools.product((1, 2), (8, 64, 1024)):
+        g = make_grid(dim, n, 1.0, 1)
+        for mu in [2.0, *10.0 ** rng.uniform(-300.0, 300.0, 100)]:
+            assert cfl_timestep(g, mu) == 0.9 * g.h ** 2 / (2.0 * dim * mu)
     with pytest.raises(ValueError):
         cfl_timestep(g, 0.0)
 
@@ -44,6 +51,16 @@ def test_cfl_takes_numpy_numbers():
     g = make_grid(1, 16, 0.01, 100)
     assert cfl_timestep(g, np.float32(2.0)) == cfl_timestep(g, 2.0) \
         == cfl_timestep(g, np.int64(2))
+
+
+@pytest.mark.parametrize("mu_sup", [1e308, sys.float_info.max])
+def test_cfl_of_a_sup_near_the_float_range(mu_sup):
+    # 2 dim mu_sup overflowed to inf, the bound was 0, and steps_for raised
+    # a ZeroDivisionError that no config error caught
+    g = make_grid(2, 32, 0.01, 1)
+    assert 0.0 < cfl_timestep(g, mu_sup) < 1e-300
+    with pytest.raises(ValueError, match="beyond the float range"):
+        steps_for(2, 32, 0.01, mu_sup)
 
 
 def test_steps_for_is_sufficient():

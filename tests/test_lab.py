@@ -82,7 +82,7 @@ def test_under_resolved_eps_rejected():
     ("weights", "mu", {"family": "constant", "value": 1.0}),
 ])
 def test_key_of_another_kind_is_unknown(kind, key, value):
-    # each kind takes kind, grid, seed and the keys its runner reads
+    # each kind takes kind, grid, seed and the keys its plan reads
     raw = (_kolmo_raw() if kind == "kolmogorov" else
            {"kind": "weights", "grid": dict(GRID), "weight": CONST})
     raw[key] = value
@@ -91,9 +91,8 @@ def test_key_of_another_kind_is_unknown(kind, key, value):
 
 
 def test_bad_grid_reported_as_config_error(tmp_path):
-    cfg = _cfg(grid={"dim": 1, "n": 48, "t_final": 0.01})
     with pytest.raises(ConfigError, match="power of two"):
-        run(cfg)
+        _cfg(grid={"dim": 1, "n": 48, "t_final": 0.01})
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +181,7 @@ def test_mu_not_positive_is_config_error_naming_mu(tmp_path, capsys, mu,
     raw = _kolmo_raw(mu=mu)
     with pytest.raises(ConfigError, match=r"^config\.mu must be positively "
                                           rf"lower-bounded, got minimum {least}"):
-        run(parse_config(json.dumps(raw)))
+        parse_config(json.dumps(raw))
     assert main(["solve-kolmogorov", "--config",
                  _write(tmp_path, "mu.json", raw)]) == 2
     err = capsys.readouterr().err
@@ -261,7 +260,7 @@ def test_run_stability_reads_its_source_g():
     assert distances(g={"family": "constant", "value": 0.0}) == distances()
     assert distances(g={"family": "fourier_mode", "k": 2}) != distances()
     with pytest.raises(ConfigError, match=r"^config\.g\.family: unknown"):
-        run(parse_config(json.dumps(dict(raw, g={"family": "nope"}))))
+        parse_config(json.dumps(dict(raw, g={"family": "nope"})))
 
 
 SKT_SPECIES = [
@@ -301,7 +300,7 @@ def test_skt_coeff_without_hi_is_config_error(tmp_path, capsys):
     del species[0]["coeff"]["hi"]
     raw = {"kind": "skt", "grid": dict(GRID), "species": species}
     with pytest.raises(ConfigError, match="finite hi"):
-        run(parse_config(json.dumps(raw)))
+        parse_config(json.dumps(raw))
     cfgp = _write(tmp_path, "skt.json", raw)
     assert main(["skt-run", "--config", cfgp]) == 2
     assert "config error" in capsys.readouterr().err
@@ -328,7 +327,7 @@ def _species_with(index, key, value):
 def test_skt_species_entries_must_be_objects(species, where):
     raw = {"kind": "skt", "grid": dict(GRID), "species": species}
     with pytest.raises(ConfigError, match=where + " must be an object$"):
-        run(parse_config(json.dumps(raw)))
+        parse_config(json.dumps(raw))
 
 
 NAN = float("nan")
@@ -426,6 +425,8 @@ MALFORMED = [
     pytest.param({"kind": "weights", "grid": dict(GRID),
                   "weight": {"family": "piecewise", "levels": [1.0, 0.0]}},
                  id="weight-not-positive"),
+    pytest.param({"kind": "weights", "grid": dict(GRID), "seed": -1,
+                  "weight": CONST}, id="weights-seed-negative"),
 ]
 SUBCOMMANDS = {"kolmogorov": "solve-kolmogorov", "dual": "solve-dual",
                "verify_duality": "verify-duality",
@@ -435,7 +436,7 @@ SUBCOMMANDS = {"kolmogorov": "solve-kolmogorov", "dual": "solve-dual",
 @pytest.mark.parametrize("raw", MALFORMED)
 def test_malformed_values_are_config_errors(tmp_path, capsys, raw):
     with pytest.raises(ConfigError):
-        run(parse_config(json.dumps(raw)))
+        parse_config(json.dumps(raw))
     if raw["kind"] in SUBCOMMANDS:
         cfgp = _write(tmp_path, "bad.json", raw)
         assert main([SUBCOMMANDS[raw["kind"]], "--config", cfgp]) == 2
@@ -540,7 +541,7 @@ def test_counts_must_be_positive_integers(tmp_path, capsys, key, value):
     raw = dict(COUNTED[key], **{key: value})
     with pytest.raises(ConfigError, match=f"^config.{key} must be a "
                                           "positive integer"):
-        run(parse_config(json.dumps(raw)))
+        parse_config(json.dumps(raw))
     if key == "count":
         cfgp = _write(tmp_path, "bad.json", raw)
         assert main(["verify-duality", "--config", cfgp]) == 2
@@ -571,7 +572,7 @@ def test_integer_values_are_refused_not_truncated(tmp_path, capsys, raw,
     # 32.9 would run as 32, true as 1 and "7" as 7: each is refused,
     # naming the value's path
     with pytest.raises(ConfigError, match=f"^{path} must be an integer"):
-        run(parse_config(json.dumps(raw)))
+        parse_config(json.dumps(raw))
     cfgp = _write(tmp_path, "bad.json", raw)
     assert main(["solve-kolmogorov", "--config", cfgp]) == 2
     err = capsys.readouterr().err
@@ -587,7 +588,7 @@ def test_duality_threshold_must_be_finite_and_positive(tmp_path, capsys,
            "threshold": value}
     with pytest.raises(ConfigError, match="^config.threshold must be a "
                                           "finite positive number"):
-        run(parse_config(json.dumps(raw)))
+        parse_config(json.dumps(raw))
     cfgp = _write(tmp_path, "bad.json", raw)
     assert main(["verify-duality", "--config", cfgp]) == 2
     err = capsys.readouterr().err
@@ -652,7 +653,7 @@ def test_float_values_are_finite_numbers(key, value):
         cur = cur[k]
     cur[keys[-1]] = value
     with pytest.raises(ConfigError) as exc:
-        run(parse_config(json.dumps(raw)))
+        parse_config(json.dumps(raw))
     assert where in str(exc.value)
 
 
@@ -663,6 +664,70 @@ def test_spike_width_must_be_positive(width):
     with pytest.raises(ConfigError, match=r"^p\.width must be a finite "
                                           "positive number"):
         build_field(make_grid(1, 32, 1.0, 1), dict(SPIKE, width=width), "p")
+
+
+@pytest.mark.parametrize("width", [1e-300, 5e-324])
+def test_spike_narrower_than_a_cell_is_exact_and_silent(width):
+    # (d/width)^2 overflowed with a RuntimeWarning; exp(-inf) = 0 gives the
+    # bits the formula gives, the peak at the origin and the base elsewhere
+    line = np.full(16, SPIKE["base"])
+    line[0] = SPIKE["peak"]
+    for dim, expect in ((1, line), (2, np.sqrt(np.outer(line, line)))):
+        f = build_field(make_grid(dim, 16, 1.0, 1), dict(SPIKE, width=width),
+                        "p")
+        assert np.array_equal(f.values, expect.reshape(-1))
+
+
+@pytest.mark.parametrize("value", [0, 1, True, None, []],
+                         ids=["0", "1", "true", "null", "list"])
+def test_dump_path_must_be_a_string(value):
+    # open() takes an int as a file descriptor: 0 read stdin, and 1 or true
+    # was read and then closed stdout
+    with pytest.raises(ConfigError, match=r"^p\.path must be a string"):
+        build_field(make_grid(1, 32, 1.0, 1),
+                    {"family": "dump", "path": value}, "p")
+
+
+def test_dump_path_descriptor_is_left_open():
+    r, w = os.pipe()
+    try:
+        with pytest.raises(ConfigError, match=r"^p\.path must be a string"):
+            build_field(make_grid(1, 32, 1.0, 1),
+                        {"family": "dump", "path": r}, "p")
+        os.write(w, b"x")
+        assert os.read(r, 1) == b"x"
+    finally:
+        os.close(r)
+        os.close(w)
+
+
+@pytest.mark.parametrize("raw", [
+    _kolmo_raw(mu={"family": "constant", "value": 1e308}),
+    _kolmo_raw(grid=dict(GRID, n=16, t_final=0.001),
+               mu={"family": "piecewise", "levels": [0.5, 1e308]}),
+    {"kind": "skt", "grid": dict(GRID), "species": _species_with(
+        0, "coeff", dict(SKT_SPECIES[0]["coeff"], hi=1e308))},
+], ids=["mu-step-count-beyond-floats", "mu-step-count-beyond-arrays",
+        "skt-hi"])
+def test_cfl_step_count_out_of_reach_is_a_grid_error(tmp_path, capsys, raw):
+    # a mu or hi near 1e308 gave a ZeroDivisionError traceback (exit 1) or
+    # numpy's "Maximum allowed dimension exceeded"
+    with pytest.raises(ConfigError, match=r"^config\.grid: "):
+        parse_config(json.dumps(raw))
+    assert main(_cli_argv(raw["kind"], _write(tmp_path, "c.json", raw))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config.grid: ")
+    assert err.count("\n") == 1
+
+
+def test_stability_with_a_mu_spanning_300_decades_runs():
+    # the mollified mu lost its positivity to FFT round-off, and run
+    # refused the config after parse_config had accepted it
+    raw = {"kind": "stability",
+           "grid": {"dim": 2, "n": 128, "t_final": 1e-4},
+           "mu": {"family": "piecewise", "levels": [1e-300, 1.5]},
+           "z0": CONST, "eps": [0.02]}
+    assert run(parse_config(json.dumps(raw))).passed
 
 
 @pytest.mark.parametrize("base, peak, key", [
@@ -890,6 +955,7 @@ def test_cli_unreadable_inputs_are_one_line_errors(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, named", [
     (["skt-converge", "--config", "{converge}", "--eps", "abc"], "--eps"),
+    (["skt-converge", "--config", "{converge}", "--eps", ""], "--eps"),
     (["skt-converge", "--config", "{converge}", "--eps", "0.2,nan"],
      "config.eps"),
     (["skt-converge", "--config", "{converge}", "--eps", "0.1,0.2"],
@@ -900,7 +966,8 @@ def test_cli_unreadable_inputs_are_one_line_errors(tmp_path, capsys):
     (["a2-check", "--weight", "constant:2", "--dim", "3"], "--dim 3"),
     (["maximal", "--field", "{n48}"], "{n48}"),
     (["a2-check", "--weight", "{n48}"], "{n48}"),
-], ids=["eps", "eps-nan", "eps-increasing", "values", "n", "dim", "maximal-dump", "a2-dump"])
+], ids=["eps", "eps-empty", "eps-nan", "eps-increasing", "values", "n",
+        "dim", "maximal-dump", "a2-dump"])
 def test_cli_bad_input_is_one_line_config_error(tmp_path, capsys, argv,
                                                 named):
     paths = {
@@ -915,6 +982,14 @@ def test_cli_bad_input_is_one_line_config_error(tmp_path, capsys, argv,
     err = capsys.readouterr().err
     assert err.startswith("config error") and err.count("\n") == 1, err
     assert named.format(**paths) in err
+
+
+def test_config_refused_at_parse_creates_no_out_directory(tmp_path, capsys):
+    raw = _kolmo_raw(mu={"family": "constant", "value": -1.0})
+    cfgp, out = _write(tmp_path, "k.json", raw), tmp_path / "out"
+    assert main(["solve-kolmogorov", "--config", cfgp, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: config.mu")
+    assert not out.exists()
 
 
 def test_cli_a2_check_dump(tmp_path, capsys):

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from crossdifflab import torus
 from crossdifflab.dual import (DualProblem, duality_pairings,
                                duality_residual, solve_dual, verify_apriori)
-from crossdifflab.kolmo import (KolmogorovProblem, cfl_timestep,
+from crossdifflab.kolmo import (CflViolation, KolmogorovProblem,
+                                NumericalBlowUp, cfl_timestep,
                                 comparison_check, solve_forward, steps_for)
-from crossdifflab.lab import ConfigError, parse_config
+from crossdifflab.lab import ConfigError, parse_config, run
 from crossdifflab.mollify import (check_width, check_widths, convolve_array,
                                   make_kernel)
 from crossdifflab.skt import CoeffFamily, ReactionFamily, SktSpec, solve_system
@@ -376,14 +377,13 @@ def _bits(*values):
 @given(constant_in_time_cases())
 def test_constant_in_time_inputs_read_once_give_the_same_bits(case):
     # a broadcast trajectory is read as its one row, times K; its
-    # materialized copy row by row.  The copy is C-ordered: np.array of a
-    # broadcast view is Fortran-ordered, and np.sum over a row that is not
-    # contiguous is sequential, not pairwise
+    # materialized copy row by row.  np.array of a broadcast view is
+    # Fortran-ordered, so the copy's rows are not contiguous
     grid, scale, rng = case
 
     def pair(values):
         view = Trajectory.constant_in_time(grid, Field(grid, scale * values))
-        return view, Trajectory(grid, np.ascontiguousarray(view.data))
+        return view, Trajectory(grid, np.array(view.data))
 
     a, a_copy = pair(rng.standard_normal(grid.size))
     b, b_copy = pair(rng.standard_normal(grid.size))
@@ -441,6 +441,10 @@ def test_quadrature_ignores_blocking_order_and_layout(case):
     assert quadrature(lambda a, b: stack[1, a:b], grid) == ref
     inter = np.ascontiguousarray(stack.transpose(1, 0, 2))
     assert quadrature(lambda a, b: inter[a:b, 1], grid) == ref
+
+    # rows of a Fortran-ordered array, whose row values are not contiguous
+    fortran = np.asfortranarray(data * data)
+    assert quadrature(lambda a, b: fortran[a:b], grid) == ref
 
     # one step at a time, as a march would accumulate it
     steps = [float(np.sum(squares(j, j + 1)[0])) for j in range(k)]
@@ -590,3 +594,105 @@ def test_direct_convolution_keeps_sign_and_mass(n, t, seed, decade, cells):
     strided[:] = v
     assert np.array_equal(convolve_array(shifted, kern), out)
     assert np.array_equal(convolve_array(strided, kern), out)
+
+
+# ---------------------------------------------------------------------------
+# a config that parses can be run
+
+CONFIG_SPECIES = [
+    {"coeff": {"kind": "clamped_affine", "d": 1.0, "c": [1.0], "lo": 0.5,
+               "hi": 2.0},
+     "reaction": {"rho": 1.0, "s": [1.0, 1.0]}, "kernel_eps": 0.25,
+     "init": {"family": "fourier_mode", "k": 1, "amp": 0.3, "offset": 1.0}},
+    {"coeff": {"kind": "constant", "d": 1.0},
+     "reaction": {"rho": 1.0, "s": [0.0, 1.0]},
+     "init": {"family": "spike", "base": 0.5, "peak": 1.5, "width": 0.2}}]
+# one small valid config of each kind, both kolmogorov modes; every width
+# is at least 2h on the coarsest grid, n = 8
+CONFIGS = [
+    {"kind": "kolmogorov", "seed": 1,
+     "mu": {"family": "random", "seed": 3, "lo": 0.5, "hi": 1.5},
+     "z0": {"family": "fourier_mode", "k": 1, "amp": 0.5, "offset": 1.0},
+     "source": {"family": "spike", "base": 0.0, "peak": 1.0, "width": 0.1}},
+    {"kind": "kolmogorov",
+     "mu": {"family": "piecewise", "levels": [0.5, 1.5]},
+     "z0": {"family": "spike", "base": 0.5, "peak": 2.0, "width": 0.1},
+     "reaction": {"family": "fourier_mode", "k": 2, "amp": 1.0}},
+    {"kind": "dual", "seed": 2,
+     "mu": {"family": "spike", "base": 1.0, "peak": 2.0, "width": 0.2},
+     "s": {"family": "random", "lo": -1.0, "hi": 1.0}},
+    {"kind": "verify_duality", "seed": 5, "threshold": 1e-11},
+    {"kind": "stability",
+     "mu": {"family": "piecewise", "levels": [0.5, 1.5]},
+     "z0": {"family": "fourier_mode", "k": 1, "offset": 1.0},
+     "g": {"family": "constant", "value": 0.5}, "eps": [0.5, 0.25]},
+    {"kind": "skt", "species": CONFIG_SPECIES},
+    {"kind": "converge", "species": CONFIG_SPECIES, "eps": [0.5, 0.25]},
+    {"kind": "weights", "seed": 4,
+     "weight": {"family": "piecewise", "levels": [1.0, 9.0]}},
+]
+MUTANTS = [True, False, "x", None, [], {}, -1, -2.5, 0, 0.0, 2.5, 1e-300,
+           1e308, -1e308, 10 ** 400, math.nan, math.inf, -math.inf]
+# the keys that size a run: drawn from small sets below, never mutated
+SIZING = ("grid", "count", "trials")
+# a plan of more space-time points than this is parsed, not run
+RUN_POINTS = 2 * 10 ** 5
+
+
+def _json_paths(value, prefix=()):
+    """The path of every value inside `value`, containers too, but for the
+    sizing keys."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return []
+    paths = []
+    for key, item in items:
+        if prefix or key not in SIZING:
+            paths += [prefix + (key,)] + _json_paths(item, prefix + (key,))
+    return paths
+
+
+@st.composite
+def mutated_configs(draw):
+    """A config of CONFIGS on a grid (dim 1 or 2, n in 8/16/32, t_final
+    0.001 or 0.01, steps absent, 1 or 40), count and trials 1 or 2, with
+    the value at one random path set to one of MUTANTS."""
+    raw = json.loads(json.dumps(draw(st.sampled_from(CONFIGS))))
+    raw["grid"] = {"dim": draw(st.sampled_from((1, 2))),
+                   "n": draw(st.sampled_from((8, 16, 32))),
+                   "t_final": draw(st.sampled_from((0.001, 0.01)))}
+    steps = draw(st.sampled_from((None, 1, 40)))
+    if steps is not None:
+        raw["grid"]["steps"] = steps
+    sized = {"verify_duality": "count", "weights": "trials"}.get(raw["kind"])
+    if sized:
+        raw[sized] = draw(st.sampled_from((1, 2)))
+    *keys, last = draw(st.sampled_from(_json_paths(raw)))
+    target = raw
+    for key in keys:
+        target = target[key]
+    target[last] = draw(st.sampled_from(MUTANTS))
+    return raw
+
+
+@settings(PROPERTY, max_examples=1000)
+@given(mutated_configs())
+def test_a_config_that_parses_can_be_run(raw):
+    # parse_config refuses the config, or run returns a manifest or stops
+    # with a numerical abort: no other exception, and no RuntimeWarning
+    # (pytest makes it an error).  The grid, count and trials come from
+    # small sets so that every example takes milliseconds, and a plan
+    # beyond RUN_POINTS space-time points is only parsed
+    try:
+        cfg = parse_config(json.dumps(raw))
+    except ConfigError:
+        return
+    if (cfg.grid.steps + 1) * cfg.grid.size > RUN_POINTS:
+        return
+    try:
+        run(cfg)
+    except (CflViolation, NumericalBlowUp):
+        pass

@@ -26,6 +26,15 @@ def test_grid_validation():
         make_grid(1, 64, 1.0, 0)         # no steps
 
 
+def test_grid_refuses_more_values_than_an_array_holds():
+    # a grid with that many steps gave numpy's "Maximum allowed dimension
+    # exceeded" when its first constant-in-time trajectory was made
+    g = make_grid(1, 8, 1.0, 2 ** 40)
+    assert Trajectory.constant(g, 1.0).data.shape == (2 ** 40 + 1, 8)
+    with pytest.raises(ValueError, match="more values than an array"):
+        make_grid(1, 8, 1.0, 2 ** 60)
+
+
 def test_grid_derived_quantities():
     g = make_grid(2, 16, 0.5, 25)
     assert g.h == 1.0 / 16

@@ -1,6 +1,7 @@
 """Maximal function, A2 constants and weighted-estimate checks."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -66,6 +67,29 @@ def test_a2_two_level_brute_force():
         idx = [(c + o) % 8 for o in range(-w, w + 1)]
         best = max(best, nu[idx].mean() * (1.0 / nu[idx]).mean())
     assert abs(a2_constant(Weight(Field(g, nu))) - best) < 1e-12
+
+
+def test_a2_and_maximal_ratio_of_a_weight_near_the_float_range():
+    # the ball sums of 1/nu and nu*f^2 overflowed: a RuntimeWarning, and a
+    # NaN ratio that max() read as 0.  Both constants are exact under a
+    # power-of-two scaling of the weight
+    g = make_grid(1, 8, 1.0, 1)
+    nu = np.array([1.0, 1.0, 9.0, 9.0, 1.0, 1.0, 9.0, 1.0])
+    w = Weight(Field(g, nu))
+    big = Weight(Field(g, nu * 2.0 ** 1020))
+    assert a2_constant(big) == a2_constant(w)
+    rep = maximal_boundedness(w, trials=3, seed=1)
+    big_rep = maximal_boundedness(big, trials=3, seed=1)
+    assert big_rep.passed and big_rep.ratio == rep.ratio
+
+    wide = np.where(nu > 1.0, 1e308, 1.0)
+    exact = max(
+        sum(map(Fraction, wide[idx])) * sum(1 / Fraction(v) for v in wide[idx])
+        / len(idx) ** 2
+        for w_, c in itertools.product(range(4), range(8))
+        for idx in [[(c + o) % 8 for o in range(-w_, w_ + 1)]])
+    a2 = a2_constant(Weight(Field(g, wide)))
+    assert abs(a2 - float(exact)) <= 1e-12 * float(exact)
 
 
 def test_a2_monotone_in_contrast():

@@ -18,9 +18,21 @@ from .torus import Field, dump_field, load_field, make_grid
 from .weights import Weight, a2_constant, maximal_function
 
 
-def _load_config(path: str, kind: str):
+def _load_config(path: str, kind: str, eps: str | None = None):
+    """The run of the config file, parsed once; `eps`, the comma-separated
+    widths of `skt-converge --eps`, replaces the config's own eps first."""
     with open(path) as fh:
-        cfg = parse_config(fh.read())
+        text = fh.read()
+    if eps is not None:
+        with config_errors("--eps"):
+            widths = [float(e) for e in eps.split(",")]
+        try:
+            raw = json.loads(text)
+        except json.JSONDecodeError:
+            raw = None  # parse_config names the error
+        if isinstance(raw, dict) and raw.get("kind") == kind:
+            text = json.dumps(dict(raw, eps=widths))
+    cfg = parse_config(text)
     if cfg.kind != kind:
         raise ConfigError(
             f"config kind {cfg.kind!r} does not match subcommand "
@@ -37,11 +49,7 @@ def _load_field(path: str) -> Field:
 
 def _config_command(sub, kind):
     def handler(args):
-        cfg = _load_config(args.config, kind)
-        if getattr(args, "eps", None) is not None:
-            with config_errors("--eps"):
-                eps = [float(e) for e in args.eps.split(",")]
-            cfg = parse_config(json.dumps(dict(cfg.raw, eps=eps)))
+        cfg = _load_config(args.config, kind, getattr(args, "eps", None))
         manifest = run(cfg, args.out)
         print(manifest.to_json(), end="")
         return 0 if manifest.passed else 1

@@ -70,7 +70,7 @@ def solve_dual(p: DualProblem) -> Trajectory:
         np.multiply(s[a:b], tau, out=ts[:b - a])
         for k in range(b - 1, a - 1, -1):
             phinew = phi[k]
-            np.multiply(tmu[k - a], lap_array(ghost, g, phinew, 1.0), phinew)
+            np.multiply(tmu[k - a], lap_array(ghost, g, phinew, None), phinew)
             np.add(ghost.inner, phinew, phinew)
             np.subtract(phinew, ts[k - a], phinew)
             ghost.inner[...] = phinew

@@ -142,12 +142,19 @@ def march(grid: Grid, coeff_sup: float, rows: np.ndarray, advance,
 
 
 def diffuse(z: np.ndarray, coeff, grid: Grid, out: np.ndarray,
-            ghost: GhostCells, scale: float) -> np.ndarray:
-    """The diffusion update out = z + tau*Lap(coeff*z) of one slice of
-    shape grid.shape, with scale = tau*n^2: coeff*z goes straight into the
-    march's ghost buffer and the stencil, scaled once, into `out`."""
+            ghost: GhostCells, scale) -> np.ndarray:
+    """The diffusion update out = z + tau*Lap(coeff*z), with scale =
+    tau*n^2 as a 0-d array, of one slice of shape grid.shape or of a stack
+    of them along one lead axis (the species of a cross-diffusion step):
+    coeff*z goes in one multiply into the march's ghost buffer of that
+    lead, the stencil, scaled once, into `out` one slice at a time (over
+    the buffer's `rows`), and z is added in one add."""
     np.multiply(coeff, z, ghost.inner)
-    lap_array(ghost, grid, out, scale)
+    if z.ndim == grid.dim:
+        lap_array(ghost, grid, out, scale)
+    else:
+        for row, o in zip(ghost.rows, out):
+            lap_array(row, grid, o, scale)
     return np.add(z, out, out)
 
 
@@ -160,7 +167,7 @@ def solve_forward(p: KolmogorovProblem) -> SolveReport:
     # the march works on grid-shaped views of the flat rows
     z, mu = on_grid(out, g), on_grid(p.mu.data, g)
     rhs = on_grid((p.source if source else p.reaction).data, g)
-    ghost, scale = GhostCells(g), tau * g.n ** 2
+    ghost, scale = GhostCells(g), np.array(tau * g.n ** 2)
     scratch = np.empty((row_blocks(g.steps, g.size)[0][1],) + g.shape)
 
     # z^{k+1} = z^k + tau*Lap(mu^k z^k), then + tau*G^k or * exp(tau*R^k),

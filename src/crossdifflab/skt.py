@@ -6,6 +6,13 @@ has a constant coefficient), and reacts through r_i evaluated on the
 smoothed densities of all species.  Replacing every kernel by the
 identity gives the classical local system; `converge_study` measures the
 distance between the two as the kernels shrink toward a Dirac mass.
+
+The explicit step is species-stacked: its buffers have one row per
+species, shape (I, n^dim), made once per march (StepScratch), and every
+operation that does not read another species runs once on the stack.
+The constants of the hot loop (tau, tau*n^2, the families' d, lo, hi,
+c_j, rho and s_j) are float64 0-d arrays made once, which numpy takes
+faster than Python floats, with the same bits.
 """
 
 from __future__ import annotations
@@ -17,7 +24,18 @@ import numpy as np
 
 from .kolmo import diffuse, march
 from .mollify import convolve_array, dirac_defect, make_kernels
-from .torus import GhostCells, Grid, Trajectory, is_real, spacetime_norm
+from .torus import (GhostCells, Grid, Trajectory, is_real, on_grid,
+                    spacetime_norm)
+
+
+def _zero_d(x) -> np.ndarray:
+    """x as a read-only 0-d float64 array."""
+    a = np.array(float(x))
+    a.flags.writeable = False
+    return a
+
+
+_ONE = _zero_d(1.0)
 
 
 def _smoothed_abs(y: np.ndarray, sigma: float) -> np.ndarray:
@@ -73,9 +91,12 @@ class CoeffFamily:
                 raise ValueError("constant coefficient must be positive")
             object.__setattr__(self, "lo", self.d)
             object.__setattr__(self, "hi", self.d)
-            return
-        if not (0.0 < self.lo <= self.hi):
+        elif not (0.0 < self.lo <= self.hi):
             raise ValueError(f"need 0 < lo <= hi, got [{self.lo}, {self.hi}]")
+        # the operands of evaluate as 0-d arrays (see the module docstring)
+        for name in ("d", "lo", "hi"):
+            object.__setattr__(self, f"_{name}", _zero_d(getattr(self, name)))
+        object.__setattr__(self, "_c", tuple(map(_zero_d, self.c)))
 
     @property
     def arity(self) -> int:
@@ -85,25 +106,27 @@ class CoeffFamily:
             return 1
         return len(self.c)
 
-    def evaluate(self, args) -> np.ndarray | float:
+    def evaluate(self, args, out=None) -> np.ndarray | float:
+        """a at the smoothed densities `args` (species i+1..I), written
+        into `out` when one is given; the constant kind returns d."""
         if self.kind == "constant":
             return self.d
         if len(args) != self.arity:
             raise ValueError(
                 f"{self.kind} expects {self.arity} arguments, got {len(args)}")
         if self.kind == "kinked_affine":
-            raw = self.d + self.kink * _smoothed_abs(args[0] - self.pivot,
-                                                     self.sigma)
+            raw = self._d + self.kink * _smoothed_abs(args[0] - self.pivot,
+                                                      self.sigma)
         else:
             # sum_j c_j v_j from the first term, not from 0: one add fewer;
             # the two differ only in the sign of a zero, which d + . (or
             # 1 + .) and the clip to lo > 0 erase
-            terms = [cj * aj for cj, aj in zip(self.c, args)]
+            terms = [cj * aj for cj, aj in zip(self._c, args)]
             lin = sum(terms[1:], terms[0]) if terms else 0
-            raw = (self.d + lin if self.kind == "clamped_affine"
-                   else self.d / (1.0 + lin))
+            raw = (self._d + lin if self.kind == "clamped_affine"
+                   else self._d / (_ONE + lin))
         # np.clip's result for lo <= hi, with less call overhead
-        return np.minimum(np.maximum(raw, self.lo), self.hi)
+        return np.minimum(np.maximum(raw, self._lo), self._hi, out=out)
 
 
 @dataclass(frozen=True)
@@ -118,18 +141,24 @@ class ReactionFamily:
                       **{f"s[{j}]": sj for j, sj in enumerate(self.s)})
         if any(sj < 0 for sj in self.s):
             raise ValueError("competition coefficients must be >= 0")
+        # the operands of evaluate as 0-d arrays (see the module
+        # docstring): rho and the (j, s_j) of the non-zero s_j
+        object.__setattr__(self, "_rho", _zero_d(self.rho))
+        object.__setattr__(self, "_terms", tuple(
+            (j, _zero_d(sj)) for j, sj in enumerate(self.s) if sj != 0.0))
 
     def evaluate(self, args) -> np.ndarray:
         if len(args) != len(self.s):
             raise ValueError(
                 f"reaction expects {len(self.s)} arguments, got {len(args)}")
-        terms = [sj * aj for sj, aj in zip(self.s, args) if sj != 0.0]
+        terms = self._terms
         if not terms:
             return np.full_like(np.asarray(args[0], dtype=np.float64),
                                 self.rho)
-        out = np.subtract(self.rho, terms[0])
-        for t in terms[1:]:
-            out -= t
+        j, sj = terms[0]
+        out = np.subtract(self._rho, sj * args[j])
+        for j, sj in terms[1:]:
+            out -= sj * args[j]
         return out
 
 
@@ -180,27 +209,56 @@ def evaluate_coeff(spec: SktSpec, i: int, state):
     return spec.coeffs[i].evaluate(_smoothed_state(spec, state)[i + 1:])
 
 
-def step(spec: SktSpec, state, out=None, scratch=None) -> list:
-    """One explicit step; coefficients frozen at the incoming state.  The
-    new state is written into `out` (one array per species, such as the
-    rows of a 2-D array, none of them overlapping the state) when given,
-    and returned.  `scratch` is a march's (GhostCells, work array of
-    grid.shape) pair, made here when not given."""
+class StepScratch:
+    """The buffers and constants of the steps of one march of `spec`,
+    made once: a ghost-cell buffer with one row per species (the stencil
+    runs on its row views), the coefficient rows, whose constant ones are
+    filled here, the rows of tau*r_i, and tau and tau*n^2 as 0-d arrays."""
+
+    def __init__(self, spec: SktSpec):
+        g = spec.grid
+        self.shape = (spec.species_count,) + g.shape
+        self.ghost = GhostCells(g, self.shape[:1])
+        self.coeff = np.empty(self.shape)
+        self.varying = []   # (i, family, row) of the non-constant rows
+        for i, (row, cf) in enumerate(zip(self.coeff, spec.coeffs)):
+            if cf.kind == "constant":
+                row[...] = cf.d
+            else:
+                self.varying.append((i, cf, row))
+        self.rate = np.empty(self.shape)
+        self.rates = list(self.rate)
+        self.tau = np.array(g.tau)
+        self.scale = np.array(g.tau * g.n ** 2)
+
+
+def step(spec: SktSpec, state, out=None, scratch=None) -> np.ndarray:
+    """One explicit step of all species at once; coefficients frozen at
+    the incoming state.  `state` holds one row per species, flat or of
+    grid.shape; the new state is written into `out`, an array of the same
+    shape not overlapping the state, made here when not given, and
+    returned.  `scratch` is the march's StepScratch, made here when not
+    given.
+
+    Every operation that does not read another species runs once on the
+    (I, ...) stack: the coefficient times state product, the add that ends
+    the diffusion update, the exp and the product with it.  Each species
+    still has its own convolution (relaxed species), coefficient, stencil
+    call and reaction, with the bits of a step species by species."""
     g = spec.grid
+    state = np.asarray(state)
     if out is None:
-        out = [np.empty(g.size) for _ in state]
-    ghost, work = scratch or (GhostCells(g), np.empty(g.shape))
-    scale = g.tau * g.n ** 2
-    state = [u.reshape(g.shape) for u in state]
-    smoothed = _smoothed_state(spec, state)
+        out = np.empty(state.shape)
+    buf = scratch or StepScratch(spec)
+    u, new = state.reshape(buf.shape), out.reshape(buf.shape)
+    smoothed = _smoothed_state(spec, u)
     # u_i <- (u_i + tau*Lap(a_i u_i)) * exp(tau*r_i)
-    for i, (u, unew) in enumerate(zip(state, out)):
-        unew = unew.reshape(g.shape)
-        diffuse(u, spec.coeffs[i].evaluate(smoothed[i + 1:]), g, unew,
-                ghost, scale)
-        r = spec.reactions[i].evaluate(smoothed)
-        np.multiply(r, g.tau, out=work)
-        np.multiply(unew, np.exp(work, out=work), out=unew)
+    for i, cf, row in buf.varying:
+        cf.evaluate(smoothed[i + 1:], row)
+    diffuse(u, buf.coeff, g, new, buf.ghost, buf.scale)
+    for reaction, rate in zip(spec.reactions, buf.rates):
+        np.multiply(reaction.evaluate(smoothed), buf.tau, rate)
+    np.multiply(new, np.exp(buf.rate, buf.rate), new)
     return out
 
 
@@ -211,12 +269,13 @@ def solve_system(spec: SktSpec):
     out = np.empty((spec.species_count, g.steps + 1, g.size))
     for o, f in zip(out, spec.init):
         o[0] = f.values
-
-    scratch = GhostCells(g), np.empty(g.shape)
+    # the (I, ...) state of each step, of grid shape
+    states = np.moveaxis(on_grid(out, g), 1, 0)
+    scratch = StepScratch(spec)
 
     def advance(a, b):
-        for k in range(a, b):
-            step(spec, out[:, k], out[:, k + 1], scratch)
+        for state, new in zip(states[a:b], states[a + 1:b + 1]):
+            step(spec, state, new, scratch)
 
     march(g, spec.hi_max(), out, advance)
     return [Trajectory(g, o) for o in out]

@@ -14,10 +14,17 @@ A space-time reduction reads only the rows that can differ: when all the
 trajectories it reads are constant in time (broadcast views of one row),
 it reads one row and multiplies by the number of slices, with the same
 bits (distinct_count).
+
+The marches' stencil works in a ghost-cell buffer made once per march
+(GhostCells), of one slice or of a stack of slices whose rows it also
+views.  Every constant of a march's hot loop, here the stencil's centre
+weight, is a float64 0-d array made once: numpy takes a 0-d array
+operand faster than a Python float, with the same bits.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import os
@@ -262,11 +269,15 @@ class GhostCells:
     stencil reads made once.  `inner` holds the slices; per axis, `rims`
     pairs the two rim cells (0 and n+1) with their periodic sources (n and
     1), and `neighbours` holds the views shifted by -1 and +1.  A march
-    makes one and writes each step's slice into `inner`."""
+    makes one and writes each step's slice, or stack of slices, into
+    `inner`.  `pad`, when given, is the padded buffer to view instead of a
+    new one (see `rows`).  `centre` is the stencil's -2 dim, a 0-d array."""
 
-    def __init__(self, grid: Grid, lead: tuple = ()):
+    def __init__(self, grid: Grid, lead: tuple = (),
+                 pad: np.ndarray | None = None):
         n, dim = grid.n, grid.dim
-        pad = np.empty(lead + (n + 2,) * dim)
+        if pad is None:
+            pad = np.empty(lead + (n + 2,) * dim)
         mid = slice(1, -1)
 
         def view(axis, cut):
@@ -274,25 +285,35 @@ class GhostCells:
             cuts[axis] = cut
             return pad[(...,) + tuple(cuts)]
 
+        self.grid, self.pad = grid, pad
+        self.centre = np.array(-2.0 * dim)
         self.inner = pad[(...,) + (mid,) * dim]
         self.rims = [(view(ax, slice(None, None, n + 1)),
                       view(ax, slice(n, 0, 1 - n))) for ax in range(dim)]
         self.neighbours = [view(ax, cut) for ax in range(dim)
                            for cut in (slice(None, -2), slice(2, None))]
 
+    @functools.cached_property
+    def rows(self) -> list:
+        """One GhostCells per index of the first lead axis, each a view of
+        that row of this buffer: a stack of species shares one buffer and
+        still takes the stencil one slice at a time.  Made at the first
+        use, once."""
+        return [GhostCells(self.grid, pad=row) for row in self.pad]
+
 
 def _stencil(ghost: GhostCells, grid: Grid, out: np.ndarray,
-             scale: float) -> np.ndarray:
+             scale) -> np.ndarray:
     """Fill the rim from `inner`, then out = scale * (-2 dim w, plus
-    w[i-1], plus w[i+1], axis by axis); no multiply when scale is 1.
+    w[i-1], plus w[i+1], axis by axis); no multiply when scale is None.
     The per-step calls pass `out` positionally: in a 1-D march at n = 64
     the `out=` keywords cost about a tenth of a step."""
     for rim, source in ghost.rims:
         rim[...] = source
-    np.multiply(ghost.inner, -2.0 * grid.dim, out)
+    np.multiply(ghost.inner, ghost.centre, out)
     for nb in ghost.neighbours:
         np.add(out, nb, out)
-    if scale != 1.0:
+    if scale is not None:
         np.multiply(out, scale, out)
     return out
 
@@ -317,7 +338,7 @@ def lap_stack(v: np.ndarray, grid: Grid, out: np.ndarray | None = None
 
 
 def lap_array(ghost: GhostCells, grid: Grid, out: np.ndarray,
-              scale: float) -> np.ndarray:
+              scale) -> np.ndarray:
     """The marches' per-step stencil: `scale` times the neighbour sum of
     `lap_stack`, of the march's own GhostCells with the step's slice
     already in `inner`.  The rim is filled in place and the result, of
@@ -325,9 +346,10 @@ def lap_array(ghost: GhostCells, grid: Grid, out: np.ndarray,
     tracer counts stencil applications per time step apart from the
     whole-trajectory uses of `lap_stack`.
 
-    n^2 = 1/h^2 is a power of two, so scale = tau*n^2 gives the bits of
-    Lap(v)*tau in one multiply, and scale = 1 leaves the sum for a product
-    that takes the n^2 itself (the dual's tau*mu): the same real number,
+    n^2 = 1/h^2 is a power of two, so scale = tau*n^2 (a march passes it
+    as a 0-d array) gives the bits of Lap(v)*tau in one multiply, and
+    scale = None leaves the sum for a product that takes the n^2 itself
+    (the dual's tau*mu): the same real number,
     rounded once either way, as long as the sum times n^2 stays finite.
     With the states below the blow-up guard's 1e12, only a mu beyond about
     1e280 could break that."""

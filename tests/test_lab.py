@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from crossdifflab import cli
 from crossdifflab.cli import main
 from crossdifflab.lab import (_KINDS, ConfigError, RunManifest,
                               atomic_write_text, build_field, parse_config,
@@ -896,13 +897,22 @@ def test_cli_verify_duality(tmp_path):
     assert main(["verify-duality", "--config", cfgp]) == 0
 
 
-def test_cli_skt_converge_eps_override(tmp_path, capsys):
+def test_cli_skt_converge_eps_override(tmp_path, capsys, monkeypatch):
+    # --eps replaces the config's eps before the one parse: the config's
+    # own eps, increasing here, is never read
+    parses = []
+
+    def counted(text):
+        parses.append(text)
+        return parse_config(text)
+    monkeypatch.setattr(cli, "parse_config", counted)
     cfgp = _write(tmp_path, "c.json", {
         "kind": "converge", "grid": dict(GRID), "species": SKT_SPECIES,
-        "eps": [0.4, 0.2]})
+        "eps": [0.1, 0.2]})
     code = main(["skt-converge", "--config", cfgp, "--eps", "0.2,0.1",
                  "--out", str(tmp_path / "out")])
     assert code == 0
+    assert len(parses) == 1
     lines = (tmp_path / "out" / "converge.csv").read_text().splitlines()
     assert [float(row.split(",")[0]) for row in lines[1:]] == [0.2, 0.1]
 

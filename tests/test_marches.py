@@ -189,9 +189,18 @@ def _ref_convolve(v, kern):
 
 
 def _ref_coeff(cf, args):
-    # the constant kind and the two argument kinds the cases draw
+    # the constant kind and the three argument kinds the cases draw
     if cf.kind == "constant":
         return cf.d
+    if cf.kind == "kinked_affine":
+        # kink * E|y + sigma Z|, Z standard normal, y = v_1 - pivot; the
+        # cases draw sigma > 0
+        from scipy.special import erf
+        y = args[0] - cf.pivot
+        mean_abs = (y * erf(y / (cf.sigma * np.sqrt(2.0)))
+                    + cf.sigma * np.sqrt(2.0 / np.pi)
+                    * np.exp(-(y * y) / (2.0 * (cf.sigma * cf.sigma))))
+        return np.clip(cf.d + cf.kink * mean_abs, cf.lo, cf.hi)
     lin = sum(cj * aj for cj, aj in zip(cf.c, args))
     raw = cf.d + lin if cf.kind == "clamped_affine" else cf.d / (1.0 + lin)
     return np.clip(raw, cf.lo, cf.hi)
@@ -289,28 +298,50 @@ def test_dual_march_is_the_per_step_loop(case, constant):
     assert np.array_equal(phi, _ref_dual(p))
 
 
-def _skt_case(g, rng, hi, kind, eps, s0):
+def _coeff(kind, rng, hi, arity):
+    if kind == "kinked_affine":   # sigma > 0: the erf-smoothed kink
+        return CoeffFamily(kind=kind, d=1.0, kink=rng.uniform(0.5, 1.5),
+                           pivot=rng.uniform(0.0, 1.5),
+                           sigma=rng.uniform(0.05, 0.5), lo=0.5, hi=hi)
+    c = tuple(rng.uniform(0.5, 1.5) for _ in range(arity))
+    return CoeffFamily(kind=kind, d=1.0, c=c, lo=0.5, hi=hi)
+
+
+def _skt_case(g, rng, hi, kind, eps, s0, species=2):
+    """Two species, or three: then species 0 takes a two-term c (of the
+    affine kind, or clamped_affine beside a kinked species 1), and species
+    1 a reaction row whose s is all zeros."""
     kern = make_kernel(g, eps) if eps else None
-    c = rng.uniform(0.5, 1.5)
+    if species == 2:
+        coeffs = (_coeff(kind, rng, hi, 1),
+                  CoeffFamily(kind="constant", d=rng.uniform(0.5, hi)))
+        reactions = (ReactionFamily(rho=1.0, s=s0),
+                     ReactionFamily(rho=0.5, s=(rng.uniform(0.0, 1.0), 1.0)))
+    else:
+        first = "clamped_affine" if kind == "kinked_affine" else kind
+        coeffs = (_coeff(first, rng, hi, 2), _coeff(kind, rng, hi, 1),
+                  CoeffFamily(kind="constant", d=rng.uniform(0.5, hi)))
+        reactions = (ReactionFamily(rho=1.0, s=s0 + (0.25,)),
+                     ReactionFamily(rho=0.75, s=(0.0, 0.0, 0.0)),
+                     ReactionFamily(rho=0.5, s=(rng.uniform(0.0, 1.0),
+                                                rng.uniform(0.0, 1.0), 1.0)))
     return SktSpec(
-        grid=g,
-        coeffs=(CoeffFamily(kind=kind, d=1.0, c=(c,), lo=0.5, hi=hi),
-                CoeffFamily(kind="constant", d=rng.uniform(0.5, hi))),
-        reactions=(ReactionFamily(rho=1.0, s=s0),
-                   ReactionFamily(rho=0.5, s=(rng.uniform(0.0, 1.0), 1.0))),
-        kernels=(kern, kern),
+        grid=g, coeffs=coeffs, reactions=reactions,
+        kernels=(kern,) * species,
         init=tuple(Field(g, rng.uniform(0.0, 1.5, g.size))
-                   for _ in range(2)))
+                   for _ in range(species)))
 
 
-@MARCH
+@settings(MARCH, max_examples=60)   # twice the draws for twice the kinds
 @given(blocked_grids(),
-       st.sampled_from(("clamped_affine", "rational_saturating")),
+       st.sampled_from(("clamped_affine", "rational_saturating",
+                        "kinked_affine")),
        st.sampled_from((None, 0.25)),
-       st.sampled_from(((1.0, 0.5), (0.0, 1.0), (0.0, 0.0))))
-def test_skt_march_is_the_per_step_loop(case, kind, eps, s0):
+       st.sampled_from(((1.0, 0.5), (0.0, 1.0), (0.0, 0.0))),
+       st.sampled_from((2, 3)))
+def test_skt_march_is_the_per_step_loop(case, kind, eps, s0, species):
     g, per, mu_hi, rng = case
-    spec = _skt_case(g, rng, mu_hi, kind, eps, s0)
+    spec = _skt_case(g, rng, mu_hi, kind, eps, s0, species)
     with _blocks_of(g, per):
         sol = solve_system(spec)
     ref = _ref_skt(spec)

@@ -9,10 +9,10 @@ from crossdifflab import skt as skt_mod
 from crossdifflab.kolmo import CflViolation, NumericalBlowUp, steps_for
 from crossdifflab.mollify import convolve_array, make_kernel
 from crossdifflab.skt import (CoeffFamily, ConvergenceRow, ReactionFamily,
-                              SktSpec, _smoothed_abs, converge_study,
-                              evaluate_coeff, regularization_study,
-                              solve_system, step)
-from crossdifflab.torus import Field, GhostCells, make_grid, spacetime_norm
+                              SktSpec, StepScratch, _smoothed_abs,
+                              converge_study, evaluate_coeff,
+                              regularization_study, solve_system, step)
+from crossdifflab.torus import Field, make_grid, spacetime_norm
 
 
 def _grid(n=32, t_final=0.02, hi=2.0, dim=1):
@@ -223,13 +223,13 @@ def test_step_matches_solve_system():
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_step_gives_the_march_bits_with_or_without_scratch(dim):
-    # solve_system passes one ghost buffer and work array to every step;
-    # a caller that passes none gets them made, and the same bits
+    # solve_system passes one StepScratch to every step; a caller that
+    # passes none gets one made, and the same bits
     g = _grid(n=16, dim=dim)
     spec = _two_species(g, eps1=0.15)
     sols = solve_system(spec)
     state = [f.values.copy() for f in spec.init]
-    scratch = GhostCells(g), np.empty(g.shape)
+    scratch = StepScratch(spec)
     for new in (step(spec, state), step(spec, state, scratch=scratch)):
         assert all(u.shape == (g.size,) for u in new)
         assert all(np.array_equal(sol.data[1], u)

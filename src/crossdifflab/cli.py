@@ -133,8 +133,13 @@ def main(argv=None) -> int:
         mf = maximal_function(_load_field(args.field))
         if args.out:
             dump_field(args.out, mf)
-        print(json.dumps({"sup": float(mf.values.max()),
-                          "mean": float(mf.values.mean())}, indent=2))
+        v = mf.values
+        # near the float range, the mean of v / n^dim (exact) times n^dim,
+        # whose sum cannot overflow
+        scale = v.size if v.max() > sys.float_info.max / v.size else 1
+        print(json.dumps({"sup": float(v.max()),
+                          "mean": float((v / scale).mean() * scale)},
+                         indent=2))
         return 0
     mx.set_defaults(handler=maximal_handler)
 

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kolmo import KolmogorovProblem, check_inputs, march, solve_forward
+from .kolmo import (KolmogorovProblem, check_inputs, march, march_rows,
+                    solve_forward)
 from .mollify import Kernel, convolve_array, make_kernels
-from .torus import (Field, GhostCells, Grid, Trajectory, grad_sq_stack,
-                    lap_array, lap_stack, on_grid, quadrature, row_blocks,
-                    spacetime_norm)
+from .torus import (Field, GhostCells, Grid, L2QDistances, Trajectory,
+                    grad_sq_stack, lap_array, lap_stack, on_grid, quadrature,
+                    row_blocks, spacetime_norm)
 
 # the relative slack of the a-priori estimate and the energy identities
 SLACK = 0.05
@@ -50,29 +51,30 @@ class EstimateReport:
 def solve_dual(p: DualProblem) -> Trajectory:
     g = p.grid
     tau = g.tau
-    out = np.empty((g.steps + 1, g.size))
+    out = march_rows(g)
     out[g.steps] = 0.0
     # the march works on grid-shaped views of the flat rows
-    phi, mu, s = on_grid(out, g), on_grid(p.mu.data, g), on_grid(p.s.data, g)
+    mu, s = on_grid(p.mu.data, g), on_grid(p.s.data, g)
     ghost = GhostCells(g)
     ghost.inner[...] = 0.0
     tmu, ts = np.empty((2, row_blocks(g.steps, g.size)[0][1]) + g.shape)
 
     # Phi^k = Phi^{k+1} + (tau*mu^k)*Lap(Phi^{k+1}) - tau*S^k, written
-    # straight into out[k] and then into the ghost buffer, which holds
-    # Phi^{k+1} for the next step.  The blocks of steps go backwards, with
-    # tau*mu^k and tau*S^k for a block at once; the stencil leaves its
-    # unscaled neighbour sum, and the block's tau*mu^k take the exact
-    # factor n^2 = 1/h^2 instead.
-    def advance(a, b):
+    # straight into the window's row of step k and then into the ghost
+    # buffer, which holds Phi^{k+1} for the next step.  The blocks of steps
+    # go backwards, with tau*mu^k and tau*S^k for a block at once; the
+    # stencil leaves its unscaled neighbour sum, and the block's tau*mu^k
+    # take the exact factor n^2 = 1/h^2 instead.
+    def advance(a, b, window):
         np.multiply(mu[a:b], tau, out=tmu[:b - a])
         np.multiply(tmu[:b - a], g.n ** 2, out=tmu[:b - a])
         np.multiply(s[a:b], tau, out=ts[:b - a])
-        for k in range(b - 1, a - 1, -1):
-            phinew = phi[k]
-            np.multiply(tmu[k - a], lap_array(ghost, g, phinew, None), phinew)
+        last = b - a - 1    # the block's new rows, last first
+        for phinew, tm, t in zip(on_grid(window, g)[last::-1],
+                                 tmu[last::-1], ts[last::-1]):
+            np.multiply(tm, lap_array(ghost, g, phinew, None), phinew)
             np.add(ghost.inner, phinew, phinew)
-            np.subtract(phinew, ts[k - a], phinew)
+            np.subtract(phinew, t, phinew)
             ghost.inner[...] = phinew
 
     march(g, p.mu_sup(), out, advance, backward=True)
@@ -157,13 +159,16 @@ class StabilityRow:
     z_distance: float    # ||z_eps - z||_{L2Q}
 
 
-def smooth_mu(mu: Trajectory, kernel: Kernel) -> Trajectory:
-    """Convolve every time slice of mu in space.  The kernel averages, so
+def smooth_mu(mu: Trajectory, kernel: Kernel,
+              out: np.ndarray | None = None) -> Trajectory:
+    """Convolve every time slice of mu in space, into `out` (an array of
+    the shape of mu.data) when one is given.  The kernel averages, so
     each true value lies in [min mu, max mu]; an FFT convolution is exact
     only to round-off of about eps * max mu, which can leave a value of a
     mu spanning many decades at or below 0.  Then every value below min mu
     is raised to it, which is within that round-off of the true value."""
-    out = np.empty_like(mu.data)
+    if out is None:
+        out = np.empty_like(mu.data)
     for k in range(mu.data.shape[0]):
         out[k] = convolve_array(mu.data[k], kernel)
     if out.min() <= 0.0:
@@ -177,19 +182,28 @@ def stability_study(mu_rough: Trajectory, smoothing_eps, z0: Field,
 
     Returns StabilityRow entries, one per eps, comparing each smoothed run
     to the rough reference in L1 (coefficients) and L2 (solutions).  Every
-    width is checked before the first solve.
+    width is checked before the first solve.  Only the reference run is
+    kept; each smoothed run streams into its distance.
     """
     grid = mu_rough.grid
     kernels = make_kernels(grid, smoothing_eps)
     ref = solve_forward(KolmogorovProblem(
         grid=grid, mu=mu_rough, z0=z0, source=g)).trajectory
-    rows = []
-    for kern in kernels:
-        mu_eps = smooth_mu(mu_rough, kern)
-        z_eps = solve_forward(KolmogorovProblem(
-            grid=grid, mu=mu_eps, z0=z0, source=g)).trajectory
-        mu_dist = spacetime_norm(mu_eps, "L1Q", minus=mu_rough)
-        z_dist = spacetime_norm(z_eps, "L2Q", minus=ref)
-        rows.append(StabilityRow(eps=kern.eps, mu_distance=mu_dist,
-                                 z_distance=z_dist))
-    return rows
+
+    # each width's smoothed mu goes into one buffer, and its run streams
+    # into its z distance.  A new trajectory-size array per width, freed
+    # as the next is made, is served from the C heap once the first is
+    # freed (glibc raises its mmap threshold), and one such array alone is
+    # below the heap's trim threshold: the process kept it after the study
+    smoothed = np.empty(mu_rough.data.shape)
+
+    def row(kern):
+        mu_eps = smooth_mu(mu_rough, kern, smoothed)
+        z_dist = L2QDistances([ref])
+        solve_forward(KolmogorovProblem(
+            grid=grid, mu=mu_eps, z0=z0, source=g), z_dist)
+        return StabilityRow(
+            eps=kern.eps,
+            mu_distance=spacetime_norm(mu_eps, "L1Q", minus=mu_rough),
+            z_distance=z_dist.distances()[0])
+    return [row(kern) for kern in kernels]

@@ -110,18 +110,40 @@ def steps_for(grid_dim: int, n: int, t_final: float, mu_sup: float) -> int:
     return int(np.ceil(steps))
 
 
+def march_rows(grid: Grid, lead: tuple = (), stream: bool = False
+               ) -> np.ndarray:
+    """The array a march writes, of shape lead + (rows, grid.size): the
+    whole trajectory, K+1 rows, or for a march that streams its rows to a
+    consumer, one block of rows (row_blocks) plus the carry row."""
+    rows = row_blocks(grid.steps, grid.size)[0][1] + 1 if stream \
+        else grid.steps + 1
+    return np.empty(lead + (rows, grid.size))
+
+
 def march(grid: Grid, coeff_sup: float, rows: np.ndarray, advance,
-          backward: bool = False) -> float:
+          backward: bool = False, consume=None) -> float:
     """The one explicit march.  CflViolation if grid.tau exceeds the bound
-    for the largest diffusion coefficient; else `advance(a, b)` writes the
-    new states of steps a..b-1 into `rows` (steps on the second-to-last
-    axis, species may lead) for each block of steps in marching order,
-    last block first when `backward`.  After each block NumericalBlowUp
-    names the first step in marching order whose new state has a value
-    beyond BLOWUP_LIMIT in magnitude or NaN, the step a per-step guard
-    would report; so a march may run one block past a blow-up, with
-    overflow and invalid results silenced.  Returns tau as a fraction of
-    the raw bound."""
+    for the largest diffusion coefficient; else, for each block of steps
+    a..b-1 in marching order (last block first when `backward`),
+    `advance(a, b, window)` writes the new states of those steps into
+    `window`, the march's rows a..b (steps on the second-to-last axis,
+    species may lead), whose row a (row b, backward) holds the state the
+    block starts from.  After each block NumericalBlowUp names the first
+    step in marching order whose new state has a value beyond
+    BLOWUP_LIMIT in magnitude or NaN, the step a per-step guard would
+    report; so a march may run one block past a blow-up, with overflow
+    and invalid results silenced.  Returns tau as a fraction of the raw
+    bound.
+
+    `rows` comes from march_rows.  Without `consume` it is the whole
+    trajectory and each window is a view of it.  With `consume` a forward
+    march streams: `rows` is one block plus a carry row and each window
+    its first rows.  Once a block has passed the guard, `consume(first,
+    finished)` takes its finished rows, the first of them row `first` (the
+    first block's start with the initial state), and the block's last
+    state moves to the carry row, row 0."""
+    if backward and consume is not None:
+        raise ValueError("a backward march keeps its rows")
     bound = cfl_timestep(grid, coeff_sup)
     if grid.tau > bound:
         raise CflViolation(
@@ -130,14 +152,21 @@ def march(grid: Grid, coeff_sup: float, rows: np.ndarray, advance,
     blocks = row_blocks(grid.steps, grid.size)
     with np.errstate(over="ignore", invalid="ignore"):
         for a, b in reversed(blocks) if backward else blocks:
-            advance(a, b)
-            first = a if backward else a + 1   # the block's lowest new row
-            new = rows[..., first:first + b - a, :]
-            if np.abs(new).max() <= BLOWUP_LIMIT:
-                continue
-            ok = (np.abs(new) <= BLOWUP_LIMIT).all(axis=-1)
-            bad = first + np.flatnonzero(~ok.reshape(-1, b - a).all(axis=0))
-            raise NumericalBlowUp(int(bad[-1] if backward else bad[0]))
+            at = a if consume is None else 0    # the window's first row
+            window = rows[..., at:at + b - a + 1, :]
+            advance(a, b, window)
+            new = window[..., :-1, :] if backward else window[..., 1:, :]
+            # NaN fails both, and neither makes a block-size temporary
+            if not (new.max() <= BLOWUP_LIMIT and new.min() >= -BLOWUP_LIMIT):
+                first = a if backward else a + 1   # the lowest new row
+                ok = (np.abs(new) <= BLOWUP_LIMIT).all(axis=-1)
+                bad = first + np.flatnonzero(
+                    ~ok.reshape(-1, b - a).all(axis=0))
+                raise NumericalBlowUp(int(bad[-1] if backward else bad[0]))
+            if consume is not None:
+                start = 0 if a == 0 else 1
+                consume(a + start, window[..., start:, :])
+                window[..., 0, :] = window[..., -1, :]
     return grid.tau * 2.0 * grid.dim * coeff_sup / grid.h ** 2
 
 
@@ -158,33 +187,39 @@ def diffuse(z: np.ndarray, coeff, grid: Grid, out: np.ndarray,
     return np.add(z, out, out)
 
 
-def solve_forward(p: KolmogorovProblem) -> SolveReport:
+def solve_forward(p: KolmogorovProblem, consume=None) -> SolveReport | None:
+    """March the problem over all time steps.  With `consume`, the march
+    streams every row of the trajectory to it, in marching order (see
+    march), keeps none of them and returns None."""
     g = p.grid
     tau = g.tau
     source = p.mode == "source"
-    out = np.empty((g.steps + 1, g.size))
+    out = march_rows(g, stream=consume is not None)
     out[0] = p.z0.values
     # the march works on grid-shaped views of the flat rows
-    z, mu = on_grid(out, g), on_grid(p.mu.data, g)
+    mu = on_grid(p.mu.data, g)
     rhs = on_grid((p.source if source else p.reaction).data, g)
     ghost, scale = GhostCells(g), np.array(tau * g.n ** 2)
     scratch = np.empty((row_blocks(g.steps, g.size)[0][1],) + g.shape)
 
     # z^{k+1} = z^k + tau*Lap(mu^k z^k), then + tau*G^k or * exp(tau*R^k),
-    # written straight into out[k+1]; tau*G^k (exp(tau*R^k)) for a block
-    # of steps at once
-    def advance(a, b):
+    # written straight into the window's row of step k+1; tau*G^k
+    # (exp(tau*R^k)) for a block of steps at once
+    def advance(a, b, window):
         trhs = np.multiply(rhs[a:b], tau, out=scratch[:b - a])
         if not source:
             np.exp(trhs, out=trhs)
-        for k in range(a, b):
-            znew = diffuse(z[k], mu[k], g, z[k + 1], ghost, scale)
+        z = on_grid(window, g)
+        for zk, znew, muk, t in zip(z[:-1], z[1:], mu[a:b], trhs):
+            diffuse(zk, muk, g, znew, ghost, scale)
             if source:
-                np.add(znew, trhs[k - a], znew)
+                np.add(znew, t, znew)
             else:
-                np.multiply(znew, trhs[k - a], znew)
+                np.multiply(znew, t, znew)
 
-    cfl_used = march(g, p.mu_sup(), out, advance)
+    cfl_used = march(g, p.mu_sup(), out, advance, consume=consume)
+    if consume is not None:
+        return None
     return SolveReport(
         trajectory=Trajectory(g, out),
         min_value=float(out.min()),

@@ -5,7 +5,9 @@ densities of species i+1..I only (strict triangularity; the last species
 has a constant coefficient), and reacts through r_i evaluated on the
 smoothed densities of all species.  Replacing every kernel by the
 identity gives the classical local system; `converge_study` measures the
-distance between the two as the kernels shrink toward a Dirac mass.
+distance between the two as the kernels shrink toward a Dirac mass.  The
+studies keep their reference run only: every other run streams its rows
+through the march into its distances (torus.L2QDistances).
 
 The explicit step is species-stacked: its buffers have one row per
 species, shape (I, n^dim), made once per march (StepScratch), and every
@@ -22,10 +24,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kolmo import diffuse, march
+from .kolmo import diffuse, march, march_rows
 from .mollify import convolve_array, dirac_defect, make_kernels
-from .torus import (GhostCells, Grid, Trajectory, is_real, on_grid,
-                    spacetime_norm)
+from .torus import (GhostCells, Grid, L2QDistances, Trajectory, is_real,
+                    on_grid, spacetime_norm)
 
 
 def _zero_d(x) -> np.ndarray:
@@ -262,23 +264,26 @@ def step(spec: SktSpec, state, out=None, scratch=None) -> np.ndarray:
     return out
 
 
-def solve_system(spec: SktSpec):
+def solve_system(spec: SktSpec, consume=None):
     """March the system over all time steps; returns one Trajectory per
-    species.  Positivity is exact under the global CFL bound."""
+    species.  Positivity is exact under the global CFL bound.  With
+    `consume`, the march streams the (I, rows, n^dim) blocks of the
+    trajectories to it (see kolmo.march), keeps none of them and returns
+    None."""
     g = spec.grid
-    out = np.empty((spec.species_count, g.steps + 1, g.size))
+    out = march_rows(g, (spec.species_count,), stream=consume is not None)
     for o, f in zip(out, spec.init):
         o[0] = f.values
-    # the (I, ...) state of each step, of grid shape
-    states = np.moveaxis(on_grid(out, g), 1, 0)
     scratch = StepScratch(spec)
 
-    def advance(a, b):
-        for state, new in zip(states[a:b], states[a + 1:b + 1]):
+    def advance(a, b, window):
+        # the (I, ...) state of each step, of grid shape
+        states = np.moveaxis(on_grid(window, g), 1, 0)
+        for state, new in zip(states[:-1], states[1:]):
             step(spec, state, new, scratch)
 
-    march(g, spec.hi_max(), out, advance)
-    return [Trajectory(g, o) for o in out]
+    march(g, spec.hi_max(), out, advance, consume=consume)
+    return None if consume is not None else [Trajectory(g, o) for o in out]
 
 
 @dataclass(frozen=True)
@@ -286,11 +291,6 @@ class ConvergenceRow:
     eps: float
     defect: float        # second moment of the kernel at this eps
     distances: tuple     # per-species L2(Q_T) distance to the local run
-
-
-def _distances(sol, ref) -> tuple:
-    """The per-species L2(Q_T) distances of one run to the reference."""
-    return tuple(spacetime_norm(s, "L2Q", minus=r) for s, r in zip(sol, ref))
 
 
 def converge_study(spec_template: SktSpec, eps_list) -> tuple:
@@ -304,9 +304,10 @@ def converge_study(spec_template: SktSpec, eps_list) -> tuple:
     count = spec_template.species_count
     rows = []
     for kern in kernels:
-        sol = solve_system(replace(spec_template, kernels=(kern,) * count))
+        dist = L2QDistances(ref)
+        solve_system(replace(spec_template, kernels=(kern,) * count), dist)
         rows.append(ConvergenceRow(eps=kern.eps, defect=dirac_defect(kern),
-                                   distances=_distances(sol, ref)))
+                                   distances=dist.distances()))
     return tuple(rows)
 
 
@@ -337,7 +338,8 @@ def regularization_study(spec: SktSpec, kink_strength: float,
     ref_norms = tuple(spacetime_norm(t, "L2Q") for t in ref)
     rows = []
     for sigma in sigmas:
-        sol = solve_system(kinked(base_spec, sigma=float(sigma)))
+        dist = L2QDistances(ref)
+        solve_system(kinked(base_spec, sigma=float(sigma)), dist)
         rows.append(RegularizationRow(sigma=float(sigma),
-                                      distances=_distances(sol, ref)))
+                                      distances=dist.distances()))
     return rows, ref_norms

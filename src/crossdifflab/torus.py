@@ -222,14 +222,20 @@ def time_sum(values, count: int, grid: Grid, *reads) -> float:
     """math.fsum of the `count` per-slice values that `values(a, b)` gives
     over per_slice, reading rows a..b-1 of each array of `reads` (none
     given: all rows are read).  When distinct_count makes those rows one,
-    values(0, 1) is the only one taken, times count.  The bits are the
-    same: fsum of count equal values v is the correctly rounded count*v,
-    and count * fsum([v]) is one rounding of that same real number.  Only
-    a total beyond the float range differs: inf here, where fsum of all
-    the values raises OverflowError."""
-    distinct = distinct_count(count, *reads)
-    sums = per_slice(values, distinct, grid)
-    return count // distinct * math.fsum(sums.tolist())
+    values(0, 1) is the only one taken (fsum_slices)."""
+    return fsum_slices(
+        per_slice(values, distinct_count(count, *reads), grid), count)
+
+
+def fsum_slices(sums: np.ndarray, count: int) -> float:
+    """math.fsum of `count` per-slice values: `sums` holds all of them, or
+    the one value of rows that distinct_count made one, which is then
+    taken count times.  The bits are the same: fsum of count equal values
+    v is the correctly rounded count*v, and count * fsum([v]) is one
+    rounding of that same real number.  Only a total beyond the float
+    range differs: inf here, where fsum of all the values raises
+    OverflowError."""
+    return count // len(sums) * math.fsum(sums.tolist())
 
 
 def row_sums(block: np.ndarray) -> np.ndarray:
@@ -241,16 +247,27 @@ def row_sums(block: np.ndarray) -> np.ndarray:
 
 def quadrature(rows, grid: Grid, *reads) -> float:
     """The left-endpoint space-time quadrature tau h^dim sum_{k<K} of the
-    values whose rows k0..k1-1 `rows(k0, k1)` computes, over time_sum; when
-    `reads` are given, they are all the arrays whose rows `rows` reads.
+    values whose rows k0..k1-1 `rows(k0, k1)` computes, over per_slice;
+    when `reads` are given, they are all the arrays whose rows `rows` reads
+    (see time_sum).
 
     Each row is summed by row_sums and the row sums are added with
     math.fsum.  A row's sum inside a block is the sum of that row alone,
     and fsum is exactly rounded, so the result depends on the row values
     only: not on the blocking, the layout, the order in which rows are
     summed or whether constant-in-time reads are read once."""
-    return float(grid.tau * grid.cell_volume() * time_sum(
-        lambda a, b: row_sums(rows(a, b)), grid.steps, grid, *reads))
+    sums = per_slice(lambda a, b: row_sums(rows(a, b)),
+                     distinct_count(grid.steps, *reads), grid)
+    return quadrature_of_sums(sums, grid)
+
+
+def quadrature_of_sums(sums: np.ndarray, grid: Grid) -> float:
+    """quadrature's end, on row sums its caller gathered: tau h^dim times
+    the fsum_slices of the row sums of rows 0..K-1 (or of the one row that
+    stands for all of them).  A march consumer that keeps each row's sum
+    (L2QDistances) gets the bits of the quadrature taken afterwards."""
+    return float(grid.tau * grid.cell_volume()
+                 * fsum_slices(sums, grid.steps))
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +496,31 @@ def spacetime_norm(traj: Trajectory, kind: str,
         return float(g.tau * time_sum(lambda a, b: norms(rows(a, b)),
                                       g.steps, g, *reads))
     raise ValueError(f"unknown spacetime norm kind {kind!r}")
+
+
+class L2QDistances:
+    """A march consumer (kolmo.march's `consume`) that measures a streamed
+    run against kept references: the L2(Q_T) distance of each species of
+    the run to its reference Trajectory, in order.  Of each row k < K it
+    keeps the row's sum of (run - reference)^2 (row_sums), one (K) vector
+    per species, and distances() finishes each by quadrature_of_sums; so
+    each distance has the bits of spacetime_norm(run, "L2Q", minus=ref)."""
+
+    def __init__(self, refs):
+        self.grid = refs[0].grid
+        self.refs = [r.data for r in refs]
+        self.sums = np.empty((len(refs), self.grid.steps))
+
+    def __call__(self, first: int, rows: np.ndarray) -> None:
+        stop = min(first + rows.shape[-2], self.grid.steps)
+        runs = rows.reshape(len(self.refs), -1, self.grid.size)
+        for run, ref, sums in zip(runs, self.refs, self.sums):
+            x = run[:stop - first] - ref[first:stop]
+            sums[first:stop] = row_sums(x * x)
+
+    def distances(self) -> tuple:
+        return tuple(float(np.sqrt(quadrature_of_sums(s, self.grid)))
+                     for s in self.sums)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ ring sums: each ball adds the ring of cells around the previous one.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +26,16 @@ class Weight:
     values: Field
 
     def __post_init__(self):
-        if self.values.values.min() <= 0.0:
+        lo, hi = self.values.values.min(), self.values.values.max()
+        if lo <= 0.0:
             raise ValueError("weight must be strictly positive")
+        # a2_constant takes 1/nu of nu = w / max w: finite only while
+        # max/min is within the float range
+        with np.errstate(under="ignore", divide="ignore", over="ignore"):
+            spread = 1.0 / (lo / hi)
+        if not np.isfinite(spread):
+            raise ValueError(f"weight max/min = {hi:g}/{lo:g} is beyond the "
+                             "float range: its A2 constant is not finite")
 
 
 def _add_rolls(acc: np.ndarray, a: np.ndarray, w: int, axis: int) -> None:
@@ -83,13 +92,22 @@ def _ball_sums(v: np.ndarray, grid: Grid):
 
 
 def maximal_function(f: Field) -> Field:
+    """Mf, the largest mean of |f| over the balls centered at each cell.
+    A ball holds fewer than n^dim cells, a power of two: when n^dim
+    max|f| would overflow, |f| is scaled by 2^-k = 1/n^dim (ldexp, exact
+    but for values that fall below the normal range) and Mf scaled back,
+    so its ball sums stay finite.  Other fields take no scaling."""
     g = f.grid
     a = np.abs(f.values)
+    shift = 0 if a.max() <= sys.float_info.max / g.size \
+        else g.size.bit_length() - 1
+    if shift:
+        a = np.ldexp(a, -shift)
     out = a.copy()  # the size-1 ball is the center cell itself
     mean = np.empty_like(a)
     for size, sums in _ball_sums(a, g):
         np.maximum(out, np.divide(sums, size ** g.dim, out=mean), out=out)
-    return Field(g, out)
+    return Field(g, np.ldexp(out, shift) if shift else out)
 
 
 def a2_constant(w: Weight) -> float:

@@ -1023,6 +1023,27 @@ def test_cli_maximal(tmp_path, capsys):
     assert abs(data[0][1] - 1.0 / 3.0) < 1e-12
 
 
+def test_cli_maximal_of_a_field_near_the_float_range(tmp_path, capsys):
+    # the ball sums overflowed: a traceback and exit 1
+    g = make_grid(2, 16, 1.0, 1)
+    path = tmp_path / "big.cdl"
+    dump_field(path, Field.constant(g, 1e308))
+    assert main(["maximal", "--field", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert abs(out["sup"] - 1e308) <= 1e-15 * 1e308
+    assert abs(out["mean"] - 1e308) <= 1e-15 * 1e308
+
+
+def test_weights_config_beyond_the_float_range_is_refused_at_parse():
+    # it parsed, and run reported a2_constant: inf and passed
+    # a2_at_least_one
+    with pytest.raises(ConfigError, match=r"^config\.weight: .*beyond "
+                                          "the float range"):
+        parse_config(json.dumps({
+            "kind": "weights", "grid": {"dim": 1, "n": 32},
+            "weight": {"family": "piecewise", "levels": [1e-300, 1e308]}}))
+
+
 def test_cli_sweep(tmp_path, capsys):
     cfgp = _write(tmp_path, "s.json", {
         "kind": "kolmogorov", "grid": dict(GRID),

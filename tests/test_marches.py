@@ -469,3 +469,84 @@ def test_blowup_in_the_last_new_state_is_reported(dim):
         assert _raised_step(solve_dual, DualProblem(
             grid=g, mu=p.mu, s=_jump(g, rng, 0))) == (0, False)
         assert _raised_step(solve_system, spec) == (g.steps, False)
+
+
+# ---------------------------------------------------------------------------
+# streamed runs: the march hands each finished block to a consumer and
+# keeps none; the studies measure such runs against a kept reference
+
+def _streamed_case(g, rng, mu_hi, kind):
+    """A solver that returns a list of trajectories (or None, streamed),
+    a reference problem and a run problem of the given kind: two forward
+    problems that differ in mu, or the local and a relaxed cross-diffusion
+    system."""
+    if kind == "skt":
+        ref = _skt_case(g, rng, mu_hi, "clamped_affine", None, (1.0, 0.5))
+        return solve_system, ref, replace(
+            ref, kernels=(make_kernel(g, 0.25),) * 2)
+    z0 = Field(g, rng.uniform(0.0, 1.0, g.size))
+    rhs = _data(g, rng, -1.0, 1.0, False)
+    ref, run = (KolmogorovProblem(grid=g, z0=z0, **{kind: rhs},
+                                  mu=_data(g, rng, 0.1, mu_hi, False))
+                for _ in range(2))
+
+    def solve(p, consume=None):
+        rep = solve_forward(p, consume)
+        return rep if rep is None else [rep.trajectory]
+    return solve, ref, run
+
+
+@MARCH
+@given(blocked_grids(), st.sampled_from(("source", "reaction", "skt")))
+def test_streamed_distance_is_the_kept_runs_norm(case, kind):
+    g, per, mu_hi, rng = case
+    solve, ref_problem, run_problem = _streamed_case(g, rng, mu_hi, kind)
+    with _blocks_of(g, per):
+        ref, kept = solve(ref_problem), solve(run_problem)
+        dist = torus.L2QDistances(ref)
+        seen = []
+
+        def consume(first, rows):
+            seen.append((first, rows.copy()))
+            dist(first, rows)
+        assert solve(run_problem, consume) is None
+    # every row once, in marching order, as the kept run has it
+    firsts = [first for first, _ in seen]
+    assert firsts == [0] + list(np.cumsum([r.shape[-2] for _, r in seen]))[:-1]
+    rows = np.concatenate([r for _, r in seen], axis=-2)
+    assert np.array_equal(rows.reshape(len(kept), g.steps + 1, g.size),
+                          np.stack([t.data for t in kept]))
+    assert [d.hex() for d in dist.distances()] == [
+        torus.spacetime_norm(k, "L2Q", minus=r).hex()
+        for k, r in zip(kept, ref)]
+
+
+@MARCH
+@given(blowups(), st.sampled_from(("source", "reaction", "skt")))
+def test_streamed_blowup_names_the_kept_runs_step(case, kind):
+    g, per, mu_hi, rng, j = case
+    if kind == "skt":
+        base = _skt_case(g, rng, mu_hi, "clamped_affine", 0.25, (1.0, 0.5))
+        r = base.reactions[0]
+
+        def problem():   # _JumpAt counts its calls: a fresh one per run
+            return replace(base, reactions=(_JumpAt(rho=r.rho, s=r.s, at=j),
+                                            base.reactions[1]))
+        solve = solve_system
+    else:
+        p = KolmogorovProblem(grid=g, mu=_data(g, rng, 0.1, mu_hi, False),
+                              z0=Field(g, rng.uniform(0.5, 1.0, g.size)),
+                              **{kind: _jump(g, rng, j)})
+
+        def problem():
+            return p
+        solve = solve_forward
+    seen = []
+    with _blocks_of(g, per):
+        kept = _raised_step(solve, problem())
+        streamed = _raised_step(
+            lambda q: solve(q, lambda first, rows: seen.append(
+                first + rows.shape[-2])), problem())
+    assert streamed == kept == (j + 1, False)
+    # a block reaches the consumer only after it passed the guard
+    assert all(stop <= j + 1 for stop in seen)

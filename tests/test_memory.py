@@ -7,10 +7,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from crossdifflab.dual import DualProblem, verify_apriori
+from crossdifflab.dual import DualProblem, stability_study, verify_apriori
 from crossdifflab.kolmo import (KolmogorovProblem, comparison_check,
-                                solve_forward)
+                                solve_forward, steps_for)
 from crossdifflab.lab import build_field
+from crossdifflab.skt import (CoeffFamily, ReactionFamily, SktSpec,
+                              converge_study)
 from crossdifflab.torus import (Field, Trajectory, dump_slices, load_field,
                                 load_slices, make_grid, spacetime_norm)
 
@@ -111,3 +113,46 @@ def test_comparison_check_peak(traj):
     defect = z - z0 * np.exp(g.times())[:, None]
     assert reports[0].max_defect == defect.max()
     assert reports[0].rel_defect == defect.max() / np.abs(z0).max()
+
+
+# the studies keep their reference run and stream every other run into its
+# distances.  A 2-D n = 64 grid of 601 steps (sup mu = 2): a trajectory is
+# 19.7 MB, and the rest of a study (a march's block buffer of 9 rows, its
+# per-step buffers, the kernels) takes about 1.7 MB
+STUDY_GRID = make_grid(2, 64, 0.0165, steps_for(2, 64, 0.0165, 2.0))
+
+
+def _trajectory_bytes(g):
+    return (g.steps + 1) * g.size * 8
+
+
+def test_converge_study_keeps_only_its_reference_run():
+    g = STUDY_GRID
+    spec = SktSpec(
+        grid=g,
+        coeffs=(CoeffFamily(kind="clamped_affine", d=1.0, c=(1.0,),
+                            lo=0.5, hi=2.0),
+                CoeffFamily(kind="constant", d=1.0)),
+        reactions=(ReactionFamily(rho=1.0, s=(1.0, 1.0)),
+                   ReactionFamily(rho=1.0, s=(0.0, 1.0))),
+        kernels=(None, None),
+        init=(Field.from_function(g, lambda x, y: 1.0 + 0.3 * np.cos(
+                  2 * np.pi * x)),
+              Field.from_function(g, lambda x, y: 1.0 + 0.2 * np.sin(
+                  2 * np.pi * (x + y)))))
+    one = _trajectory_bytes(g)
+    # the local run's two trajectories; each relaxed run held two more
+    assert _peak(lambda: converge_study(spec, [0.4, 0.2])) < (2 + 1 / 8) * one
+
+
+def test_stability_study_keeps_only_its_reference_run():
+    g = STUDY_GRID
+    rng = np.random.default_rng(12)
+    mu = Trajectory.constant_in_time(g, Field(g, rng.uniform(0.5, 2.0,
+                                                             g.size)))
+    z0 = Field(g, rng.uniform(0.0, 1.0, g.size))
+    one = _trajectory_bytes(g)
+    # the rough run and the one buffer that holds each width's smoothed
+    # mu; each smoothed run, and the previous width's mu, were held too
+    assert _peak(lambda: stability_study(
+        mu, [0.4, 0.2], z0, Trajectory.constant(g, 0.0))) < (2 + 1 / 8) * one

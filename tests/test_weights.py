@@ -1,6 +1,7 @@
 """Maximal function, A2 constants and weighted-estimate checks."""
 
 import itertools
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,18 @@ def test_weight_must_be_positive():
     g = make_grid(1, 8, 1.0, 1)
     with pytest.raises(ValueError, match="strictly positive"):
         Weight(Field.constant(g, 0.0))
+
+
+@pytest.mark.parametrize("lo, hi", [(1e-300, 1e308), (1e-10, 1e300),
+                                    (2.0 ** -1074, 1.0)])
+def test_weight_beyond_the_float_range_is_refused(lo, hi):
+    # max/min overflowed, and a2_constant returned inf with two
+    # RuntimeWarnings; a max/min just inside the range keeps a finite A2
+    g = make_grid(1, 8, 1.0, 1)
+    with pytest.raises(ValueError, match="beyond the float range"):
+        Weight(Field(g, np.where(np.arange(8) % 2, hi, lo)))
+    inside = Weight(Field(g, np.where(np.arange(8) % 2, 1.7e308, 1.0)))
+    assert np.isfinite(a2_constant(inside))
 
 
 def test_maximal_dominates_f():
@@ -49,6 +62,22 @@ def test_maximal_constant_fixed_point():
     g = make_grid(2, 16, 1.0, 1)
     mf = maximal_function(Field.constant(g, 2.0))
     assert np.abs(mf.values - 2.0).max() < 1e-13
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_maximal_function_near_the_float_range(dim):
+    # the ball sums of a constant 1e308 field overflowed, and Field refused
+    # the result as non-finite.  A field beyond float max / n^dim is scaled
+    # by 1/n^dim (exact) and back; an in-range field is not scaled
+    g = make_grid(dim, 16, 1.0, 1)
+    v = np.random.default_rng(dim).standard_normal(g.size)
+    mf = maximal_function(Field(g, v)).values
+    big = np.ldexp(v, 1020)
+    assert np.abs(big).max() > sys.float_info.max / g.size
+    assert np.array_equal(maximal_function(Field(g, big)).values,
+                          np.ldexp(mf, 1020))
+    top = maximal_function(Field.constant(g, 1e308)).values
+    assert np.all(np.abs(top - 1e308) <= 1e-15 * 1e308)
 
 
 def test_a2_constant_one_for_constant_weight():

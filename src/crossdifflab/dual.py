@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kolmo import (KolmogorovProblem, check_inputs, march, march_rows,
+from .kolmo import (KolmogorovProblem, check_inputs, keep, march,
                     solve_forward)
 from .mollify import Kernel, convolve_array, make_kernels
 from .torus import (Field, GhostCells, Grid, L2QDistances, Trajectory,
@@ -51,8 +51,7 @@ class EstimateReport:
 def solve_dual(p: DualProblem) -> Trajectory:
     g = p.grid
     tau = g.tau
-    out = march_rows(g)
-    out[g.steps] = 0.0
+    out = np.empty((g.steps + 1, g.size))   # first, as in solve_forward
     # the march works on grid-shaped views of the flat rows
     mu, s = on_grid(p.mu.data, g), on_grid(p.s.data, g)
     ghost = GhostCells(g)
@@ -77,7 +76,8 @@ def solve_dual(p: DualProblem) -> Trajectory:
             np.subtract(phinew, t, phinew)
             ghost.inner[...] = phinew
 
-    march(g, p.mu_sup(), out, advance, backward=True)
+    march(g, p.mu_sup(), np.zeros(g.size), advance, keep(out),
+          backward=True)
     return Trajectory(g, out)
 
 

@@ -110,63 +110,60 @@ def steps_for(grid_dim: int, n: int, t_final: float, mu_sup: float) -> int:
     return int(np.ceil(steps))
 
 
-def march_rows(grid: Grid, lead: tuple = (), stream: bool = False
-               ) -> np.ndarray:
-    """The array a march writes, of shape lead + (rows, grid.size): the
-    whole trajectory, K+1 rows, or for a march that streams its rows to a
-    consumer, one block of rows (row_blocks) plus the carry row."""
-    rows = row_blocks(grid.steps, grid.size)[0][1] + 1 if stream \
-        else grid.steps + 1
-    return np.empty(lead + (rows, grid.size))
+def keep(data: np.ndarray):
+    """The march consumer that keeps a trajectory: each block of finished
+    rows goes into rows first.. of `data`, shape lead + (K+1, grid.size)."""
+    def consume(first, rows):
+        data[..., first:first + rows.shape[-2], :] = rows
+    return consume
 
 
-def march(grid: Grid, coeff_sup: float, rows: np.ndarray, advance,
-          backward: bool = False, consume=None) -> float:
+def march(grid: Grid, coeff_sup: float, start: np.ndarray, advance,
+          consume, backward: bool = False) -> float:
     """The one explicit march.  CflViolation if grid.tau exceeds the bound
-    for the largest diffusion coefficient; else, for each block of steps
-    a..b-1 in marching order (last block first when `backward`),
-    `advance(a, b, window)` writes the new states of those steps into
-    `window`, the march's rows a..b (steps on the second-to-last axis,
-    species may lead), whose row a (row b, backward) holds the state the
-    block starts from.  After each block NumericalBlowUp names the first
-    step in marching order whose new state has a value beyond
-    BLOWUP_LIMIT in magnitude or NaN, the step a per-step guard would
-    report; so a march may run one block past a blow-up, with overflow
-    and invalid results silenced.  Returns tau as a fraction of the raw
-    bound.
-
-    `rows` comes from march_rows.  Without `consume` it is the whole
-    trajectory and each window is a view of it.  With `consume` a forward
-    march streams: `rows` is one block plus a carry row and each window
-    its first rows.  Once a block has passed the guard, `consume(first,
-    finished)` takes its finished rows, the first of them row `first` (the
-    first block's start with the initial state), and the block's last
-    state moves to the carry row, row 0."""
-    if backward and consume is not None:
-        raise ValueError("a backward march keeps its rows")
+    for the largest diffusion coefficient; else it works in a buffer of
+    one block of rows (row_blocks) plus a carry row that starts as
+    `start`, of shape lead + (grid.size,) (species may lead; steps go on
+    the second-to-last axis).  For each block of steps a..b-1 in marching
+    order (last block first when `backward`), `advance(a, b, window)`
+    writes the new states of those steps into `window`, the buffer's rows
+    for steps a..b, whose carry row, its first (last, backward), holds
+    the state the block starts from.  After each block NumericalBlowUp
+    names the first step in marching order whose new state has a value
+    beyond BLOWUP_LIMIT in magnitude or NaN, the step a per-step guard
+    would report; so a march may run one block past a blow-up, with
+    overflow and invalid results silenced.  A block that passed the guard
+    goes to `consume(first, rows)`, its finished rows in index order from
+    row `first` (the opening block's with the start state), and the state
+    the next block starts from moves to the carry row.  Returns tau as a
+    fraction of the raw bound."""
     bound = cfl_timestep(grid, coeff_sup)
     if grid.tau > bound:
         raise CflViolation(
             f"tau={grid.tau:g} exceeds CFL bound {bound:g} "
             f"(sup mu = {coeff_sup:g})")
     blocks = row_blocks(grid.steps, grid.size)
+    per = blocks[0][1]      # the steps of a full block
+    rows = np.empty(start.shape[:-1] + (per + 1, grid.size))
+    carry, last = (-1, 0) if backward else (0, -1)
+    rows[..., carry, :] = start
     with np.errstate(over="ignore", invalid="ignore"):
         for a, b in reversed(blocks) if backward else blocks:
-            at = a if consume is None else 0    # the window's first row
-            window = rows[..., at:at + b - a + 1, :]
+            window = rows[..., per - (b - a):, :] if backward \
+                else rows[..., :b - a + 1, :]
             advance(a, b, window)
             new = window[..., :-1, :] if backward else window[..., 1:, :]
+            first = a if backward else a + 1   # the lowest new row
             # NaN fails both, and neither makes a block-size temporary
             if not (new.max() <= BLOWUP_LIMIT and new.min() >= -BLOWUP_LIMIT):
-                first = a if backward else a + 1   # the lowest new row
                 ok = (np.abs(new) <= BLOWUP_LIMIT).all(axis=-1)
                 bad = first + np.flatnonzero(
                     ~ok.reshape(-1, b - a).all(axis=0))
                 raise NumericalBlowUp(int(bad[-1] if backward else bad[0]))
-            if consume is not None:
-                start = 0 if a == 0 else 1
-                consume(a + start, window[..., start:, :])
-                window[..., 0, :] = window[..., -1, :]
+            if b == grid.steps if backward else a == 0:
+                new, first = window, a     # the opening block: with start
+            consume(first, new)
+            window[..., carry, :] = window[..., last, :]
     return grid.tau * 2.0 * grid.dim * coeff_sup / grid.h ** 2
 
 
@@ -194,8 +191,9 @@ def solve_forward(p: KolmogorovProblem, consume=None) -> SolveReport | None:
     g = p.grid
     tau = g.tau
     source = p.mode == "source"
-    out = march_rows(g, stream=consume is not None)
-    out[0] = p.z0.values
+    # a kept trajectory comes before the march's buffers: after them on the
+    # C heap, it left the next run a hole it did not fit (3 MB more RSS)
+    out = np.empty((g.steps + 1, g.size)) if consume is None else None
     # the march works on grid-shaped views of the flat rows
     mu = on_grid(p.mu.data, g)
     rhs = on_grid((p.source if source else p.reaction).data, g)
@@ -217,8 +215,9 @@ def solve_forward(p: KolmogorovProblem, consume=None) -> SolveReport | None:
             else:
                 np.multiply(znew, t, znew)
 
-    cfl_used = march(g, p.mu_sup(), out, advance, consume=consume)
-    if consume is not None:
+    cfl_used = march(g, p.mu_sup(), p.z0.values, advance,
+                     consume if out is None else keep(out))
+    if out is None:
         return None
     return SolveReport(
         trajectory=Trajectory(g, out),

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kolmo import diffuse, march, march_rows
+from .kolmo import diffuse, keep, march
 from .mollify import convolve_array, dirac_defect, make_kernels
 from .torus import (GhostCells, Grid, L2QDistances, Trajectory, is_real,
                     on_grid, spacetime_norm)
@@ -271,9 +271,8 @@ def solve_system(spec: SktSpec, consume=None):
     trajectories to it (see kolmo.march), keeps none of them and returns
     None."""
     g = spec.grid
-    out = march_rows(g, (spec.species_count,), stream=consume is not None)
-    for o, f in zip(out, spec.init):
-        o[0] = f.values
+    out = np.empty((spec.species_count, g.steps + 1, g.size)) \
+        if consume is None else None   # first, as in solve_forward
     scratch = StepScratch(spec)
 
     def advance(a, b, window):
@@ -282,8 +281,9 @@ def solve_system(spec: SktSpec, consume=None):
         for state, new in zip(states[:-1], states[1:]):
             step(spec, state, new, scratch)
 
-    march(g, spec.hi_max(), out, advance, consume=consume)
-    return None if consume is not None else [Trajectory(g, o) for o in out]
+    march(g, spec.hi_max(), np.stack([f.values for f in spec.init]),
+          advance, consume if out is None else keep(out))
+    return None if out is None else [Trajectory(g, o) for o in out]
 
 
 @dataclass(frozen=True)

@@ -441,8 +441,24 @@ def _hminus1(grid: Grid):
 
 
 def norm(f: Field, kind: str) -> float:
-    v = f.values
-    vol = f.grid.cell_volume()
+    """The norm of the given kind.  Every kind is 1-homogeneous: when the
+    value overflows (a square or a sum beyond the float range), f is
+    scaled by the power of two 2^-e that brings max|f| into [1/2, 1)
+    (ldexp, exact but for values that fall below the normal range) and
+    the norm scaled back by 2^e.  In-range values take no scaling.  The
+    result is inf only when the norm itself is beyond the float range, as
+    the H1 norm of a field near it can be."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _norm(f.values, f.grid, kind)
+        if np.isfinite(value):
+            return value
+        _, e = np.frexp(np.abs(f.values).max())
+        return float(np.ldexp(_norm(np.ldexp(f.values, -e), f.grid, kind),
+                              e))
+
+
+def _norm(v: np.ndarray, grid: Grid, kind: str) -> float:
+    vol = grid.cell_volume()
     if kind == "L1":
         return float(vol * np.abs(v).sum())
     if kind == "L2":
@@ -450,9 +466,9 @@ def norm(f: Field, kind: str) -> float:
     if kind == "Linf":
         return float(np.abs(v).max())
     if kind == "H1":
-        return float(np.sqrt(vol * np.dot(v, v) + grad_sq_stack(v, f.grid)))
+        return float(np.sqrt(vol * np.dot(v, v) + grad_sq_stack(v, grid)))
     if kind == "Hminus1":
-        return float(_hminus1(f.grid)(v[None])[0])
+        return float(_hminus1(grid)(v[None])[0])
     raise ValueError(f"unknown norm kind {kind!r}")
 
 

@@ -129,7 +129,14 @@ def a2_constant(w: Weight) -> float:
 
 def domination_check(f: Field, ks) -> EstimateReport:
     """Measured constant A* in |f * rho_eps| <= A* M|f|, over the kernels
-    `ks`; 1e-300 added to M|f| keeps a zero field from dividing by 0."""
+    `ks`; 1e-300 added to M|f| keeps a zero field from dividing by 0.
+    A* does not change when f is scaled: when max|f| is beyond float max
+    / n^(2 dim), f is scaled by 2^-k = 1/n^(2 dim) (ldexp, exact but for
+    values that fall below the normal range), so that its FFT
+    convolutions stay finite.  Other fields take no scaling."""
+    g = f.grid
+    if np.abs(f.values).max() > sys.float_info.max / g.size ** 2:
+        f = Field(g, np.ldexp(f.values, -2 * (g.size.bit_length() - 1)))
     mf = maximal_function(f).values + 1e-300
     a_star = 0.0
     for kern in ks:

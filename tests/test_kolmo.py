@@ -42,8 +42,9 @@ def test_cfl_refuses_a_sup_that_is_not_finite_and_positive(sup):
         cfl_timestep(g, sup)
     calls = []
     with pytest.raises(ValueError, match="finite and positive"):
-        march(g, sup, np.zeros((g.steps + 1, g.size)),
-              lambda a, b: calls.append((a, b)))
+        march(g, sup, np.zeros(g.size),
+              lambda a, b, window: calls.append((a, b)),
+              lambda first, rows: calls.append(first))
     assert calls == []
 
 

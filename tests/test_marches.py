@@ -496,6 +496,17 @@ def _streamed_case(g, rng, mu_hi, kind):
     return solve, ref, run
 
 
+def _joined(seen, backward=False):
+    """The rows of the recorded (first, rows) blocks joined in index order,
+    once it is checked that the blocks came in marching order (last block
+    first when `backward`) and hold every row once."""
+    order = seen[::-1] if backward else seen
+    firsts = [first for first, _ in order]
+    assert firsts == [0] + list(
+        np.cumsum([rows.shape[-2] for _, rows in order]))[:-1]
+    return np.concatenate([rows for _, rows in order], axis=-2)
+
+
 @MARCH
 @given(blocked_grids(), st.sampled_from(("source", "reaction", "skt")))
 def test_streamed_distance_is_the_kept_runs_norm(case, kind):
@@ -511,9 +522,7 @@ def test_streamed_distance_is_the_kept_runs_norm(case, kind):
             dist(first, rows)
         assert solve(run_problem, consume) is None
     # every row once, in marching order, as the kept run has it
-    firsts = [first for first, _ in seen]
-    assert firsts == [0] + list(np.cumsum([r.shape[-2] for _, r in seen]))[:-1]
-    rows = np.concatenate([r for _, r in seen], axis=-2)
+    rows = _joined(seen)
     assert np.array_equal(rows.reshape(len(kept), g.steps + 1, g.size),
                           np.stack([t.data for t in kept]))
     assert [d.hex() for d in dist.distances()] == [
@@ -550,3 +559,77 @@ def test_streamed_blowup_names_the_kept_runs_step(case, kind):
     assert streamed == kept == (j + 1, False)
     # a block reaches the consumer only after it passed the guard
     assert all(stop <= j + 1 for stop in seen)
+
+
+# ---------------------------------------------------------------------------
+# one layout: every march, forward or backward, works in one block plus a
+# carry row and hands its finished rows to its consumer; keeping a
+# trajectory is one such consumer (kolmo.keep)
+
+@MARCH
+@given(blocked_grids(), st.booleans(), st.sampled_from(((), (2,))))
+def test_march_carries_each_blocks_start_in_either_direction(
+        case, backward, lead):
+    # a toy scheme whose state is the start plus the steps marched: a
+    # window whose carry row did not hold its block's start would show
+    g, per, mu_hi, rng = case
+    start = rng.integers(-100, 100, lead + (g.size,)).astype(float)
+
+    def advance(a, b, window):
+        assert window.shape == lead + (b - a + 1, g.size)
+        for i in range(b - a - 1, -1, -1) if backward else range(b - a):
+            new, old = (i, i + 1) if backward else (i + 1, i)
+            window[..., new, :] = window[..., old, :] + 1.0
+    seen = []
+    with _blocks_of(g, per):
+        kolmo.march(g, mu_hi, start, advance,
+                    lambda first, rows: seen.append((first, rows.copy())),
+                    backward)
+    rows = _joined(seen, backward)
+    for first, block in seen:   # a block's rows, the start with the first
+        opens = first + block.shape[-2] > g.steps if backward else first == 0
+        assert block.shape[-2] <= per + opens
+    k = np.arange(g.steps + 1.0)
+    steps = g.steps - k if backward else k
+    assert np.array_equal(rows, start[..., None, :] + steps[:, None])
+
+
+def _recorded_march(seen):
+    """kolmo.march, with each block its consumer takes recorded."""
+    def recorded(grid, coeff_sup, start, advance, consume, backward=False):
+        def both(first, rows):
+            seen.append((first, rows.copy()))
+            consume(first, rows)
+        return kolmo.march(grid, coeff_sup, start, advance, both, backward)
+    return recorded
+
+
+@MARCH
+@given(blocked_grids(), st.booleans())
+def test_backward_march_hands_over_the_dual_rows(case, constant):
+    g, per, mu_hi, rng = case
+    p = DualProblem(grid=g, mu=_data(g, rng, 0.1, mu_hi, constant),
+                    s=_data(g, rng, -1.0, 1.0, constant))
+    seen = []
+    with _blocks_of(g, per), pytest.MonkeyPatch.context() as mp:
+        kept = solve_dual(p).data
+        mp.setattr(dual, "march", _recorded_march(seen))
+        assert np.array_equal(solve_dual(p).data, kept)
+    # rows K..0, once each, last block first, each block in index order
+    assert np.array_equal(_joined(seen, True), kept)
+    assert np.array_equal(kept, _ref_dual(p))
+
+
+@MARCH
+@given(blowups())
+def test_backward_blowup_never_reaches_the_consumer(case):
+    g, per, mu_hi, rng, j = case
+    p = DualProblem(grid=g, mu=_data(g, rng, 0.1, mu_hi, False),
+                    s=_jump(g, rng, j))
+    seen = []
+    with _blocks_of(g, per), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dual, "march", _recorded_march(seen))
+        assert _raised_step(solve_dual, p) == (j, False)
+    # the blocks above the bad row passed the guard; its own block did not
+    assert all(first > j for first, _ in seen)
+    assert len(seen) == (g.steps - 1) // per - j // per

@@ -1,9 +1,12 @@
 """Grids, fields, discrete operators, norms and binary dumps."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossdifflab.torus import (Field, Grid, Trajectory, atomic_write,
                                 dump_field, dump_slices, dump_trajectory,
@@ -195,6 +198,31 @@ def test_norm_unknown_kind():
     g = make_grid(1, 8, 1.0, 1)
     with pytest.raises(ValueError):
         norm(Field.constant(g, 1.0), "L7")
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from((1, 2)), st.sampled_from((8, 16, 32)),
+       st.integers(-400, 1023), st.integers(0, 2 ** 32 - 1))
+def test_norms_hold_across_the_float_range(dim, n, e, seed):
+    # 1e200*cos gave inf in L2, H1 and Hminus1 (1-D, n = 64), 1e306*cos
+    # inf in L1 and NaN in Hminus1 (2-D, n = 32): a square or a sum
+    # overflowed.  Every kind is 1-homogeneous, so the norm of 2^e u is
+    # 2^e times the norm of u, finite unless that is beyond the float
+    # range (H1 only, whose gradient term grows with n)
+    g = make_grid(dim, n, 1.0, 1)
+    u = np.random.default_rng(seed).uniform(-1.0, 1.0, g.size)
+    f = Field(g, np.ldexp(u, e))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for kind in ("L1", "L2", "Linf", "H1", "Hminus1"):
+            got = norm(f, kind)
+            try:
+                want = math.ldexp(norm(Field(g, u), kind), e)
+            except OverflowError:
+                assert kind == "H1" and got == math.inf
+                continue
+            assert math.isfinite(got)
+            assert abs(got - want) <= 1e-12 * want
 
 
 def test_fourier_parseval():

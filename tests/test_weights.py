@@ -1,14 +1,16 @@
 """Maximal function, A2 constants and weighted-estimate checks."""
 
 import itertools
+import math
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from crossdifflab.kolmo import steps_for
-from crossdifflab.mollify import kernel_sequence
+from crossdifflab.mollify import kernel_sequence, make_kernels
 from crossdifflab.torus import Field, Trajectory, make_grid
 from crossdifflab.weights import (Weight, a2_constant, a2_ratio_correlation,
                                   domination_check, energy_identity_case_ii,
@@ -78,6 +80,22 @@ def test_maximal_function_near_the_float_range(dim):
                           np.ldexp(mf, 1020))
     top = maximal_function(Field.constant(g, 1e308)).values
     assert np.all(np.abs(top - 1e308) <= 1e-15 * 1e308)
+
+
+def test_domination_check_near_the_float_range():
+    # the FFT convolutions of a constant 1e308 field overflowed to NaN, and
+    # max(0.0, nan) kept A* = 0.0 with the check passed.  A field beyond
+    # float max / n^(2 dim) is scaled by 1/n^(2 dim) (exact), which leaves
+    # A* as it is
+    g = make_grid(2, 32, 1.0, 1)
+    ks = make_kernels(g, [0.4, 0.2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        top = domination_check(Field.constant(g, 1e308), ks).lhs
+        v = np.random.default_rng(3).standard_normal(g.size)
+        big = domination_check(Field(g, np.ldexp(v, 1015)), ks).lhs
+        assert big == domination_check(Field(g, np.ldexp(v, 995)), ks).lhs
+    assert math.isfinite(top) and abs(top - 1.0) <= 1e-12
 
 
 def test_a2_constant_one_for_constant_weight():

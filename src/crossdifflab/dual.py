@@ -6,7 +6,9 @@ by parts over the K steps gives, for any forward solution z,
 
     tau*sum_k <z^k, S^k> + <z^0, Phi^0> + tau*sum_k <G^k, Phi^{k+1}> = 0,
 
-an identity that holds to round-off.  `duality_residual` measures it.
+an identity that holds to round-off.  `duality_residual` measures it on
+kept trajectories, `streamed_duality_residual` on the two marches' blocks,
+with the same bits.
 """
 
 from __future__ import annotations
@@ -15,12 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kolmo import (KolmogorovProblem, check_inputs, keep, march,
+from .kolmo import (KolmogorovProblem, check_inputs, feed, keep, march,
                     solve_forward)
 from .mollify import Kernel, convolve_array, make_kernels
 from .torus import (Field, GhostCells, Grid, L2QDistances, Trajectory,
                     grad_sq_stack, lap_array, lap_stack, on_grid, quadrature,
-                    row_blocks, spacetime_norm)
+                    quadrature_of_sums, row_blocks, row_sums, spacetime_norm,
+                    sup_l2_of_sums)
 
 # the relative slack of the a-priori estimate and the energy identities
 SLACK = 0.05
@@ -48,10 +51,14 @@ class EstimateReport:
     label: str
 
 
-def solve_dual(p: DualProblem) -> Trajectory:
+def solve_dual(p: DualProblem, consume=None) -> Trajectory | None:
+    """March the problem backward over all time steps and keep Phi.  With
+    `consume`, the march streams every row of Phi to it, last block first
+    (see kolmo.march), keeps none of them and returns None."""
     g = p.grid
     tau = g.tau
-    out = np.empty((g.steps + 1, g.size))   # first, as in solve_forward
+    # first, as in solve_forward
+    out = np.empty((g.steps + 1, g.size)) if consume is None else None
     # the march works on grid-shaped views of the flat rows
     mu, s = on_grid(p.mu.data, g), on_grid(p.s.data, g)
     ghost = GhostCells(g)
@@ -76,26 +83,85 @@ def solve_dual(p: DualProblem) -> Trajectory:
             np.subtract(phinew, t, phinew)
             ghost.inner[...] = phinew
 
-    march(g, p.mu_sup(), np.zeros(g.size), advance, keep(out),
-          backward=True)
-    return Trajectory(g, out)
+    march(g, p.mu_sup(), np.zeros(g.size), advance,
+          keep(out) if consume is None else consume, backward=True)
+    return None if out is None else Trajectory(g, out)
+
+
+class DualityPairings:
+    """The three terms of the discrete duality identity of a source-mode
+    problem and an S, gathered from march blocks.  `forward(first, rows)`
+    takes blocks of z, `dual(first, rows)` blocks of Phi, each a march
+    consumer taking them in any order.  Of each row k < K it keeps the row
+    sums (row_sums) of z^k S^k and of G^k Phi^{k+1}, and it keeps Phi^0;
+    terms() finishes both sums by quadrature_of_sums, so the terms have
+    the bits of the quadratures over the kept trajectories."""
+
+    def __init__(self, p_forward: KolmogorovProblem, s: Trajectory):
+        g = p_forward.grid
+        if p_forward.mode != "source":
+            raise ValueError("duality identity requires a source-mode problem")
+        if s.grid != g:
+            raise ValueError("grid mismatch")
+        self.p, self.s = p_forward, s
+        self.zs, self.gphi = np.empty((2, g.steps))
+        self.phi0 = np.empty(g.size)
+
+    def forward(self, first: int, rows: np.ndarray) -> None:
+        stop = min(first + len(rows), len(self.zs))
+        self.zs[first:stop] = row_sums(rows[:stop - first]
+                                       * self.s.data[first:stop])
+
+    def dual(self, first: int, rows: np.ndarray) -> None:
+        # Phi^{k+1} pairs with G^k: rows first.. give sums first-1..
+        lo = max(first, 1)
+        stop = first + len(rows)
+        self.gphi[lo - 1:stop - 1] = row_sums(
+            self.p.source.data[lo - 1:stop - 1] * rows[lo - first:])
+        if first == 0:
+            self.phi0[...] = rows[0]
+
+    def terms(self) -> tuple:
+        g = self.p.grid
+        return (quadrature_of_sums(self.zs, g),
+                g.cell_volume() * np.dot(self.p.z0.values, self.phi0),
+                quadrature_of_sums(self.gphi, g))
+
+    def residual(self) -> float:
+        """relative_gap of the three terms.  NaN when all three are 0
+        although S and one of z0 and G are non-zero: the pairings then
+        underflowed (data near 1e-320) or vanish term by term, and a gap
+        with no scale has no value.  0.0 when S = 0, or z0 = G = 0, where
+        every term is exactly 0."""
+        terms = self.terms()
+        if not any(terms) and np.any(self.s.distinct_rows()) and (
+                np.any(self.p.z0.values)
+                or np.any(self.p.source.distinct_rows())):
+            return np.nan
+        return relative_gap(*terms)
 
 
 def duality_pairings(z: Trajectory, p_forward: KolmogorovProblem,
                      s: Trajectory, phi: Trajectory | None = None):
-    """The three terms of the discrete duality identity (they sum to ~0)."""
+    """The three terms of the discrete duality identity (they sum to ~0)
+    of the kept z and Phi (solved here when not given), and Phi."""
+    pairings, phi = _kept_pairings(z, p_forward, s, phi)
+    return (*pairings.terms(), phi)
+
+
+def _kept_pairings(z, p_forward, s, phi) -> tuple:
+    """The DualityPairings fed by the kept z and Phi, and Phi."""
     g = z.grid
-    if p_forward.mode != "source":
-        raise ValueError("duality identity requires a source-mode problem")
-    if s.grid != g or p_forward.grid != g:
+    pairings = DualityPairings(p_forward, s)
+    if p_forward.grid != g:
         raise ValueError("grid mismatch")
     if phi is None:
         phi = solve_dual(DualProblem(grid=g, mu=p_forward.mu, s=s))
-    zd, sd, gd, pd = z.data, s.data, p_forward.source.data, phi.data
-    term_zs = quadrature(lambda a, b: zd[a:b] * sd[a:b], g)
-    term_z0 = g.cell_volume() * np.dot(p_forward.z0.values, pd[0])
-    term_g = quadrature(lambda a, b: gd[a:b] * pd[a + 1:b + 1], g)
-    return term_zs, term_z0, term_g, phi
+    elif phi.grid != g:
+        raise ValueError("grid mismatch")
+    feed(pairings.forward, z.data, g)
+    feed(pairings.dual, phi.data, g)
+    return pairings, phi
 
 
 def relative_gap(*terms) -> float:
@@ -107,18 +173,87 @@ def relative_gap(*terms) -> float:
 
 def duality_residual(z: Trajectory, p_forward: KolmogorovProblem,
                      s: Trajectory, phi: Trajectory | None = None) -> float:
-    return relative_gap(*duality_pairings(z, p_forward, s, phi)[:3])
+    """The relative gap of the duality identity over the kept z and Phi
+    (DualityPairings.residual: NaN when every term underflowed)."""
+    return _kept_pairings(z, p_forward, s, phi)[0].residual()
+
+
+def streamed_duality_residual(p_forward: KolmogorovProblem,
+                              s: Trajectory) -> float:
+    """duality_residual, bit for bit, of the problem's forward solve and
+    the dual solve of S, with both marches streamed into the pairings:
+    neither trajectory is kept."""
+    pairings = DualityPairings(p_forward, s)
+    solve_forward(p_forward, pairings.forward)
+    solve_dual(DualProblem(grid=p_forward.grid, mu=p_forward.mu, s=s),
+               pairings.dual)
+    return pairings.residual()
+
+
+def _energy_rows(mu: np.ndarray, phi: np.ndarray, grid: Grid) -> np.ndarray:
+    """mu (Lap Phi)^2 of the rows of phi and mu."""
+    lp = lap_stack(phi, grid)
+    return mu * lp * lp
 
 
 def mu_half_delta_phi_sq(p: DualProblem, phi: Trajectory) -> float:
     """Squared L2(Q_T) norm of mu^{1/2} Lap(Phi), left-endpoint in time."""
-    g = p.grid
     mu, data = p.mu.data, phi.data
+    return quadrature(lambda a, b: _energy_rows(mu[a:b], data[a:b], p.grid),
+                      p.grid)
 
-    def energy(a, b):
-        lp = lap_stack(data[a:b], g)
-        return mu[a:b] * lp * lp
-    return quadrature(energy, g)
+
+class AprioriSums:
+    """verify_apriori's reductions of a dual solution Phi of p, gathered
+    from march blocks (a consumer of solve_dual's march, in any order): of
+    each slice its squared gradient norm (grad_sq_stack) and its row sum
+    of Phi^2, of each row k < K the row sum of mu^k (Lap Phi^k)^2, and the
+    maximum of Phi and Phi^0.  reports() finishes them by the rules of
+    verify_apriori's kept reductions.  |Phi| stays below the march guard's
+    1e12, so the Phi^2 sums need no prescale (spacetime_norm's)."""
+
+    def __init__(self, p: DualProblem):
+        g = p.grid
+        self.p = p
+        self.grad, self.squares = np.empty((2, g.steps + 1))
+        self.energy = np.empty(g.steps)
+        self.max = -np.inf
+        self.phi0 = np.empty(g.size)
+
+    def __call__(self, first: int, rows: np.ndarray) -> None:
+        g = self.p.grid
+        stop = first + len(rows)
+        self.grad[first:stop] = grad_sq_stack(rows, g)
+        self.squares[first:stop] = row_sums(rows * rows)
+        body = min(stop, g.steps) - first     # the rows k < K
+        if body > 0:
+            self.energy[first:first + body] = row_sums(_energy_rows(
+                self.p.mu.data[first:first + body], rows[:body], g))
+        self.max = max(self.max, float(rows.max()))
+        if first == 0:
+            self.phi0[...] = rows[0]
+
+    def reports(self) -> list:
+        p = self.p
+        g, mu, s = p.grid, p.mu.data, p.s.data
+        grad_sup = float(self.grad.max())
+        lap_term = quadrature_of_sums(self.energy, g)
+        rhs1 = quadrature(lambda a, b: s[a:b] ** 2 / mu[a:b], g, s, mu)
+        lhs1 = grad_sup + lap_term
+        rep1 = EstimateReport(
+            lhs=lhs1, rhs=rhs1,
+            ratio=lhs1 / rhs1 if rhs1 > 0 else 0.0,
+            passed=lhs1 <= rhs1 * (1.0 + SLACK),
+            label=f"gradient+laplacian energy estimate, slack={SLACK}")
+
+        phi_sup_sq = sup_l2_of_sums(self.squares, g) ** 2
+        rhs2 = (spacetime_norm(p.mu, "L1Q") + 1.0) * rhs1
+        measured_c = phi_sup_sq / rhs2 if rhs2 > 0 else 0.0
+        rep2 = EstimateReport(
+            lhs=phi_sup_sq, rhs=rhs2, ratio=measured_c,
+            passed=np.isfinite(measured_c),
+            label="sup-norm estimate; ratio is the measured constant")
+        return [rep1, rep2]
 
 
 def verify_apriori(p: DualProblem, phi: Trajectory) -> list:
@@ -128,28 +263,13 @@ def verify_apriori(p: DualProblem, phi: Trajectory) -> list:
     against ||mu^{-1/2} S||^2_{L2Q}, pass/fail with relative slack SLACK.
     Second report: ||Phi||^2_{LinfL2} against (||mu||_{L1Q}+1) times the
     same right-hand side; the measured constant is recorded, not judged.
+    The kept Phi goes through AprioriSums, as a streamed one does.
     """
     if phi.grid != p.grid:
         raise ValueError("grid mismatch")
-    mu, s = p.mu.data, p.s.data
-    grad_sup = float(grad_sq_stack(phi.data, p.grid).max())
-    lap_term = mu_half_delta_phi_sq(p, phi)
-    rhs1 = quadrature(lambda a, b: s[a:b] ** 2 / mu[a:b], p.grid, s, mu)
-    lhs1 = grad_sup + lap_term
-    rep1 = EstimateReport(
-        lhs=lhs1, rhs=rhs1,
-        ratio=lhs1 / rhs1 if rhs1 > 0 else 0.0,
-        passed=lhs1 <= rhs1 * (1.0 + SLACK),
-        label=f"gradient+laplacian energy estimate, slack={SLACK}")
-
-    phi_sup_sq = spacetime_norm(phi, "LinfL2") ** 2
-    rhs2 = (spacetime_norm(p.mu, "L1Q") + 1.0) * rhs1
-    measured_c = phi_sup_sq / rhs2 if rhs2 > 0 else 0.0
-    rep2 = EstimateReport(
-        lhs=phi_sup_sq, rhs=rhs2, ratio=measured_c,
-        passed=np.isfinite(measured_c),
-        label="sup-norm estimate; ratio is the measured constant")
-    return [rep1, rep2]
+    sums = AprioriSums(p)
+    feed(sums, phi.data, p.grid)
+    return sums.reports()
 
 
 @dataclass(frozen=True)

@@ -83,7 +83,7 @@ class KolmogorovProblem:
 
 @dataclass(frozen=True)
 class SolveReport:
-    trajectory: Trajectory
+    trajectory: Trajectory | None   # None for a streamed run (RunSummary)
     min_value: float
     mass_drift: float
     cfl_used: float      # tau as a fraction of the raw stability bound
@@ -110,12 +110,64 @@ def steps_for(grid_dim: int, n: int, t_final: float, mu_sup: float) -> int:
     return int(np.ceil(steps))
 
 
+def cfl_fraction(grid: Grid, coeff_sup: float) -> float:
+    """tau as a fraction of the raw stability bound h^2 / (2 dim coeff_sup):
+    what a march over `grid` returns."""
+    return grid.tau * 2.0 * grid.dim * coeff_sup / grid.h ** 2
+
+
 def keep(data: np.ndarray):
     """The march consumer that keeps a trajectory: each block of finished
     rows goes into rows first.. of `data`, shape lead + (K+1, grid.size)."""
     def consume(first, rows):
         data[..., first:first + rows.shape[-2], :] = rows
     return consume
+
+
+def feed(consume, data: np.ndarray, grid: Grid) -> None:
+    """Hand the rows of a kept (K+1, grid.size) array to a march consumer,
+    in row_blocks: the reductions of a kept run are a streamed one's."""
+    for a, b in row_blocks(len(data), grid.size):
+        consume(a, data[a:b])
+
+
+def fan(*consumers):
+    """The march consumer that hands each block to every given consumer in
+    turn; a None among them is left out."""
+    each = [c for c in consumers if c is not None]
+
+    def consume(first, rows):
+        for c in each:
+            c(first, rows)
+    return consume
+
+
+class RunSummary:
+    """A march consumer that gathers a forward run's report from its
+    blocks (in any order): the running minimum, each row's sum (row_sums,
+    the bits of a sum over the kept trajectory's rows) and the last row.
+    The states are below the march guard's BLOWUP_LIMIT, so no sum can
+    overflow and none needs the prescale of torus.norm."""
+
+    def __init__(self, grid: Grid):
+        self.min = np.inf
+        self.sums = np.empty(grid.steps + 1)
+        self.last = np.empty(grid.size)
+
+    def __call__(self, first: int, rows: np.ndarray) -> None:
+        stop = first + len(rows)
+        self.min = min(self.min, float(rows.min()))
+        self.sums[first:stop] = row_sums(rows)
+        if stop == len(self.sums):
+            self.last[...] = rows[-1]
+
+    def report(self, p: "KolmogorovProblem", cfl_used: float,
+               trajectory: Trajectory | None = None) -> SolveReport:
+        return SolveReport(
+            trajectory=trajectory, min_value=self.min,
+            mass_drift=(_mass_drift(self.sums, p) if p.mode == "source"
+                        else np.nan),
+            cfl_used=cfl_used)
 
 
 def march(grid: Grid, coeff_sup: float, start: np.ndarray, advance,
@@ -164,7 +216,7 @@ def march(grid: Grid, coeff_sup: float, start: np.ndarray, advance,
                 new, first = window, a     # the opening block: with start
             consume(first, new)
             window[..., carry, :] = window[..., last, :]
-    return grid.tau * 2.0 * grid.dim * coeff_sup / grid.h ** 2
+    return cfl_fraction(grid, coeff_sup)
 
 
 def diffuse(z: np.ndarray, coeff, grid: Grid, out: np.ndarray,
@@ -185,15 +237,17 @@ def diffuse(z: np.ndarray, coeff, grid: Grid, out: np.ndarray,
 
 
 def solve_forward(p: KolmogorovProblem, consume=None) -> SolveReport | None:
-    """March the problem over all time steps.  With `consume`, the march
-    streams every row of the trajectory to it, in marching order (see
-    march), keeps none of them and returns None."""
+    """March the problem over all time steps and keep the trajectory, with
+    its report gathered by a RunSummary.  With `consume`, the march streams
+    every row of the trajectory to it, in marching order (see march), keeps
+    none of them and returns None."""
     g = p.grid
     tau = g.tau
     source = p.mode == "source"
     # a kept trajectory comes before the march's buffers: after them on the
     # C heap, it left the next run a hole it did not fit (3 MB more RSS)
     out = np.empty((g.steps + 1, g.size)) if consume is None else None
+    summary = RunSummary(g) if consume is None else None
     # the march works on grid-shaped views of the flat rows
     mu = on_grid(p.mu.data, g)
     rhs = on_grid((p.source if source else p.reaction).data, g)
@@ -216,25 +270,21 @@ def solve_forward(p: KolmogorovProblem, consume=None) -> SolveReport | None:
                 np.multiply(znew, t, znew)
 
     cfl_used = march(g, p.mu_sup(), p.z0.values, advance,
-                     consume if out is None else keep(out))
+                     consume if out is None else fan(keep(out), summary))
     if out is None:
         return None
-    return SolveReport(
-        trajectory=Trajectory(g, out),
-        min_value=float(out.min()),
-        mass_drift=_mass_drift(out, p) if source else np.nan,
-        cfl_used=cfl_used,
-    )
+    return summary.report(p, cfl_used, Trajectory(g, out))
 
 
-def _mass_drift(data: np.ndarray, p: KolmogorovProblem) -> float:
-    """The mass ledger of a source-mode trajectory: the max over k of
-    |int z^k - int z^0 - sum_{j<k} tau int G^j|.  A constant-in-time G
-    is summed once (distinct_count): the cumulative sum then adds K copies
-    of that one row's mass, the bits of adding K equal row masses."""
+def _mass_drift(sums: np.ndarray, p: KolmogorovProblem) -> float:
+    """The mass ledger of a source-mode trajectory whose K+1 row sums are
+    `sums`: the max over k of |int z^k - int z^0 - sum_{j<k} tau int G^j|.
+    A constant-in-time G is summed once (distinct_count): the cumulative
+    sum then adds K copies of that one row's mass, the bits of adding K
+    equal row masses."""
     g = p.grid
     vol = g.cell_volume()
-    mass = vol * data.sum(axis=1)                       # per slice k=0..K
+    mass = vol * sums                                   # per slice k=0..K
     src = p.source.data
     # G^0..G^{K-1}, or the one row of a constant-in-time G, in any layout
     src_mass = vol * per_slice(lambda a, b: row_sums(src[a:b]),

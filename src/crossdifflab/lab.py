@@ -28,9 +28,9 @@ from . import kolmo as kolmo_mod
 from . import skt as skt_mod
 from . import weights as weights_mod
 from .mollify import check_widths, make_kernel
-from .torus import (Field, Grid, Trajectory, atomic_write_text,
-                    dump_trajectory, is_integer, load_field, make_grid, norm,
-                    spacetime_norm)
+from .torus import (BlockSource, Field, Grid, Trajectory, atomic_write_text,
+                    dump_slices, dump_trajectory, is_integer, load_field,
+                    make_grid, norm, spacetime_norm)
 
 
 class ConfigError(ValueError):
@@ -191,8 +191,9 @@ def _family_field(grid: Grid, spec: dict, path: str, seed: int) -> Field:
 @dataclass
 class RunConfig:
     """A parsed config, its JSON (echoed in the manifest) and its run:
-    `compute()` solves and returns (checks, constants, artifacts), the
-    artifacts an ordered {file name: Trajectory | (CSV header, rows)}."""
+    `compute(write)` solves, hands each artifact in order to `write(file
+    name, Trajectory | BlockSource | (CSV header, rows))` (see run) and
+    returns (checks, constants)."""
     kind: str
     raw: dict
     seed: int
@@ -318,11 +319,15 @@ def _plan_kolmogorov(raw: dict, seed: int):
         p = kolmo_mod.KolmogorovProblem(grid=grid, mu=mu, z0=z0,
                                         **{mode: rhs})
 
-    def compute():
-        rep = kolmo_mod.solve_forward(p)
+    # the run streams into its dump and its report: no trajectory is kept
+    def compute(write):
+        summary = kolmo_mod.RunSummary(grid)
+        write("trajectory.cdl", BlockSource(
+            grid.steps + 1, lambda dump: kolmo_mod.solve_forward(
+                p, kolmo_mod.fan(summary, dump))))
+        rep = summary.report(p, kolmo_mod.cfl_fraction(grid, p.mu_sup()))
         constants = {"min_value": rep.min_value, "cfl_used": rep.cfl_used,
-                     "final_l2": norm(rep.trajectory.slice(grid.steps),
-                                      "L2")}
+                     "final_l2": norm(Field(grid, summary.last), "L2")}
         # the march refuses every state with NaN or +-inf, and z0 is finite
         checks = {"finite": bool(np.isfinite(rep.min_value))}
         if mode == "source":
@@ -332,7 +337,7 @@ def _plan_kolmogorov(raw: dict, seed: int):
         if z0.values.min() >= 0 and (mode == "reaction"
                                      or rhs.distinct_rows().min() >= 0):
             checks["non_negative"] = rep.min_value >= 0.0
-        return checks, constants, {"trajectory.cdl": rep.trajectory}
+        return checks, constants
     return grid, compute
 
 
@@ -342,16 +347,20 @@ def _plan_dual(raw: dict, seed: int):
     with config_errors("config"):
         p = dual_mod.DualProblem(grid=grid, mu=mu, s=s)
 
-    def compute():
-        phi = dual_mod.solve_dual(p)
-        reps = dual_mod.verify_apriori(p, phi)
+    # the run streams into its dump and verify_apriori's reductions
+    def compute(write):
+        sums = dual_mod.AprioriSums(p)
+        write("phi.cdl", BlockSource(
+            grid.steps + 1, lambda dump: dual_mod.solve_dual(
+                p, kolmo_mod.fan(sums, dump))))
+        reps = sums.reports()
         checks = {"apriori_energy": reps[0].passed}
         if s.distinct_rows().min() >= 0:
-            checks["sign_non_positive"] = bool(phi.data.max() <= 1e-13)
+            checks["sign_non_positive"] = bool(sums.max <= 1e-13)
         constants = {"apriori_ratio": reps[0].ratio,
                      "supnorm_constant": reps[1].ratio,
-                     "phi0_l2": norm(phi.slice(0), "L2")}
-        return checks, constants, {"phi.cdl": phi}
+                     "phi0_l2": norm(Field(grid, sums.phi0), "L2")}
+        return checks, constants
     return grid, compute
 
 
@@ -380,17 +389,19 @@ def _plan_verify_duality(raw: dict, seed: int):
     grid = _build_grid(raw["grid"], "config.grid",
                        mu_sup_hint=DUALITY_MU_RANGE[1])
 
-    # drawn from the seed one at a time, after parsing: no value reaches them
-    def compute():
-        worst = 0.0
+    # drawn from the seed one at a time, after parsing: no value reaches
+    # them.  Each problem streams both marches into its pairings, and a NaN
+    # residual (DualityPairings.residual) is the worst
+    def compute(write):
+        residuals = [0.0]
         for i in range(count):
             mu, z0, g, s = random_duality_problem(grid, seed, i)
             p = kolmo_mod.KolmogorovProblem(grid=grid, mu=mu, z0=z0, source=g)
-            z = kolmo_mod.solve_forward(p).trajectory
-            worst = max(worst, dual_mod.duality_residual(z, p, s))
+            residuals.append(dual_mod.streamed_duality_residual(p, s))
+        worst = float(np.max(residuals))
         checks = {"duality_identity": bool(worst <= threshold)}
-        constants = {"max_residual": float(worst), "threshold": threshold}
-        return checks, constants, {}
+        constants = {"max_residual": worst, "threshold": threshold}
+        return checks, constants
     return grid, compute
 
 
@@ -402,15 +413,15 @@ def _plan_stability(raw: dict, seed: int):
     with config_errors("config.eps"):
         eps = check_widths(grid, raw["eps"])
 
-    def compute():
+    def compute(write):
         rows = dual_mod.stability_study(mu, eps, z0, g)
         dists = [r.z_distance for r in rows]
         ok = all(b <= a * 1.10 for a, b in zip(dists, dists[1:]))
         checks = {"z_distance_non_increasing": ok}
         constants = {"final_z_distance": dists[-1]}
         table = [(r.eps, r.mu_distance, r.z_distance) for r in rows]
-        return checks, constants, {
-            "stability.csv": (["eps", "mu_distance", "z_distance"], table)}
+        write("stability.csv", (["eps", "mu_distance", "z_distance"], table))
+        return checks, constants
     return grid, compute
 
 
@@ -463,15 +474,16 @@ def _skt_spec(raw: dict, seed: int,
 def _plan_skt(raw: dict, seed: int):
     spec = _skt_spec(raw, seed)
 
-    def compute():
+    def compute(write):
         sols = skt_mod.solve_system(spec)
         min_val = min(float(t.data.min()) for t in sols)
         checks = {"non_negative": min_val >= 0.0}
         constants = {"min_value": min_val}
         for i, t in enumerate(sols):
             constants[f"l2q_u{i + 1}"] = spacetime_norm(t, "L2Q")
-        return checks, constants, {
-            f"species_{i + 1}.cdl": t for i, t in enumerate(sols)}
+        for i, t in enumerate(sols):
+            write(f"species_{i + 1}.cdl", t)
+        return checks, constants
     return spec.grid, compute
 
 
@@ -480,7 +492,7 @@ def _plan_converge(raw: dict, seed: int):
     with config_errors("config.eps"):
         eps = check_widths(spec.grid, raw["eps"])
 
-    def compute():
+    def compute(write):
         table = skt_mod.converge_study(spec, eps)
         count = spec.species_count
         dists = np.array([r.distances for r in table])
@@ -490,7 +502,8 @@ def _plan_converge(raw: dict, seed: int):
                      for i in range(count)}
         header = ["eps", "defect"] + [f"dist_u{i + 1}" for i in range(count)]
         rows = [(r.eps, r.defect, *r.distances) for r in table]
-        return checks, constants, {"converge.csv": (header, rows)}
+        write("converge.csv", (header, rows))
+        return checks, constants
     return spec.grid, compute
 
 
@@ -504,13 +517,13 @@ def _plan_weights(raw: dict, seed: int):
     if seed < 0:  # it seeds numpy's default_rng, which takes none
         raise ConfigError(f"config.seed must be >= 0 for weights, got {seed}")
 
-    def compute():
+    def compute(write):
         a2 = weights_mod.a2_constant(w)
         ratio = weights_mod.maximal_boundedness(w, trials=trials, seed=seed)
         checks = {"a2_at_least_one": a2 >= 1.0,
                   "ratio_finite": ratio.passed}
         constants = {"a2_constant": a2, "maximal_ratio": ratio.lhs}
-        return checks, constants, {}
+        return checks, constants
     return grid, compute
 
 
@@ -535,14 +548,24 @@ def run(cfg: RunConfig, outdir: str | None = None) -> RunManifest:
     start = time.perf_counter()
     if outdir:
         os.makedirs(outdir, exist_ok=True)
-    checks, constants, artifacts = cfg.compute()
     paths = []
-    for name, item in artifacts.items() if outdir else ():
+
+    # a kept Trajectory and a CSV are written as they are handed over, a
+    # BlockSource as its march runs (dump_slices); without outdir nothing
+    # is written, but a BlockSource still marches for its reductions
+    def write(name, item):
+        if not outdir:
+            if isinstance(item, BlockSource):
+                item(None)
+            return
         paths.append(os.path.join(outdir, name))
         if isinstance(item, Trajectory):
             dump_trajectory(paths[-1], item)
+        elif isinstance(item, BlockSource):
+            dump_slices(paths[-1], cfg.grid.dim, cfg.grid.n, item)
         else:
             write_csv(paths[-1], *item)
+    checks, constants = cfg.compute(write)
     manifest = RunManifest(
         config=cfg.raw,
         version=__version__,

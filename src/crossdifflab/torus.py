@@ -480,21 +480,39 @@ def spacetime_norm(traj: Trajectory, kind: str,
     formed.  Every time sum follows the quadrature rule: np.sum per slice,
     math.fsum across slices, over time_sum; so when every trajectory read
     is constant in time (distinct_count), one slice is read, and the bits
-    are those of reading all of them."""
+    are those of reading all of them.  Every kind is 1-homogeneous: when
+    the value overflows (a square or a sum beyond the float range), the
+    data are scaled by the power of two 2^-e that brings their largest
+    magnitude into [1/2, 1), as by norm, and the norm scaled back by 2^e.
+    In-range values take no scaling."""
     g = traj.grid
-    data = traj.data
-    if minus is None:
-        reads = (data,)
-
-        def rows(a, b):
-            return data[a:b]
-    elif minus.grid != g:
+    if minus is not None and minus.grid != g:
         raise ValueError("grid mismatch")
-    else:
-        reads = (data, minus.data)
+    reads = (traj.data,) if minus is None else (traj.data, minus.data)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            value = _spacetime_norm(reads, g, kind, 0)
+        except OverflowError:       # math.fsum of finite sums beyond range
+            value = math.inf
+        if np.isfinite(value):
+            return value
+        distinct = [r[:distinct_count(len(r), r)] for r in reads]
+        _, e = np.frexp(max(max(-d.min(), d.max()) for d in distinct))
+        return float(np.ldexp(_spacetime_norm(reads, g, kind, -e), e))
 
+
+def _spacetime_norm(reads, g: Grid, kind: str, e: int) -> float:
+    """spacetime_norm of reads[0], or of reads[0] - reads[1], each read
+    scaled by 2^e (block by block, and not at all when e is 0)."""
+    def part(data, a, b):
+        return np.ldexp(data[a:b], e) if e else data[a:b]
+
+    if len(reads) == 1:
         def rows(a, b):
-            return data[a:b] - minus.data[a:b]
+            return part(reads[0], a, b)
+    else:
+        def rows(a, b):
+            return part(reads[0], a, b) - part(reads[1], a, b)
 
     def squares(a, b):
         x = rows(a, b)
@@ -504,14 +522,22 @@ def spacetime_norm(traj: Trajectory, kind: str,
     if kind == "L1Q":
         return quadrature(lambda a, b: np.abs(rows(a, b)), g, *reads)
     if kind == "LinfL2":
-        sums = per_slice(lambda a, b: row_sums(squares(a, b)),
-                         distinct_count(g.steps + 1, *reads), g)
-        return float(np.sqrt(g.cell_volume() * sums).max())
+        return sup_l2_of_sums(
+            per_slice(lambda a, b: row_sums(squares(a, b)),
+                      distinct_count(g.steps + 1, *reads), g), g)
     if kind == "L1Hminus1":
         norms = _hminus1(g)
         return float(g.tau * time_sum(lambda a, b: norms(rows(a, b)),
                                       g.steps, g, *reads))
     raise ValueError(f"unknown spacetime norm kind {kind!r}")
+
+
+def sup_l2_of_sums(sums: np.ndarray, grid: Grid) -> float:
+    """The sup-L2 norm max_k (h^dim s_k)^(1/2) of the slices whose row sums
+    of squares are `sums` (all K+1 of them, or the one that stands for
+    all): the end of spacetime_norm's LinfL2, for a consumer that gathered
+    the sums from march blocks."""
+    return float(np.sqrt(grid.cell_volume() * sums).max())
 
 
 class L2QDistances:
@@ -566,15 +592,62 @@ MAGIC = b"CDL1"
 HEADER = struct.Struct("<4sBII")
 
 
-def dump_slices(path, dim: int, n: int, slices: np.ndarray) -> None:
-    slices = np.ascontiguousarray(slices, dtype="<f8")
-    if np.prod(slices.shape[1:]) != n ** dim:
-        raise ValueError("slice length does not match dim/n")
-    slices = slices.reshape(len(slices), n ** dim)
+class BlockSource:
+    """A sized block source of `count` slices for dump_slices: calling it
+    with a march consumer runs `march(consume)`, which hands the consumer
+    (first, rows) blocks that hold every slice once, in any order (a
+    backward march hands its last block first).  `march(None)` runs with
+    no writer, for the march's own consumers."""
 
-    def write(fh):
-        fh.write(HEADER.pack(MAGIC, dim, n, slices.shape[0]))
-        fh.write(slices)  # the array's own buffer, not a bytes copy
+    def __init__(self, count: int, march):
+        self.count, self.march = count, march
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __call__(self, consume) -> None:
+        self.march(consume)
+
+
+def dump_slices(path, dim: int, n: int, slices) -> None:
+    """Write a .cdl dump of `slices` atomically (atomic_write): an array
+    of slices of n**dim values, written from its own buffer, or a
+    BlockSource of len(slices) slices, written as its march runs.  The file
+    is then sized first and each block written at its own offset, 13 +
+    8*first*n**dim, so a backward march fills it from its end; a march that
+    raises (NumericalBlowUp) leaves no file, and one that hands fewer rows
+    than it counts is a ValueError."""
+    size = n ** dim
+    if not callable(slices):
+        slices = np.ascontiguousarray(slices, dtype="<f8")
+        if np.prod(slices.shape[1:]) != size:
+            raise ValueError("slice length does not match dim/n")
+        slices = slices.reshape(len(slices), size)
+
+        def write(fh):
+            fh.write(HEADER.pack(MAGIC, dim, n, slices.shape[0]))
+            fh.write(slices)  # the array's own buffer, not a bytes copy
+    else:
+        count = len(slices)
+
+        def write(fh):
+            fh.write(HEADER.pack(MAGIC, dim, n, count))
+            fh.truncate(HEADER.size + 8 * count * size)
+            written = 0
+
+            def block(first, rows):
+                nonlocal written
+                if rows.shape[-1] != size or not (
+                        0 <= first <= count - len(rows)):
+                    raise ValueError(f"a block of {rows.shape} at slice "
+                                     f"{first} does not fit the dump")
+                fh.seek(HEADER.size + 8 * first * size)
+                fh.write(np.ascontiguousarray(rows, dtype="<f8"))
+                written += len(rows)
+            slices(block)
+            if written != count:
+                raise ValueError(f"the source handed {written} slices, "
+                                 f"not {count}")
 
     atomic_write(path, write)
 

@@ -113,6 +113,43 @@ def test_duality_pairings_refuse_another_grid():
         duality_pairings(z, q, s)
 
 
+def _residuals(p, s):
+    """The residual over the kept trajectories and the streamed one."""
+    kept = duality_residual(solve_forward(p).trajectory, p, s)
+    return kept, dual_mod.streamed_duality_residual(p, s)
+
+
+def _scaled_problem(g, rng, z0_g, s_scale):
+    """_random_problem with z0 and G times z0_g and S times s_scale."""
+    mu, z0, src, s = _random_problem(g, rng)
+
+    def scaled(t, c):
+        return Trajectory.constant_in_time(g, Field(g, t.data[0] * c))
+    p = KolmogorovProblem(grid=g, mu=mu, z0=Field(g, z0.values * z0_g),
+                          source=scaled(src, z0_g))
+    return p, scaled(s, s_scale)
+
+
+def test_duality_residual_of_underflowed_pairings_is_nan():
+    # data near 1e-320: every product underflows, all three terms are 0,
+    # and 0/0 read as a residual of 0.0, a perfect identity
+    g = _grid()
+    p, s = _scaled_problem(g, np.random.default_rng(5), 1e-320, 1e-320)
+    assert all(t == 0.0 for t in duality_pairings(
+        solve_forward(p).trajectory, p, s)[:3])
+    kept, streamed = _residuals(p, s)
+    assert np.isnan(kept) and np.isnan(streamed)
+
+
+@pytest.mark.parametrize("z0_g, s_scale", [(0.0, 1.0), (1.0, 0.0)])
+def test_duality_residual_of_exactly_vanishing_pairings_is_zero(z0_g,
+                                                                s_scale):
+    # z0 = G = 0 makes z = 0, and S = 0 makes Phi = 0: every term is 0
+    g = _grid()
+    p, s = _scaled_problem(g, np.random.default_rng(6), z0_g, s_scale)
+    assert _residuals(p, s) == (0.0, 0.0)
+
+
 def test_duality_requires_source_mode():
     g = _grid()
     p = KolmogorovProblem(grid=g, mu=Trajectory.constant(g, 1.0),

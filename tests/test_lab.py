@@ -12,11 +12,16 @@ import pytest
 
 from crossdifflab import cli
 from crossdifflab.cli import main
+from crossdifflab.dual import (DualProblem, duality_residual, solve_dual,
+                               verify_apriori)
+from crossdifflab.kolmo import (KolmogorovProblem, NumericalBlowUp,
+                                solve_forward)
 from crossdifflab.lab import (_KINDS, ConfigError, RunManifest,
                               atomic_write_text, build_field, parse_config,
-                              philox_rng, run, sweep, write_csv)
-from crossdifflab.torus import (Field, dump_field, dump_slices, load_slices,
-                                make_grid)
+                              philox_rng, random_duality_problem, run, sweep,
+                              write_csv)
+from crossdifflab.torus import (Field, Trajectory, dump_field, dump_slices,
+                                dump_trajectory, load_slices, make_grid, norm)
 
 GRID = {"dim": 1, "n": 32, "t_final": 0.01}
 
@@ -232,6 +237,84 @@ def test_run_verify_duality():
     man = run(cfg)
     assert man.passed
     assert man.constants["max_residual"] <= 1e-11
+
+
+def test_run_verify_duality_is_the_kept_runs_worst_residual():
+    # each problem streams both marches into its pairings
+    cfg = parse_config(json.dumps({
+        "kind": "verify_duality", "grid": dict(GRID), "seed": 3,
+        "count": 3}))
+    kept = []
+    for i in range(3):
+        mu, z0, g, s = random_duality_problem(cfg.grid, 3, i)
+        p = KolmogorovProblem(grid=cfg.grid, mu=mu, z0=z0, source=g)
+        kept.append(duality_residual(solve_forward(p).trajectory, p, s))
+    assert run(cfg).constants["max_residual"].hex() == max(kept).hex()
+
+
+GRID_2D = {"dim": 2, "n": 16, "t_final": 0.004}
+RANDOM_MU = {"family": "random", "seed": 1, "lo": 0.3, "hi": 3.0}
+
+
+def _fields(cfg, *keys):
+    """The config's fields as the plan builds them, constant in time."""
+    return [Trajectory.constant_in_time(cfg.grid, build_field(
+        cfg.grid, cfg.raw[key], f"config.{key}", cfg.seed)) for key in keys]
+
+
+def _kept_dump(tmp_path, traj):
+    dump_trajectory(tmp_path / "kept.cdl", traj)
+    return (tmp_path / "kept.cdl").read_bytes()
+
+
+def test_streamed_kolmogorov_run_is_the_kept_run(tmp_path):
+    cfg = parse_config(json.dumps({
+        "kind": "kolmogorov", "grid": GRID_2D, "seed": 5, "mu": RANDOM_MU,
+        "z0": {"family": "fourier_mode", "k": 2, "amp": 0.5, "offset": 1.0},
+        "source": {"family": "random", "lo": -0.5, "hi": 1.0}}))
+    mu, source = _fields(cfg, "mu", "source")
+    z0 = build_field(cfg.grid, cfg.raw["z0"], "config.z0", cfg.seed)
+    rep = solve_forward(KolmogorovProblem(grid=cfg.grid, mu=mu, z0=z0,
+                                          source=source))
+    man = run(cfg, str(tmp_path / "out"))
+    assert man.constants == {
+        "min_value": rep.min_value, "cfl_used": rep.cfl_used,
+        "mass_drift": rep.mass_drift,
+        "final_l2": norm(rep.trajectory.slice(cfg.grid.steps), "L2")}
+    assert run(cfg).constants == man.constants
+    assert (tmp_path / "out" / "trajectory.cdl").read_bytes() \
+        == _kept_dump(tmp_path, rep.trajectory)
+
+
+def test_streamed_dual_run_is_the_kept_run(tmp_path):
+    cfg = parse_config(json.dumps({
+        "kind": "dual", "grid": GRID_2D, "seed": 6, "mu": RANDOM_MU,
+        "s": {"family": "random", "lo": 0.1, "hi": 1.0}}))
+    mu, s = _fields(cfg, "mu", "s")
+    p = DualProblem(grid=cfg.grid, mu=mu, s=s)
+    phi = solve_dual(p)
+    reps = verify_apriori(p, phi)
+    man = run(cfg, str(tmp_path / "out"))
+    assert man.constants == {"apriori_ratio": reps[0].ratio,
+                             "supnorm_constant": reps[1].ratio,
+                             "phi0_l2": norm(phi.slice(0), "L2")}
+    assert man.checks == {"apriori_energy": reps[0].passed,
+                          "sign_non_positive": phi.data.max() <= 1e-13}
+    assert run(cfg).constants == man.constants
+    assert (tmp_path / "out" / "phi.cdl").read_bytes() \
+        == _kept_dump(tmp_path, phi)
+
+
+def test_blowup_in_a_streamed_run_leaves_no_dump(tmp_path):
+    # exp(tau R) with R = 1e4 passes the guard near t = 0.0028, about step
+    # 50 of 73, after six blocks of 8 rows were written
+    raw = {"kind": "kolmogorov",
+           "grid": {"dim": 2, "n": 64, "t_final": 0.004},
+           "mu": CONST, "z0": CONST,
+           "reaction": {"family": "constant", "value": 1e4}}
+    with pytest.raises(NumericalBlowUp):
+        run(parse_config(json.dumps(raw)), str(tmp_path / "out"))
+    assert os.listdir(tmp_path / "out") == []
 
 
 def test_run_stability_csv(tmp_path):

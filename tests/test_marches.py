@@ -3,6 +3,8 @@ step, and the problem's own arrays are never written.  Marched over blocks
 of steps, they give the bits and the blow-up step of the plain per-step
 loops kept here as references."""
 
+import os
+import tempfile
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -20,7 +22,8 @@ from crossdifflab.kolmo import (BLOWUP_LIMIT, KolmogorovProblem,
 from crossdifflab.mollify import make_kernel
 from crossdifflab.skt import (CoeffFamily, ReactionFamily, SktSpec,
                               solve_system)
-from crossdifflab.torus import Field, Trajectory, lap_stack, make_grid
+from crossdifflab.torus import (BlockSource, Field, Trajectory, dump_slices,
+                                dump_trajectory, lap_stack, make_grid)
 
 
 def _grid(dim):
@@ -633,3 +636,131 @@ def test_backward_blowup_never_reaches_the_consumer(case):
     # the blocks above the bad row passed the guard; its own block did not
     assert all(first > j for first, _ in seen)
     assert len(seen) == (g.steps - 1) // per - j // per
+
+
+# ---------------------------------------------------------------------------
+# the runs that only reduce or write a trajectory stream it: the pairings,
+# the run reports and the dumps have the bits of the kept runs
+
+def _bits(*values):
+    return [float(v).hex() for v in values]
+
+
+def _report_bits(reports):
+    return [(*_bits(r.lhs, r.rhs, r.ratio), r.passed, r.label)
+            for r in reports]
+
+
+def _dumped(traj, source):
+    """The bytes of dump_trajectory(traj) and of dump_slices of the source
+    on its grid."""
+    g = traj.grid
+    with tempfile.TemporaryDirectory() as tmp:
+        kept, streamed = (os.path.join(tmp, name) for name in "ks")
+        dump_trajectory(kept, traj)
+        dump_slices(streamed, g.dim, g.n, source)
+        with open(kept, "rb") as a, open(streamed, "rb") as b:
+            return a.read(), b.read()
+
+
+@MARCH
+@given(blocked_grids(), st.booleans())
+def test_streamed_duality_residual_is_the_kept_ones(case, constant):
+    g, per, mu_hi, rng = case
+    p = KolmogorovProblem(grid=g, mu=_data(g, rng, 0.1, mu_hi, constant),
+                          z0=Field(g, rng.standard_normal(g.size)),
+                          source=_data(g, rng, -1.0, 1.0, constant))
+    s = _data(g, rng, -1.0, 1.0, constant)
+    with _blocks_of(g, per):
+        z = solve_forward(p).trajectory
+        kept = dual.duality_pairings(z, p, s)
+        pairings = dual.DualityPairings(p, s)
+        solve_forward(p, pairings.forward)
+        solve_dual(DualProblem(grid=g, mu=p.mu, s=s), pairings.dual)
+        streamed = dual.streamed_duality_residual(p, s)
+        residual = dual.duality_residual(z, p, s)
+    assert _bits(*pairings.terms()) == _bits(*kept[:3])
+    assert np.array_equal(pairings.phi0, kept[3].data[0])
+    assert streamed.hex() == residual.hex()
+
+
+@MARCH
+@given(blocked_grids(), st.sampled_from(("source", "reaction")),
+       st.booleans())
+def test_streamed_forward_dump_and_report_are_the_kept_runs(case, mode,
+                                                           constant):
+    g, per, mu_hi, rng = case
+    p = KolmogorovProblem(
+        grid=g, mu=_data(g, rng, 0.1, mu_hi, constant),
+        z0=Field(g, rng.uniform(0.0, 1.0, g.size)),
+        **{mode: _data(g, rng, -1.0, 1.0, constant)})
+    summary = kolmo.RunSummary(g)
+    with _blocks_of(g, per):
+        rep = solve_forward(p)
+        kept, streamed = _dumped(rep.trajectory, BlockSource(
+            g.steps + 1,
+            lambda dump: solve_forward(p, kolmo.fan(summary, dump))))
+    assert kept == streamed
+    got = summary.report(p, kolmo.cfl_fraction(g, p.mu_sup()))
+    assert _bits(got.min_value, got.mass_drift, got.cfl_used) == _bits(
+        rep.min_value, rep.mass_drift, rep.cfl_used)
+    assert got.trajectory is None
+    assert np.array_equal(summary.last, rep.trajectory.data[-1])
+
+
+@MARCH
+@given(blocked_grids(), st.booleans())
+def test_streamed_dual_dump_and_reports_are_the_kept_runs(case, constant):
+    g, per, mu_hi, rng = case
+    p = DualProblem(grid=g, mu=_data(g, rng, 0.1, mu_hi, constant),
+                    s=_data(g, rng, -1.0, 1.0, constant))
+    sums = dual.AprioriSums(p)
+    with _blocks_of(g, per):
+        phi = solve_dual(p)
+        reports = dual.verify_apriori(p, phi)
+        kept, streamed = _dumped(phi, BlockSource(
+            g.steps + 1, lambda dump: solve_dual(p, kolmo.fan(sums, dump))))
+    assert kept == streamed
+    assert _report_bits(sums.reports()) == _report_bits(reports)
+    assert sums.max == phi.data.max()
+    assert np.array_equal(sums.phi0, phi.data[0])
+
+
+def _blowing_source(g, rng, j, backward, written):
+    """A BlockSource of a forward (or dual) march whose source (S) jumps
+    at step j, recording the first row of each block it has written."""
+    mu = _data(g, rng, 0.1, 2.0, False)
+    if backward:
+        p = DualProblem(grid=g, mu=mu, s=_jump(g, rng, j))
+        solve = solve_dual
+    else:
+        p = KolmogorovProblem(grid=g, mu=mu, source=_jump(g, rng, j),
+                              z0=Field(g, rng.uniform(0.5, 1.0, g.size)))
+        solve = solve_forward
+    return BlockSource(g.steps + 1, lambda dump: solve(p, kolmo.fan(
+        dump, lambda first, rows: written.append(first))))
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_blowup_in_a_streamed_dump_leaves_no_file(tmp_path, backward):
+    g = make_grid(1, 16, 12 * 0.5 * cfl_timestep(make_grid(1, 16, 1.0, 1),
+                                                2.0), 12)
+    written = []
+    source = _blowing_source(g, np.random.default_rng(3), 6, backward,
+                             written)
+    with _blocks_of(g, 3), pytest.raises(NumericalBlowUp):
+        dump_slices(tmp_path / "z.cdl", g.dim, g.n, source)
+    assert written          # blocks were written before the march raised
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_source_that_hands_too_few_or_misplaced_rows_leaves_no_file(
+        tmp_path):
+    rows = np.zeros((2, 8))
+    for march, why in [(lambda dump: dump(0, rows), "handed 2 slices, not 3"),
+                       (lambda dump: dump(2, rows), "does not fit"),
+                       (lambda dump: dump(0, np.zeros((3, 4))),
+                        "does not fit")]:
+        with pytest.raises(ValueError, match=why):
+            dump_slices(tmp_path / "z.cdl", 1, 8, BlockSource(3, march))
+        assert os.listdir(tmp_path) == []

@@ -2,6 +2,7 @@
 second trajectory-size array.  Measured with tracemalloc, which sees
 numpy's data buffers."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from crossdifflab.dual import DualProblem, stability_study, verify_apriori
 from crossdifflab.kolmo import (KolmogorovProblem, comparison_check,
                                 solve_forward, steps_for)
-from crossdifflab.lab import build_field
+from crossdifflab.lab import build_field, parse_config, run
 from crossdifflab.skt import (CoeffFamily, ReactionFamily, SktSpec,
                               converge_study)
 from crossdifflab.torus import (Field, Trajectory, dump_slices, load_field,
@@ -156,3 +157,39 @@ def test_stability_study_keeps_only_its_reference_run():
     # mu; each smoothed run, and the previous width's mu, were held too
     assert _peak(lambda: stability_study(
         mu, [0.4, 0.2], z0, Trajectory.constant(g, 0.0))) < (2 + 1 / 8) * one
+
+
+# the kolmogorov and dual runs stream their march into their dump and their
+# reductions, and verify_duality both marches of each problem into its
+# pairings: none keeps a trajectory (each kept one, two for verify_duality)
+
+def _run_peak(raw, outdir=None) -> int:
+    cfg = parse_config(json.dumps(raw))
+    return _peak(lambda: run(cfg, outdir))
+
+
+STUDY_GRID_RAW = {"dim": 2, "n": 64, "t_final": STUDY_GRID.t_final,
+                  "steps": STUDY_GRID.steps}
+RANDOM_MU = {"family": "random", "lo": 0.5, "hi": 2.0}
+
+
+@pytest.mark.parametrize("raw", [
+    {"kind": "kolmogorov", "mu": RANDOM_MU,
+     "z0": {"family": "fourier_mode", "k": 1, "amp": 0.5, "offset": 1.0},
+     "source": {"family": "constant", "value": 0.5}},
+    {"kind": "dual", "mu": RANDOM_MU,
+     "s": {"family": "random", "lo": 0.1, "hi": 1.0}},
+], ids=lambda raw: raw["kind"])
+def test_streamed_run_with_an_outdir_keeps_no_trajectory(tmp_path, raw):
+    raw = dict(raw, grid=STUDY_GRID_RAW, seed=3)
+    assert (_run_peak(raw, str(tmp_path))
+            < _trajectory_bytes(STUDY_GRID) / 8)
+    (dump,) = [p for p in tmp_path.iterdir() if p.suffix == ".cdl"]
+    assert dump.stat().st_size == 13 + _trajectory_bytes(STUDY_GRID)
+
+
+def test_verify_duality_keeps_no_trajectory():
+    raw = {"kind": "verify_duality", "count": 2,
+           "grid": {"dim": 1, "n": 64, "t_final": 0.25}}
+    grid = parse_config(json.dumps(raw)).grid
+    assert _run_peak(raw) < _trajectory_bytes(grid)

@@ -250,6 +250,56 @@ def test_spacetime_norms_left_endpoint():
     assert spacetime_norm(spiky, "LinfL2") > 0.0
 
 
+SPACETIME_KINDS = ("L2Q", "L1Q", "LinfL2", "L1Hminus1")
+
+
+def test_spacetime_norms_of_data_near_the_float_range_are_finite():
+    # 1e200*cos(2 pi x) on n = 64 over 5 rows gave inf in L2Q, LinfL2 and
+    # L1Hminus1 (an overflow warning under -W error), though each true
+    # value is about 1e199 to 1e200
+    g = make_grid(1, 64, 1.0, 4)
+    f = Field.from_function(g, lambda x: np.cos(2 * np.pi * x))
+    big = Trajectory.constant_in_time(g, Field(g, 1e200 * f.values))
+    unit = Trajectory.constant_in_time(g, f)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for kind in SPACETIME_KINDS:
+            got, want = spacetime_norm(big, kind), spacetime_norm(unit, kind)
+            assert abs(got - 1e200 * want) <= 1e-12 * got
+
+
+def _trajectory(g, rows, constant):
+    """rows[0] as a broadcast view when `constant`, all rows otherwise."""
+    if constant:
+        return Trajectory.constant_in_time(g, Field(g, rows[0]))
+    return Trajectory(g, rows)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from((1, 2)), st.sampled_from((8, 16, 32)),
+       st.integers(1, 5), st.integers(-400, 1023),
+       st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_spacetime_norms_hold_across_the_float_range(dim, n, steps, e, seed,
+                                                     constant):
+    # every kind is 1-homogeneous, also of a difference: the norm of 2^e u
+    # (minus 2^e v) is 2^e times the norm of u (minus v), which is finite
+    # on a time axis of length 1
+    g = make_grid(dim, n, 1.0, steps)
+    rng = np.random.default_rng(seed)
+    u, v = rng.uniform(-1.0, 1.0, (2, steps + 1, g.size))
+    unit = [_trajectory(g, w, constant) for w in (u, v)]
+    big = [_trajectory(g, np.ldexp(w, e), constant) for w in (u, v)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for kind in SPACETIME_KINDS:
+            for minus in (0, 1):
+                got = spacetime_norm(big[0], kind, *big[1:1 + minus])
+                want = math.ldexp(
+                    spacetime_norm(unit[0], kind, *unit[1:1 + minus]), e)
+                assert math.isfinite(got)
+                assert abs(got - want) <= 1e-12 * want
+
+
 def test_spacetime_norm_refuses_another_grid_and_an_unknown_kind():
     g = make_grid(1, 16, 0.7, 5)
     tr = Trajectory.constant(g, 1.0)

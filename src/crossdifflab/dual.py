@@ -17,13 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kolmo import (KolmogorovProblem, check_inputs, feed, keep, march,
-                    solve_forward)
+from .kolmo import KolmogorovProblem, check_inputs, keep, march, solve_forward
 from .mollify import Kernel, convolve_array, make_kernels
-from .torus import (Field, GhostCells, Grid, L2QDistances, Trajectory,
+from .torus import (Field, GhostCells, Grid, SpacetimeNorm, Trajectory, feed,
                     grad_sq_stack, lap_array, lap_stack, on_grid, quadrature,
-                    quadrature_of_sums, row_blocks, row_sums, spacetime_norm,
-                    sup_l2_of_sums)
+                    quadrature_of_sums, row_blocks, row_sums, spacetime_norm)
 
 # the relative slack of the a-priori estimate and the energy identities
 SLACK = 0.05
@@ -190,24 +188,11 @@ def streamed_duality_residual(p_forward: KolmogorovProblem,
     return pairings.residual()
 
 
-def _energy_rows(mu: np.ndarray, phi: np.ndarray, grid: Grid) -> np.ndarray:
-    """mu (Lap Phi)^2 of the rows of phi and mu."""
-    lp = lap_stack(phi, grid)
-    return mu * lp * lp
-
-
-def mu_half_delta_phi_sq(p: DualProblem, phi: Trajectory) -> float:
-    """Squared L2(Q_T) norm of mu^{1/2} Lap(Phi), left-endpoint in time."""
-    mu, data = p.mu.data, phi.data
-    return quadrature(lambda a, b: _energy_rows(mu[a:b], data[a:b], p.grid),
-                      p.grid)
-
-
 class AprioriSums:
     """verify_apriori's reductions of a dual solution Phi of p, gathered
     from march blocks (a consumer of solve_dual's march, in any order): of
-    each slice its squared gradient norm (grad_sq_stack) and its row sum
-    of Phi^2, of each row k < K the row sum of mu^k (Lap Phi^k)^2, and the
+    each slice its squared gradient norm (grad_sq_stack), its LinfL2 norm
+    (`sup`), of each row k < K the row sum of mu^k (Lap Phi^k)^2, and the
     maximum of Phi and Phi^0.  reports() finishes them by the rules of
     verify_apriori's kept reductions.  |Phi| stays below the march guard's
     1e12, so the Phi^2 sums need no prescale (spacetime_norm's)."""
@@ -215,7 +200,8 @@ class AprioriSums:
     def __init__(self, p: DualProblem):
         g = p.grid
         self.p = p
-        self.grad, self.squares = np.empty((2, g.steps + 1))
+        self.grad = np.empty(g.steps + 1)
+        self.sup = SpacetimeNorm(g, "LinfL2")
         self.energy = np.empty(g.steps)
         self.max = -np.inf
         self.phi0 = np.empty(g.size)
@@ -224,11 +210,12 @@ class AprioriSums:
         g = self.p.grid
         stop = first + len(rows)
         self.grad[first:stop] = grad_sq_stack(rows, g)
-        self.squares[first:stop] = row_sums(rows * rows)
+        self.sup(first, rows)
         body = min(stop, g.steps) - first     # the rows k < K
         if body > 0:
-            self.energy[first:first + body] = row_sums(_energy_rows(
-                self.p.mu.data[first:first + body], rows[:body], g))
+            lp = lap_stack(rows[:body], g)
+            self.energy[first:first + body] = row_sums(
+                self.p.mu.data[first:first + body] * lp * lp)
         self.max = max(self.max, float(rows.max()))
         if first == 0:
             self.phi0[...] = rows[0]
@@ -246,7 +233,7 @@ class AprioriSums:
             passed=lhs1 <= rhs1 * (1.0 + SLACK),
             label=f"gradient+laplacian energy estimate, slack={SLACK}")
 
-        phi_sup_sq = sup_l2_of_sums(self.squares, g) ** 2
+        phi_sup_sq = self.sup.value() ** 2
         rhs2 = (spacetime_norm(p.mu, "L1Q") + 1.0) * rhs1
         measured_c = phi_sup_sq / rhs2 if rhs2 > 0 else 0.0
         rep2 = EstimateReport(
@@ -319,11 +306,11 @@ def stability_study(mu_rough: Trajectory, smoothing_eps, z0: Field,
 
     def row(kern):
         mu_eps = smooth_mu(mu_rough, kern, smoothed)
-        z_dist = L2QDistances([ref])
+        z_dist = SpacetimeNorm(grid, "L2Q", minus=ref)
         solve_forward(KolmogorovProblem(
             grid=grid, mu=mu_eps, z0=z0, source=g), z_dist)
         return StabilityRow(
             eps=kern.eps,
             mu_distance=spacetime_norm(mu_eps, "L1Q", minus=mu_rough),
-            z_distance=z_dist.distances()[0])
+            z_distance=z_dist.value())
     return [row(kern) for kern in kernels]

@@ -124,13 +124,6 @@ def keep(data: np.ndarray):
     return consume
 
 
-def feed(consume, data: np.ndarray, grid: Grid) -> None:
-    """Hand the rows of a kept (K+1, grid.size) array to a march consumer,
-    in row_blocks: the reductions of a kept run are a streamed one's."""
-    for a, b in row_blocks(len(data), grid.size):
-        consume(a, data[a:b])
-
-
 def fan(*consumers):
     """The march consumer that hands each block to every given consumer in
     turn; a None among them is left out."""
@@ -139,6 +132,15 @@ def fan(*consumers):
     def consume(first, rows):
         for c in each:
             c(first, rows)
+    return consume
+
+
+def split(*consumers):
+    """The march consumer of a species-stacked march that hands species i
+    of each (I, rows, width) block to the i-th consumer."""
+    def consume(first, rows):
+        for c, species in zip(consumers, rows):
+            c(first, species)
     return consume
 
 
@@ -302,9 +304,12 @@ class ComparisonReport:
 
 
 def comparison_check(p: KolmogorovProblem, r_bar: float) -> ComparisonReport:
-    """Compare a reaction solve against the reaction-free solve times e^{rt}."""
+    """Compare a reaction solve against the reaction-free solve times e^{rt};
+    an r_bar that is no finite real number is refused before any solve."""
     if p.mode != "reaction":
         raise ValueError("comparison_check requires reaction mode")
+    if not (is_real(r_bar) and -np.inf < r_bar < np.inf):
+        raise ValueError(f"r_bar must be a finite real number, got {r_bar!r}")
     if p.reaction.distinct_rows().max() > r_bar:
         raise ValueError("reaction exceeds r_bar somewhere")
     rep = solve_forward(p)

@@ -6,8 +6,9 @@ has a constant coefficient), and reacts through r_i evaluated on the
 smoothed densities of all species.  Replacing every kernel by the
 identity gives the classical local system; `converge_study` measures the
 distance between the two as the kernels shrink toward a Dirac mass.  The
-studies keep their reference run only: every other run streams its rows
-through the march into its distances (torus.L2QDistances).
+studies keep their reference run only: every other run streams each
+species' rows through the march into its own torus.SpacetimeNorm, the L2Q
+norm of its difference to the reference (kolmo.split).
 
 The explicit step is species-stacked: its buffers have one row per
 species, shape (I, n^dim), made once per march (StepScratch), and every
@@ -24,9 +25,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kolmo import diffuse, keep, march
+from .kolmo import diffuse, keep, march, split
 from .mollify import convolve_array, dirac_defect, make_kernels
-from .torus import (GhostCells, Grid, L2QDistances, Trajectory, is_real,
+from .torus import (GhostCells, Grid, SpacetimeNorm, Trajectory, is_real,
                     on_grid, spacetime_norm)
 
 
@@ -88,6 +89,8 @@ class CoeffFamily:
         if not is_real(self.hi) or math.isnan(self.hi):  # +inf: unbounded
             raise ValueError(f"hi must not be NaN or a non-number, "
                              f"got {self.hi!r}")
+        if self.sigma < 0:   # E|y + sigma Z| takes sigma >= 0
+            raise ValueError(f"sigma must be >= 0, got {self.sigma!r}")
         if self.kind == "constant":
             if self.d <= 0:
                 raise ValueError("constant coefficient must be positive")
@@ -286,6 +289,14 @@ def solve_system(spec: SktSpec, consume=None):
     return None if out is None else [Trajectory(g, o) for o in out]
 
 
+def _distances(spec: SktSpec, ref) -> tuple:
+    """The L2(Q_T) distance of each species of spec's run, streamed, to its
+    Trajectory in `ref`."""
+    norms = [SpacetimeNorm(spec.grid, "L2Q", minus=r) for r in ref]
+    solve_system(spec, split(*norms))
+    return tuple(acc.value() for acc in norms)
+
+
 @dataclass(frozen=True)
 class ConvergenceRow:
     eps: float
@@ -302,13 +313,10 @@ def converge_study(spec_template: SktSpec, eps_list) -> tuple:
     kernels = make_kernels(spec_template.grid, eps_list)
     ref = solve_system(spec_template)
     count = spec_template.species_count
-    rows = []
-    for kern in kernels:
-        dist = L2QDistances(ref)
-        solve_system(replace(spec_template, kernels=(kern,) * count), dist)
-        rows.append(ConvergenceRow(eps=kern.eps, defect=dirac_defect(kern),
-                                   distances=dist.distances()))
-    return tuple(rows)
+    return tuple(ConvergenceRow(
+        eps=kern.eps, defect=dirac_defect(kern), distances=_distances(
+            replace(spec_template, kernels=(kern,) * count), ref))
+        for kern in kernels)
 
 
 @dataclass(frozen=True)
@@ -334,12 +342,10 @@ def regularization_study(spec: SktSpec, kink_strength: float,
             for cf in base.coeffs))
 
     base_spec = kinked(spec, kink=float(kink_strength), sigma=0.0)
+    # every smoothed spec (a sigma < 0 is refused) before the first march
+    specs = [kinked(base_spec, sigma=float(sigma)) for sigma in sigmas]
     ref = solve_system(base_spec)
     ref_norms = tuple(spacetime_norm(t, "L2Q") for t in ref)
-    rows = []
-    for sigma in sigmas:
-        dist = L2QDistances(ref)
-        solve_system(kinked(base_spec, sigma=float(sigma)), dist)
-        rows.append(RegularizationRow(sigma=float(sigma),
-                                      distances=dist.distances()))
-    return rows, ref_norms
+    return [RegularizationRow(sigma=float(sigma),
+                              distances=_distances(smoothed, ref))
+            for sigma, smoothed in zip(sigmas, specs)], ref_norms

@@ -218,15 +218,6 @@ def distinct_count(count: int, *arrays) -> int:
     return count
 
 
-def time_sum(values, count: int, grid: Grid, *reads) -> float:
-    """math.fsum of the `count` per-slice values that `values(a, b)` gives
-    over per_slice, reading rows a..b-1 of each array of `reads` (none
-    given: all rows are read).  When distinct_count makes those rows one,
-    values(0, 1) is the only one taken (fsum_slices)."""
-    return fsum_slices(
-        per_slice(values, distinct_count(count, *reads), grid), count)
-
-
 def fsum_slices(sums: np.ndarray, count: int) -> float:
     """math.fsum of `count` per-slice values: `sums` holds all of them, or
     the one value of rows that distinct_count made one, which is then
@@ -248,8 +239,9 @@ def row_sums(block: np.ndarray) -> np.ndarray:
 def quadrature(rows, grid: Grid, *reads) -> float:
     """The left-endpoint space-time quadrature tau h^dim sum_{k<K} of the
     values whose rows k0..k1-1 `rows(k0, k1)` computes, over per_slice;
-    when `reads` are given, they are all the arrays whose rows `rows` reads
-    (see time_sum).
+    when `reads` are given, they are all the arrays whose rows `rows` reads,
+    and when distinct_count makes those rows one, rows(0, 1) is the only
+    one taken (fsum_slices).
 
     Each row is summed by row_sums and the row sums are added with
     math.fsum.  A row's sum inside a block is the sum of that row alone,
@@ -265,7 +257,8 @@ def quadrature_of_sums(sums: np.ndarray, grid: Grid) -> float:
     """quadrature's end, on row sums its caller gathered: tau h^dim times
     the fsum_slices of the row sums of rows 0..K-1 (or of the one row that
     stands for all of them).  A march consumer that keeps each row's sum
-    (L2QDistances) gets the bits of the quadrature taken afterwards."""
+    (SpacetimeNorm, dual.DualityPairings) gets the bits of the quadrature
+    taken afterwards."""
     return float(grid.tau * grid.cell_volume()
                  * fsum_slices(sums, grid.steps))
 
@@ -335,19 +328,15 @@ def _stencil(ghost: GhostCells, grid: Grid, out: np.ndarray,
     return out
 
 
-def lap_stack(v: np.ndarray, grid: Grid, out: np.ndarray | None = None
-              ) -> np.ndarray:
+def lap_stack(v: np.ndarray, grid: Grid) -> np.ndarray:
     """Centered periodic Laplacian of every slice of a (..., grid.size)
     array, through a ghost-cell buffer of its own.
 
     Each value is -2 dim w, plus w[i-1], plus w[i+1], axis by axis, times
     n^2: h = 1/n with n a power of two, so that is 1/h^2 exactly.  The
     neighbours are read as shifted views of a copy padded by one cell of
-    periodic neighbours per axis.  Written into `out` (any array of v's
-    shape, strided too, not overlapping v) when one is given; that array
-    is returned."""
-    if out is None:
-        out = np.empty(v.shape)
+    periodic neighbours per axis."""
+    out = np.empty(v.shape)
     ghost = GhostCells(grid, v.shape[:-1])
     ghost.inner[...] = on_grid(v, grid)
     _stencil(ghost, grid, on_grid(out, grid), grid.n ** 2)
@@ -472,97 +461,90 @@ def _norm(v: np.ndarray, grid: Grid, kind: str) -> float:
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
+def feed(consume, data: np.ndarray, grid: Grid) -> None:
+    """Hand the rows of a kept (count, grid.size) array to a march consumer,
+    in row_blocks: the reductions of a kept run are a streamed one's."""
+    for a, b in row_blocks(len(data), grid.size):
+        consume(a, data[a:b])
+
+
+class SpacetimeNorm:
+    """A march consumer (kolmo.march's `consume`): the space-time norm of
+    the given kind of the rows it is handed, or of their difference to the
+    Trajectory `minus`.  Of each row k < K (all K+1 for LinfL2) it keeps
+    one value, the row_sums of x^2 (L2Q, LinfL2) or |x| (L1Q) or the H^-1
+    norm (L1Hminus1), taking blocks in any order, each row once; row 0
+    handed alone stands for every row (distinct_count).  value() ends by
+    the kind's rule (quadrature_of_sums; tau fsum_slices; the largest
+    (h^dim s_k)^(1/2)), and each value is its row's own, so neither the
+    blocking nor the order moves a bit.  Every row read, of minus too, is
+    scaled by 2^e first (ldexp, none when e is 0); value() scales back."""
+
+    def __init__(self, grid: Grid, kind: str,
+                 minus: Trajectory | None = None, e: int = 0):
+        if kind not in ("L2Q", "L1Q", "LinfL2", "L1Hminus1"):
+            raise ValueError(f"unknown spacetime norm kind {kind!r}")
+        if minus is not None and minus.grid != grid:
+            raise ValueError("grid mismatch")
+        self.grid, self.kind, self.e = grid, kind, e
+        self.minus = None if minus is None else minus.data
+        self.hminus1 = _hminus1(grid) if kind == "L1Hminus1" else None
+        self.count = grid.steps + (kind == "LinfL2")
+        self.values = []    # one vector per block: O(K) values in all
+
+    def __call__(self, first: int, rows: np.ndarray) -> None:
+        x = rows[:self.count - first]
+        if len(x) == 0:
+            return
+        if self.e:
+            x = np.ldexp(x, self.e)
+        if self.minus is not None:
+            m = self.minus[first:first + len(x)]
+            x = x - (np.ldexp(m, self.e) if self.e else m)
+        self.values.append(row_sums(np.abs(x)) if self.kind == "L1Q"
+                           else self.hminus1(x) if self.hminus1
+                           else row_sums(x * x))
+
+    def value(self) -> float:
+        g, values = self.grid, np.concatenate(self.values)
+        if self.kind == "LinfL2":
+            value = np.sqrt(g.cell_volume() * values).max()
+        elif self.kind == "L1Hminus1":
+            value = g.tau * fsum_slices(values, g.steps)
+        else:
+            value = quadrature_of_sums(values, g)
+            if self.kind == "L2Q":
+                value = np.sqrt(value)
+        return float(np.ldexp(value, -self.e) if self.e else value)
+
+
 def spacetime_norm(traj: Trajectory, kind: str,
                    minus: Trajectory | None = None) -> float:
     """Left-endpoint time quadrature over the K intervals of the trajectory,
-    or of traj - minus when `minus` is given.  Streamed over blocks of
-    slices: neither the difference nor any other trajectory-size array is
-    formed.  Every time sum follows the quadrature rule: np.sum per slice,
-    math.fsum across slices, over time_sum; so when every trajectory read
-    is constant in time (distinct_count), one slice is read, and the bits
-    are those of reading all of them.  Every kind is 1-homogeneous: when
-    the value overflows (a square or a sum beyond the float range), the
-    data are scaled by the power of two 2^-e that brings their largest
-    magnitude into [1/2, 1), as by norm, and the norm scaled back by 2^e.
-    In-range values take no scaling."""
-    g = traj.grid
-    if minus is not None and minus.grid != g:
-        raise ValueError("grid mismatch")
+    or of traj - minus when `minus` is given: a SpacetimeNorm fed the rows,
+    so no trajectory-size array is formed; row 0 alone when every read is
+    constant in time (distinct_count), with the same bits.  Every kind is
+    1-homogeneous: when the value overflows (a square or a sum beyond the
+    float range), the data are scaled by the power of two 2^-e that brings
+    their largest magnitude into [1/2, 1), as by norm, and the norm scaled
+    back by 2^e.  In-range values take no scaling."""
     reads = (traj.data,) if minus is None else (traj.data, minus.data)
+    rows = traj.data[:distinct_count(len(traj.data), *reads)]
+
+    def measure(e):
+        acc = SpacetimeNorm(traj.grid, kind, minus, e)
+        feed(acc, rows, traj.grid)
+        return acc.value()
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            value = _spacetime_norm(reads, g, kind, 0)
+            value = measure(0)
         except OverflowError:       # math.fsum of finite sums beyond range
             value = math.inf
         if np.isfinite(value):
             return value
         distinct = [r[:distinct_count(len(r), r)] for r in reads]
         _, e = np.frexp(max(max(-d.min(), d.max()) for d in distinct))
-        return float(np.ldexp(_spacetime_norm(reads, g, kind, -e), e))
-
-
-def _spacetime_norm(reads, g: Grid, kind: str, e: int) -> float:
-    """spacetime_norm of reads[0], or of reads[0] - reads[1], each read
-    scaled by 2^e (block by block, and not at all when e is 0)."""
-    def part(data, a, b):
-        return np.ldexp(data[a:b], e) if e else data[a:b]
-
-    if len(reads) == 1:
-        def rows(a, b):
-            return part(reads[0], a, b)
-    else:
-        def rows(a, b):
-            return part(reads[0], a, b) - part(reads[1], a, b)
-
-    def squares(a, b):
-        x = rows(a, b)
-        return x * x
-    if kind == "L2Q":
-        return float(np.sqrt(quadrature(squares, g, *reads)))
-    if kind == "L1Q":
-        return quadrature(lambda a, b: np.abs(rows(a, b)), g, *reads)
-    if kind == "LinfL2":
-        return sup_l2_of_sums(
-            per_slice(lambda a, b: row_sums(squares(a, b)),
-                      distinct_count(g.steps + 1, *reads), g), g)
-    if kind == "L1Hminus1":
-        norms = _hminus1(g)
-        return float(g.tau * time_sum(lambda a, b: norms(rows(a, b)),
-                                      g.steps, g, *reads))
-    raise ValueError(f"unknown spacetime norm kind {kind!r}")
-
-
-def sup_l2_of_sums(sums: np.ndarray, grid: Grid) -> float:
-    """The sup-L2 norm max_k (h^dim s_k)^(1/2) of the slices whose row sums
-    of squares are `sums` (all K+1 of them, or the one that stands for
-    all): the end of spacetime_norm's LinfL2, for a consumer that gathered
-    the sums from march blocks."""
-    return float(np.sqrt(grid.cell_volume() * sums).max())
-
-
-class L2QDistances:
-    """A march consumer (kolmo.march's `consume`) that measures a streamed
-    run against kept references: the L2(Q_T) distance of each species of
-    the run to its reference Trajectory, in order.  Of each row k < K it
-    keeps the row's sum of (run - reference)^2 (row_sums), one (K) vector
-    per species, and distances() finishes each by quadrature_of_sums; so
-    each distance has the bits of spacetime_norm(run, "L2Q", minus=ref)."""
-
-    def __init__(self, refs):
-        self.grid = refs[0].grid
-        self.refs = [r.data for r in refs]
-        self.sums = np.empty((len(refs), self.grid.steps))
-
-    def __call__(self, first: int, rows: np.ndarray) -> None:
-        stop = min(first + rows.shape[-2], self.grid.steps)
-        runs = rows.reshape(len(self.refs), -1, self.grid.size)
-        for run, ref, sums in zip(runs, self.refs, self.sums):
-            x = run[:stop - first] - ref[first:stop]
-            sums[first:stop] = row_sums(x * x)
-
-    def distances(self) -> tuple:
-        return tuple(float(np.sqrt(quadrature_of_sums(s, self.grid)))
-                     for s in self.sums)
+        return measure(-e)
 
 
 # ---------------------------------------------------------------------------

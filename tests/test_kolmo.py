@@ -199,6 +199,21 @@ def test_comparison_inequality_varying_reaction():
             grid=g, mu=mu, z0=z0, source=Trajectory.constant(g, 0.0)), 0.0)
 
 
+@pytest.mark.parametrize("r_bar", [
+    np.nan, np.inf, -np.inf, "x", True, None,
+    pytest.param(10 ** 400, id="int-beyond-float")])
+def test_comparison_refuses_an_r_bar_that_is_no_finite_real(r_bar):
+    g = _grid()
+    p = KolmogorovProblem(grid=g, mu=Trajectory.constant(g, 1.0),
+                          z0=Field.constant(g, 1.0),
+                          reaction=Trajectory.constant(g, 0.5))
+    with pytest.raises(ValueError, match=f"^r_bar must be a finite real "
+                                         f"number, got {r_bar!r}$"):
+        comparison_check(p, r_bar)
+    # numpy reals are real numbers
+    assert comparison_check(p, np.float32(0.5)).r_bar == 0.5
+
+
 def test_blowup_detected():
     g = _grid()
     p = KolmogorovProblem(grid=g, mu=Trajectory.constant(g, 1.0),

@@ -1,8 +1,12 @@
 """Property tests of the exact discrete guarantees over random grids,
 coefficients and data.  Derandomized, so every run draws the same cases."""
 
+import io
 import json
 import math
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossdifflab import torus
+from crossdifflab.cli import main
 from crossdifflab.dual import (DualProblem, duality_pairings,
                                duality_residual, solve_dual, verify_apriori)
 from crossdifflab.kolmo import (CflViolation, KolmogorovProblem,
@@ -75,9 +80,6 @@ def test_slice_add_stencil_matches_roll(case, lead):
     data = rng.standard_normal(lead + (grid.size,))
     ref = _roll_laplacian(data, grid)
     assert np.array_equal(lap_stack(data, grid), ref)
-    out = np.full_like(data, np.nan)
-    assert lap_stack(data, grid, out) is out
-    assert np.array_equal(out, ref)
 
 
 @PROPERTY
@@ -290,6 +292,8 @@ def _whole_norm(traj, kind):
         return float(np.sqrt(tau * vol * _row_rule(body * body)))
     if kind == "L1Q":
         return float(tau * vol * _row_rule(np.abs(body)))
+    if kind == "L1Hminus1":   # the H^-1 norms of all K rows in one call
+        return float(tau * math.fsum(torus._hminus1(traj.grid)(body).tolist()))
     per_slice = np.sqrt(vol * np.sum(traj.data * traj.data, axis=1))
     return float(per_slice.max())
 
@@ -311,13 +315,28 @@ def test_streamed_norms_are_whole_array_norms(case):
     shape = (grid.steps + 1, grid.size)
     a = Trajectory(grid, _spread(rng, shape))
     b = Trajectory(grid, _spread(rng, shape))
-    diff = Trajectory(grid, a.data - b.data)
-    for kind in ("L2Q", "L1Q", "LinfL2"):
-        assert spacetime_norm(a, kind) == _whole_norm(a, kind)
-        assert spacetime_norm(mu, kind) == _whole_norm(mu, kind)
-        assert spacetime_norm(a, kind, minus=b) == _whole_norm(diff, kind)
-    const = Trajectory.constant_in_time(grid, Field(grid, a.data[0]))
-    assert spacetime_norm(const, "L1Q") == _whole_norm(const, "L1Q")
+    # broadcast views of one row, read once when every read is one
+    c, d = (Trajectory.constant_in_time(grid, Field(
+        grid, _spread(rng, grid.size))) for _ in range(2))
+
+    def whole(t, minus):   # t - minus, C-ordered
+        diff = t.data if minus is None else t.data - minus.data
+        return Trajectory(grid, np.ascontiguousarray(diff))
+    for kind in ("L2Q", "L1Q", "LinfL2", "L1Hminus1"):
+        for t, minus in ((a, None), (mu, None), (a, b), (c, None), (c, d),
+                         (c, a), (a, c)):
+            value = spacetime_norm(t, kind, minus=minus)
+            assert value == _whole_norm(whole(t, minus), kind)
+            # the consumer, handed every row in random blocks in random
+            # order, as the backward dual march hands them
+            edges = np.unique(np.concatenate(([0, len(t.data)], rng.integers(
+                1, len(t.data), rng.integers(0, 6)))))
+            blocks = list(zip(edges[:-1], edges[1:]))
+            rng.shuffle(blocks)
+            acc = torus.SpacetimeNorm(grid, kind, minus)
+            for lo, hi in blocks:
+                acc(lo, t.data[lo:hi])
+            assert _bits(acc.value()) == _bits(value)
     assert np.array_equal(grad_sq_stack(a.data, grid),
                           _whole_grad_sq(a.data, grid))
     assert grad_sq_stack(a.data[0], grid) == _whole_grad_sq(a.data[0], grid)
@@ -696,3 +715,62 @@ def test_a_config_that_parses_can_be_run(raw):
         run(cfg)
     except (CflViolation, NumericalBlowUp):
         pass
+
+
+# ---------------------------------------------------------------------------
+# the cdl commands that read a field dump
+
+@st.composite
+def field_dumps(draw):
+    """(dim, n, values) of a field dump: dim 1 or 2, n in 8/16/32, values
+    m 2^e with m in [1, 2) and e in a band of 0 to 2097 exponents ending at
+    a drawn top, the ends of the float range often (the smallest values
+    round to subnormals or 0); all positive or of both signs, some of them
+    0, or all equal."""
+    dim = draw(st.sampled_from((1, 2)))
+    n = draw(st.sampled_from((8, 16, 32)))
+    hi = draw(st.one_of(st.sampled_from((-1074, -1022, 1022, 1023)),
+                        st.integers(-1074, 1023)))
+    lo = max(-1074, hi - draw(st.sampled_from((0, 1, 16, 2097))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = np.ldexp(rng.uniform(1.0, 2.0, n ** dim),
+                      rng.integers(lo, hi + 1, n ** dim))
+    shape = draw(st.sampled_from(("positive", "signed", "zeros", "equal")))
+    if shape == "signed":
+        values *= rng.choice((-1.0, 1.0), values.size)
+    elif shape == "zeros":
+        values[rng.random(values.size) < 0.25] = 0.0
+    elif shape == "equal":
+        values[...] = values[0]
+    return dim, n, values
+
+
+@settings(PROPERTY, max_examples=200)
+@given(field_dumps(), st.sampled_from(("maximal", "a2-check")))
+def test_dump_commands_report_finite_values_or_refuse_the_dump(case,
+                                                               command):
+    # exit 0 with finite values, or exit 2 with one stderr line that names
+    # the dump; no other exit, exception or RuntimeWarning (pytest makes it
+    # an error)
+    dim, n, values = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "field.cdl")
+        torus.dump_slices(path, dim, n, values[None])
+        flag = "--field" if command == "maximal" else "--weight"
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command, flag, path])
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert out.getvalue() == "" and len(lines) == 1 and path in lines[0]
+        return
+    assert code == 0 and err.getvalue() == ""
+    report = json.loads(out.getvalue())
+    assert all(math.isfinite(v) for v in report.values())
+    if command == "maximal":   # the largest ball mean is max|f|, rounded
+        top = np.abs(values).max()
+        assert top <= report["sup"] <= top * (1 + 1e-12)
+        assert 0.0 <= report["mean"] <= report["sup"] * (1 + 1e-12)
+    else:
+        assert report["a2_constant"] >= 1.0
+        assert (report["n"], report["dim"]) == (n, dim)

@@ -295,6 +295,24 @@ def test_regularization_study_refuses_loose_scalars(kink, sigmas, name,
         regularization_study(spec, kink, sigmas)
 
 
+def test_negative_sigma_is_refused(monkeypatch):
+    # E|y + sigma Z| took the sign of sigma: at v = 0.8, sigma = -0.1 gave
+    # 0.70 where sigma = 0.1 gives 1.30, and regularization_study passed it
+    msg = r"^sigma must be >= 0, got -0\.1$"
+    with pytest.raises(ValueError, match=msg):
+        CoeffFamily("kinked_affine", 1.0, kink=1.0, pivot=0.5, lo=0.5,
+                    hi=3.0, sigma=-0.1)
+    kinked = CoeffFamily(kind="kinked_affine", d=1.0, kink=1.0, pivot=1.0,
+                         lo=0.5, hi=3.0)
+    spec = _two_species(_grid(n=16, hi=3.0), coeff1=kinked)
+    monkeypatch.setattr(skt_mod, "solve_system", None)
+    with pytest.raises(ValueError, match=msg):   # before the first solve
+        regularization_study(spec, 1.0, (0.2, -0.1))
+    smooth = CoeffFamily("kinked_affine", 1.0, kink=1.0, pivot=0.5, lo=0.5,
+                         hi=3.0, sigma=0.1)
+    assert abs(smooth.evaluate([np.array([0.8])])[0] - 1.30) < 0.01
+
+
 NAN, INF = float("nan"), float("inf")
 
 

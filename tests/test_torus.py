@@ -395,18 +395,6 @@ def test_hminus1_matches_the_complex_transform(dim, n):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_lap_into_strided_out(dim):
-    # splitting the last axis of a strided array is a view, so the result
-    # lands in `out` itself
-    rng = np.random.default_rng(7)
-    g = make_grid(dim, 8, 1.0, 1)
-    v = rng.standard_normal(g.size)
-    out = np.empty((g.size, 2))[:, 0]
-    assert lap_stack(v, g, out) is out
-    assert np.array_equal(out, lap_stack(v, g))
-
-
-@pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("lead", [(), (1,), (3,), (2, 3)])
 def test_lap_is_the_rolled_stencil_bit_for_bit(dim, lead):
     # -2N w, plus w[i-1], plus w[i+1], axis by axis: the ghost-cell copy
@@ -422,8 +410,6 @@ def test_lap_is_the_rolled_stencil_bit_for_bit(dim, lead):
         ref = ref + np.roll(w, -1, axis=ax)
     ref = (ref / g.h ** 2).reshape(v.shape)
     assert np.array_equal(lap_stack(v, g), ref)
-    out = np.empty(v.shape)
-    assert lap_stack(v, g, out) is out and np.array_equal(out, ref)
 
 
 def test_traj_helpers_match_per_slice():

@@ -17,11 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kolmo import KolmogorovProblem, check_inputs, keep, march, solve_forward
+from .kolmo import (KolmogorovProblem, block_products, check_inputs, keep,
+                    march, solve_forward)
 from .mollify import Kernel, convolve_array, make_kernels
 from .torus import (Field, GhostCells, Grid, SpacetimeNorm, Trajectory, feed,
                     grad_sq_stack, lap_array, lap_stack, on_grid, quadrature,
-                    quadrature_of_sums, row_blocks, row_sums, spacetime_norm)
+                    quadrature_of_sums, row_sums, spacetime_norm)
 
 # the relative slack of the a-priori estimate and the energy identities
 SLACK = 0.05
@@ -61,7 +62,13 @@ def solve_dual(p: DualProblem, consume=None) -> Trajectory | None:
     mu, s = on_grid(p.mu.data, g), on_grid(p.s.data, g)
     ghost = GhostCells(g)
     ghost.inner[...] = 0.0
-    tmu, ts = np.empty((2, row_blocks(g.steps, g.size)[0][1]) + g.shape)
+
+    def tau_mu(rows, buf):   # (tau*mu^k)*n^2, two multiplies in this order
+        np.multiply(rows, tau, out=buf)
+        return np.multiply(buf, g.n ** 2, out=buf)
+    tmu = block_products(mu, g, tau_mu)
+    ts = block_products(s, g, lambda rows, buf: np.multiply(rows, tau,
+                                                            out=buf))
 
     # Phi^k = Phi^{k+1} + (tau*mu^k)*Lap(Phi^{k+1}) - tau*S^k, written
     # straight into the window's row of step k and then into the ghost
@@ -70,12 +77,9 @@ def solve_dual(p: DualProblem, consume=None) -> Trajectory | None:
     # stencil leaves its unscaled neighbour sum, and the block's tau*mu^k
     # take the exact factor n^2 = 1/h^2 instead.
     def advance(a, b, window):
-        np.multiply(mu[a:b], tau, out=tmu[:b - a])
-        np.multiply(tmu[:b - a], g.n ** 2, out=tmu[:b - a])
-        np.multiply(s[a:b], tau, out=ts[:b - a])
         last = b - a - 1    # the block's new rows, last first
         for phinew, tm, t in zip(on_grid(window, g)[last::-1],
-                                 tmu[last::-1], ts[last::-1]):
+                                 tmu(a, b)[last::-1], ts(a, b)[last::-1]):
             np.multiply(tm, lap_array(ghost, g, phinew, None), phinew)
             np.add(ghost.inner, phinew, phinew)
             np.subtract(phinew, t, phinew)
@@ -188,6 +192,15 @@ def streamed_duality_residual(p_forward: KolmogorovProblem,
     return pairings.residual()
 
 
+def laplacian_energy_sums(phi: np.ndarray, mu: np.ndarray,
+                          grid: Grid) -> np.ndarray:
+    """The row sums (row_sums) of mu^k (Lap Phi^k)^2 of rows of Phi and
+    the rows of mu of the same steps: the summands of ||mu^{1/2} Lap
+    Phi||^2_{L2Q}, of AprioriSums and weights.energy_identity_case_iii."""
+    lp = lap_stack(phi, grid)
+    return row_sums(mu * lp * lp)
+
+
 class AprioriSums:
     """verify_apriori's reductions of a dual solution Phi of p, gathered
     from march blocks (a consumer of solve_dual's march, in any order): of
@@ -213,9 +226,8 @@ class AprioriSums:
         self.sup(first, rows)
         body = min(stop, g.steps) - first     # the rows k < K
         if body > 0:
-            lp = lap_stack(rows[:body], g)
-            self.energy[first:first + body] = row_sums(
-                self.p.mu.data[first:first + body] * lp * lp)
+            self.energy[first:first + body] = laplacian_energy_sums(
+                rows[:body], self.p.mu.data[first:first + body], g)
         self.max = max(self.max, float(rows.max()))
         if first == 0:
             self.phi0[...] = rows[0]

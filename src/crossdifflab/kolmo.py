@@ -238,6 +238,22 @@ def diffuse(z: np.ndarray, coeff, grid: Grid, out: np.ndarray,
     return np.add(z, out, out)
 
 
+def block_products(rows: np.ndarray, grid: Grid, product):
+    """The products of the march's blocks of steps with an input that does
+    not depend on the state: a function (a, b) giving product(rows[a:b],
+    buf), written into a buffer of one block made here.  When
+    distinct_count makes the rows one (a constant-in-time input), the
+    product of that one row is made once and each block is a broadcast
+    view of it, with the same bits."""
+    if distinct_count(grid.steps, rows) == 1:
+        one = product(rows[:1], np.empty((1,) + rows.shape[1:]))
+        every = np.broadcast_to(one, (grid.steps,) + rows.shape[1:])
+        return lambda a, b: every[a:b]
+    buf = np.empty((row_blocks(grid.steps, grid.size)[0][1],)
+                   + rows.shape[1:])
+    return lambda a, b: product(rows[a:b], buf[:b - a])
+
+
 def solve_forward(p: KolmogorovProblem, consume=None) -> SolveReport | None:
     """March the problem over all time steps and keep the trajectory, with
     its report gathered by a RunSummary.  With `consume`, the march streams
@@ -254,17 +270,19 @@ def solve_forward(p: KolmogorovProblem, consume=None) -> SolveReport | None:
     mu = on_grid(p.mu.data, g)
     rhs = on_grid((p.source if source else p.reaction).data, g)
     ghost, scale = GhostCells(g), np.array(tau * g.n ** 2)
-    scratch = np.empty((row_blocks(g.steps, g.size)[0][1],) + g.shape)
+
+    def product(rows, buf):
+        np.multiply(rows, tau, out=buf)
+        return buf if source else np.exp(buf, out=buf)
+    trhs = block_products(rhs, g, product)
 
     # z^{k+1} = z^k + tau*Lap(mu^k z^k), then + tau*G^k or * exp(tau*R^k),
     # written straight into the window's row of step k+1; tau*G^k
-    # (exp(tau*R^k)) for a block of steps at once
+    # (exp(tau*R^k)) for a block of steps at once, or once per march
+    # (block_products)
     def advance(a, b, window):
-        trhs = np.multiply(rhs[a:b], tau, out=scratch[:b - a])
-        if not source:
-            np.exp(trhs, out=trhs)
         z = on_grid(window, g)
-        for zk, znew, muk, t in zip(z[:-1], z[1:], mu[a:b], trhs):
+        for zk, znew, muk, t in zip(z[:-1], z[1:], mu[a:b], trhs(a, b)):
             diffuse(zk, muk, g, znew, ghost, scale)
             if source:
                 np.add(znew, t, znew)

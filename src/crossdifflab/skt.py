@@ -11,11 +11,14 @@ species' rows through the march into its own torus.SpacetimeNorm, the L2Q
 norm of its difference to the reference (kolmo.split).
 
 The explicit step is species-stacked: its buffers have one row per
-species, shape (I, n^dim), made once per march (StepScratch), and every
-operation that does not read another species runs once on the stack.
-The constants of the hot loop (tau, tau*n^2, the families' d, lo, hi,
-c_j, rho and s_j) are float64 0-d arrays made once, which numpy takes
-faster than Python floats, with the same bits.
+species, shape (I, n^dim), and every operation that does not read another
+species runs once on the stack.  A march makes one step plan
+(StepScratch), which binds what every step looks up: the buffers, the
+relaxed species' kernels, each varying coefficient row with its family's
+evaluation body, and each reaction with its row.  The constants of the
+hot loop (tau, tau*n^2, the families' d, lo, hi, c_j, rho and s_j) are
+float64 0-d arrays made once, which numpy takes faster than Python
+floats, with the same bits.
 """
 
 from __future__ import annotations
@@ -119,19 +122,40 @@ class CoeffFamily:
         if len(args) != self.arity:
             raise ValueError(
                 f"{self.kind} expects {self.arity} arguments, got {len(args)}")
-        if self.kind == "kinked_affine":
-            raw = self._d + self.kink * _smoothed_abs(args[0] - self.pivot,
-                                                      self.sigma)
-        else:
-            # sum_j c_j v_j from the first term, not from 0: one add fewer;
-            # the two differ only in the sign of a zero, which d + . (or
-            # 1 + .) and the clip to lo > 0 erase
-            terms = [cj * aj for cj, aj in zip(self._c, args)]
-            lin = sum(terms[1:], terms[0]) if terms else 0
-            raw = (self._d + lin if self.kind == "clamped_affine"
-                   else self._d / (_ONE + lin))
-        # np.clip's result for lo <= hi, with less call overhead
-        return np.minimum(np.maximum(raw, self._lo), self._hi, out=out)
+        return self.body(args, out)
+
+    @property
+    def body(self):
+        """evaluate of a non-constant kind without its checks: the method
+        of the kind, taking (args, out) with len(args) == arity.  A march
+        looks it up once (StepScratch)."""
+        return getattr(self, "_" + self.kind)
+
+    def _linear(self, args):
+        # sum_j c_j v_j from the first term, not from 0: one add fewer;
+        # the two differ only in the sign of a zero, which d + . (or
+        # 1 + .) and the clip to lo > 0 erase
+        c = self._c
+        lin = c[0] * args[0] if c else 0
+        for j in range(1, len(c)):
+            lin = lin + c[j] * args[j]
+        return lin
+
+    # np.clip's result for lo <= hi, with less call overhead; `out`, when
+    # given, takes the maximum too
+    def _clamped_affine(self, args, out):
+        return np.minimum(np.maximum(self._d + self._linear(args), self._lo,
+                                     out=out), self._hi, out=out)
+
+    def _rational_saturating(self, args, out):
+        return np.minimum(np.maximum(self._d / (_ONE + self._linear(args)),
+                                     self._lo, out=out), self._hi, out=out)
+
+    def _kinked_affine(self, args, out):
+        raw = self._d + self.kink * _smoothed_abs(args[0] - self.pivot,
+                                                  self.sigma)
+        return np.minimum(np.maximum(raw, self._lo, out=out), self._hi,
+                          out=out)
 
 
 @dataclass(frozen=True)
@@ -204,35 +228,41 @@ class SktSpec:
         return max(cf.hi for cf in self.coeffs)
 
 
-def _smoothed_state(spec: SktSpec, state) -> list:
-    return [convolve_array(u, k) if k is not None else u
-            for u, k in zip(state, spec.kernels)]
-
-
 def evaluate_coeff(spec: SktSpec, i: int, state):
     """Coefficient field for species i (0-based) at the given state."""
-    return spec.coeffs[i].evaluate(_smoothed_state(spec, state)[i + 1:])
+    smoothed = [convolve_array(u, k) if k is not None else u
+                for u, k in zip(state, spec.kernels)]
+    return spec.coeffs[i].evaluate(smoothed[i + 1:])
 
 
 class StepScratch:
-    """The buffers and constants of the steps of one march of `spec`,
-    made once: a ghost-cell buffer with one row per species (the stencil
-    runs on its row views), the coefficient rows, whose constant ones are
-    filled here, the rows of tau*r_i, and tau and tau*n^2 as 0-d arrays."""
+    """The step plan of one march of `spec`: what every step looks up,
+    bound once.  It holds its spec; the (species, kernel) pairs of the
+    relaxed species; a ghost-cell buffer with one row per species (the
+    stencil runs on its row views); the coefficient rows, whose constant
+    ones are filled here, and the varying ones bound to their family's
+    `body`, whose arity SktSpec checked; the (evaluate, row) pairs of the
+    reactions and their rows of tau*r_i; and tau and tau*n^2 as 0-d
+    arrays."""
 
     def __init__(self, spec: SktSpec):
         g = spec.grid
+        self.spec, self.grid = spec, g
         self.shape = (spec.species_count,) + g.shape
+        self.species = range(spec.species_count)
+        self.kernels = [(i, k) for i, k in enumerate(spec.kernels)
+                        if k is not None]
         self.ghost = GhostCells(g, self.shape[:1])
         self.coeff = np.empty(self.shape)
-        self.varying = []   # (i, family, row) of the non-constant rows
+        self.varying = []   # (i, body, row) of the non-constant rows
         for i, (row, cf) in enumerate(zip(self.coeff, spec.coeffs)):
             if cf.kind == "constant":
                 row[...] = cf.d
             else:
-                self.varying.append((i, cf, row))
+                self.varying.append((i, cf.body, row))
         self.rate = np.empty(self.shape)
-        self.rates = list(self.rate)
+        self.reactions = [(r.evaluate, row)
+                          for r, row in zip(spec.reactions, self.rate)]
         self.tau = np.array(g.tau)
         self.scale = np.array(g.tau * g.n ** 2)
 
@@ -242,28 +272,38 @@ def step(spec: SktSpec, state, out=None, scratch=None) -> np.ndarray:
     the incoming state.  `state` holds one row per species, flat or of
     grid.shape; the new state is written into `out`, an array of the same
     shape not overlapping the state, made here when not given, and
-    returned.  `scratch` is the march's StepScratch, made here when not
-    given.
+    returned.  `scratch` is the march's StepScratch of this spec, made
+    here when not given; one made for another spec is a ValueError.  A
+    march hands the plan and (I, *grid.shape) arrays, which go to the
+    arithmetic as they are.
 
     Every operation that does not read another species runs once on the
     (I, ...) stack: the coefficient times state product, the add that ends
     the diffusion update, the exp and the product with it.  Each species
     still has its own convolution (relaxed species), coefficient, stencil
     call and reaction, with the bits of a step species by species."""
-    g = spec.grid
-    state = np.asarray(state)
-    if out is None:
-        out = np.empty(state.shape)
-    buf = scratch or StepScratch(spec)
-    u, new = state.reshape(buf.shape), out.reshape(buf.shape)
-    smoothed = _smoothed_state(spec, u)
+    plan = StepScratch(spec) if scratch is None else scratch
+    if plan.spec is not spec:
+        raise ValueError("scratch is the StepScratch of another SktSpec: "
+                         "its kernels and coefficient rows are not this "
+                         "spec's")
+    u, new = state, out
+    if out is None or type(state) is not np.ndarray \
+            or state.shape != plan.shape:
+        state = np.asarray(state)
+        if out is None:
+            out = np.empty(state.shape)
+        u, new = state.reshape(plan.shape), out.reshape(plan.shape)
+    smoothed = [u[i] for i in plan.species]
+    for i, kern in plan.kernels:
+        smoothed[i] = convolve_array(smoothed[i], kern)
     # u_i <- (u_i + tau*Lap(a_i u_i)) * exp(tau*r_i)
-    for i, cf, row in buf.varying:
-        cf.evaluate(smoothed[i + 1:], row)
-    diffuse(u, buf.coeff, g, new, buf.ghost, buf.scale)
-    for reaction, rate in zip(spec.reactions, buf.rates):
-        np.multiply(reaction.evaluate(smoothed), buf.tau, rate)
-    np.multiply(new, np.exp(buf.rate, buf.rate), new)
+    for i, body, row in plan.varying:
+        body(smoothed[i + 1:], row)
+    diffuse(u, plan.coeff, plan.grid, new, plan.ghost, plan.scale)
+    for evaluate, rate in plan.reactions:
+        np.multiply(evaluate(smoothed), plan.tau, rate)
+    np.multiply(new, np.exp(plan.rate, plan.rate), new)
     return out
 
 

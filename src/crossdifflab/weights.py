@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import (SLACK, AprioriSums, DualProblem, EstimateReport,
+from .dual import (SLACK, DualProblem, EstimateReport, laplacian_energy_sums,
                    relative_gap, solve_dual)
 from .mollify import convolve_array
-from .torus import (Field, Grid, Trajectory, feed, grad_sq_stack, lap_stack,
-                    quadrature, quadrature_of_sums)
+from .torus import (Field, Grid, Trajectory, grad_sq_stack, lap_stack,
+                    per_slice, quadrature, quadrature_of_sums)
 
 
 @dataclass(frozen=True)
@@ -214,10 +214,12 @@ def energy_identity_case_iii(mu_t, s: Trajectory) -> EstimateReport:
     mu = Trajectory(g, np.broadcast_to(mu_t[:, None], (g.steps + 1, g.size)))
     p = DualProblem(grid=g, mu=mu, s=s)
     phi = solve_dual(p)
-    pd, sd = phi.data, s.data
-    sums = AprioriSums(p)   # grad[0] and ||mu^{1/2} Lap Phi||^2 by its rows
-    feed(sums, pd, g)
-    lhs = 0.5 * float(sums.grad[0]) + quadrature_of_sums(sums.energy, g)
+    pd, sd, md = phi.data, s.data, mu.data
+    # ||grad Phi^0||^2 and ||mu^{1/2} Lap Phi||^2_{L2Q} by AprioriSums' rules
+    energy = per_slice(lambda a, b: laplacian_energy_sums(pd[a:b], md[a:b], g),
+                       g.steps, g)
+    lhs = (0.5 * float(grad_sq_stack(pd[0], g))
+           + quadrature_of_sums(energy, g))
     rhs = quadrature(lambda a, b: lap_stack(pd[a:b], g) * sd[a:b], g)
     gap = relative_gap(lhs, -rhs)
     return EstimateReport(lhs=lhs, rhs=rhs, ratio=gap, passed=gap <= SLACK,

@@ -1,9 +1,12 @@
 """Triangular cross-diffusion systems and kernel-to-Dirac studies."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossdifflab import skt as skt_mod
 from crossdifflab.kolmo import CflViolation, NumericalBlowUp, steps_for
@@ -13,6 +16,7 @@ from crossdifflab.skt import (CoeffFamily, ConvergenceRow, ReactionFamily,
                               converge_study, evaluate_coeff,
                               regularization_study, solve_system, step)
 from crossdifflab.torus import Field, make_grid, spacetime_norm
+from test_marches import MARCH, _skt_case, blocked_grids
 
 
 def _grid(n=32, t_final=0.02, hi=2.0, dim=1):
@@ -211,14 +215,43 @@ def test_last_species_decoupled_bit_identical():
     assert np.array_equal(u2_a.data, u2_b.data)
 
 
-def test_step_matches_solve_system():
-    g = _grid()
-    spec = _two_species(g, eps1=0.15)
-    state = [f.values.copy() for f in spec.init]
-    state = step(spec, state)
+@settings(MARCH, max_examples=60)
+@given(blocked_grids(),
+       st.sampled_from(("clamped_affine", "rational_saturating",
+                        "kinked_affine")),
+       st.sampled_from((None, 0.25)),
+       st.sampled_from(((1.0, 0.5), (0.0, 1.0), (0.0, 0.0))),
+       st.sampled_from((2, 3)))
+def test_steps_with_one_plan_are_solve_system(case, kind, eps, s0, species):
+    # K calls of step, all with one plan and (I, *grid.shape) arrays, give
+    # the march's trajectory bit for bit; every kind, the constant one as
+    # the last species, with and without kernels, 2 and 3 species, 1-D
+    # and 2-D
+    g, _, mu_hi, rng = case
+    spec = _skt_case(g, rng, mu_hi, kind, eps, s0, species)
     sols = solve_system(spec)
-    assert np.allclose(sols[0].data[1], state[0], atol=1e-15)
-    assert np.allclose(sols[1].data[1], state[1], atol=1e-15)
+    plan = StepScratch(spec)
+    states = np.empty((g.steps + 1, species) + g.shape)
+    states[0] = np.stack([f.reshaped() for f in spec.init])
+    for state, new in zip(states[:-1], states[1:]):
+        assert step(spec, state, new, plan) is new
+    assert all(np.array_equal(sol.data, states[:, i].reshape(sol.data.shape))
+               for i, sol in enumerate(sols))
+
+
+def test_step_refuses_the_plan_of_another_spec():
+    # a plan holds its spec's kernels and coefficient rows: one made for
+    # another spec would step with them, so it is refused
+    g = _grid(n=16)
+    spec, other = _two_species(g, eps1=0.15), _two_species(g, eps2=0.15)
+    state = np.stack([f.values for f in spec.init])
+    for out, rows in ((np.empty_like(state), state), (None, list(state))):
+        with pytest.raises(ValueError, match="StepScratch of another "
+                                             "SktSpec"):
+            step(spec, rows, out, StepScratch(other))
+    # an equal spec is another object, and so another spec's plan
+    with pytest.raises(ValueError, match="another SktSpec"):
+        step(replace(spec), state, scratch=StepScratch(spec))
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -9,6 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from crossdifflab import torus
+from crossdifflab.dual import AprioriSums, DualProblem, solve_dual
 from crossdifflab.kolmo import steps_for
 from crossdifflab.mollify import kernel_sequence, make_kernels
 from crossdifflab.torus import Field, Trajectory, make_grid
@@ -206,3 +208,31 @@ def test_energy_identity_t_only():
     assert rep.ratio < 1e-2
     with pytest.raises(ValueError, match="entries"):
         energy_identity_case_iii(mu_t[:-1], _source(g, rng))
+
+
+@pytest.mark.parametrize("dim, per", [(1, 3), (2, 2), (2, None)])
+def test_energy_identity_t_only_takes_the_apriori_sums_bits(monkeypatch,
+                                                            dim, per):
+    # case iii reduces only Phi^0's gradient and the Laplacian energy rows,
+    # with the bits of a dual.AprioriSums fed the whole of Phi; `per`
+    # steps a block cross the block boundaries, None keeps one block
+    rng = np.random.default_rng(30 + dim)
+    n, T = 16, 0.004
+    g = make_grid(dim, n, T, steps_for(dim, n, T, 2.0))
+    if per is not None:
+        monkeypatch.setattr(torus, "STREAM_BLOCK", per * g.size)
+    mu_t = 1.0 + 0.5 * np.cos(np.linspace(0.0, 2.0, g.steps + 1))
+    s = Trajectory(g, rng.standard_normal((g.steps + 1, g.size)))
+    rep = energy_identity_case_iii(mu_t, s)
+
+    mu = Trajectory(g, np.broadcast_to(mu_t[:, None],
+                                       (g.steps + 1, g.size)))
+    p = DualProblem(grid=g, mu=mu, s=s)
+    phi = solve_dual(p).data
+    sums = AprioriSums(p)
+    torus.feed(sums, phi, g)
+    lhs = 0.5 * float(sums.grad[0]) + torus.quadrature_of_sums(sums.energy,
+                                                                g)
+    rhs = torus.quadrature(
+        lambda a, b: torus.lap_stack(phi[a:b], g) * s.data[a:b], g)
+    assert (rep.lhs, rep.rhs) == (lhs, rhs)

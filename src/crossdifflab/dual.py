@@ -1,4 +1,5 @@
-"""Backward solver for d/dt Phi + mu*Lap(Phi) = S with Phi(T) = 0.
+"""Backward solver for d/dt Phi + mu*Lap(Phi) = S with Phi(T) = 0, and
+the identities and estimates of its solution.
 
 The backward march Phi^k = Phi^{k+1} + tau*mu^k*Lap(Phi^{k+1}) - tau*S^k
 is the exact algebraic adjoint of the forward update in `kolmo`: summing
@@ -8,21 +9,24 @@ by parts over the K steps gives, for any forward solution z,
 
 an identity that holds to round-off.  `duality_residual` measures it on
 kept trajectories, `streamed_duality_residual` on the two marches' blocks,
-with the same bits.
+with the same bits.  The a-priori estimates and the energy identities
+for a mu of x only or of t only reduce Phi by march consumers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kolmo import (KolmogorovProblem, block_products, check_inputs, keep,
-                    march, solve_forward)
+from .kolmo import (KolmogorovProblem, block_products, check_inputs, fan,
+                    keep, march, solve_forward)
 from .mollify import Kernel, convolve_array, make_kernels
-from .torus import (Field, GhostCells, Grid, SpacetimeNorm, Trajectory, feed,
-                    grad_sq_stack, lap_array, lap_stack, on_grid, quadrature,
-                    quadrature_of_sums, row_sums, spacetime_norm)
+from .torus import (Field, GhostCells, Grid, RowValues, SpacetimeNorm,
+                    Trajectory, feed, grad_sq_stack, lap_array, lap_stack,
+                    on_grid, quadrature, quadrature_of_sums, row_sums,
+                    spacetime_norm)
 
 # the relative slack of the a-priori estimate and the energy identities
 SLACK = 0.05
@@ -94,10 +98,11 @@ class DualityPairings:
     """The three terms of the discrete duality identity of a source-mode
     problem and an S, gathered from march blocks.  `forward(first, rows)`
     takes blocks of z, `dual(first, rows)` blocks of Phi, each a march
-    consumer taking them in any order.  Of each row k < K it keeps the row
-    sums (row_sums) of z^k S^k and of G^k Phi^{k+1}, and it keeps Phi^0;
-    terms() finishes both sums by quadrature_of_sums, so the terms have
-    the bits of the quadratures over the kept trajectories."""
+    consumer taking them in any order.  `forward` is the RowValues of the
+    row sums (row_sums) of z^k S^k, k < K; `dual` hands its blocks to the
+    RowValues of the row sums of G^k Phi^{k+1} one row down, and keeps
+    Phi^0.  terms() finishes both sums by quadrature_of_sums, so the terms
+    have the bits of the quadratures over the kept trajectories."""
 
     def __init__(self, p_forward: KolmogorovProblem, s: Trajectory):
         g = p_forward.grid
@@ -106,28 +111,22 @@ class DualityPairings:
         if s.grid != g:
             raise ValueError("grid mismatch")
         self.p, self.s = p_forward, s
-        self.zs, self.gphi = np.empty((2, g.steps))
+        self.forward = RowValues(g.steps, lambda k0, k1, rows: row_sums(
+            rows * s.data[k0:k1]))
+        self.gphi = RowValues(g.steps, lambda k0, k1, rows: row_sums(
+            p_forward.source.data[k0:k1] * rows))
         self.phi0 = np.empty(g.size)
 
-    def forward(self, first: int, rows: np.ndarray) -> None:
-        stop = min(first + len(rows), len(self.zs))
-        self.zs[first:stop] = row_sums(rows[:stop - first]
-                                       * self.s.data[first:stop])
-
     def dual(self, first: int, rows: np.ndarray) -> None:
-        # Phi^{k+1} pairs with G^k: rows first.. give sums first-1..
-        lo = max(first, 1)
-        stop = first + len(rows)
-        self.gphi[lo - 1:stop - 1] = row_sums(
-            self.p.source.data[lo - 1:stop - 1] * rows[lo - first:])
+        self.gphi(first - 1, rows)      # Phi^{k+1} pairs with G^k
         if first == 0:
             self.phi0[...] = rows[0]
 
     def terms(self) -> tuple:
         g = self.p.grid
-        return (quadrature_of_sums(self.zs, g),
+        return (quadrature_of_sums(self.forward.values, g),
                 g.cell_volume() * np.dot(self.p.z0.values, self.phi0),
-                quadrature_of_sums(self.gphi, g))
+                quadrature_of_sums(self.gphi.values, g))
 
     def residual(self) -> float:
         """relative_gap of the three terms.  NaN when all three are 0
@@ -192,42 +191,43 @@ def streamed_duality_residual(p_forward: KolmogorovProblem,
     return pairings.residual()
 
 
-def laplacian_energy_sums(phi: np.ndarray, mu: np.ndarray,
-                          grid: Grid) -> np.ndarray:
-    """The row sums (row_sums) of mu^k (Lap Phi^k)^2 of rows of Phi and
-    the rows of mu of the same steps: the summands of ||mu^{1/2} Lap
-    Phi||^2_{L2Q}, of AprioriSums and weights.energy_identity_case_iii."""
-    lp = lap_stack(phi, grid)
-    return row_sums(mu * lp * lp)
+def _gradients(grid: Grid, count: int) -> RowValues:
+    """The squared gradient norms of Phi^0..Phi^{count-1}."""
+    return RowValues(count, lambda k0, k1, rows: grad_sq_stack(rows, grid))
+
+
+def _laplacian_energy(p: DualProblem) -> RowValues:
+    """The row sums of mu^k (Lap Phi^k)^2, k < K: the summands of
+    ||mu^{1/2} Lap Phi||^2_{L2Q}, of AprioriSums and case iii."""
+    g, mu = p.grid, p.mu.data
+
+    def values(k0, k1, rows):
+        lp = lap_stack(rows, g)
+        return row_sums(mu[k0:k1] * lp * lp)
+    return RowValues(g.steps, values)
 
 
 class AprioriSums:
     """verify_apriori's reductions of a dual solution Phi of p, gathered
     from march blocks (a consumer of solve_dual's march, in any order): of
-    each slice its squared gradient norm (grad_sq_stack), its LinfL2 norm
-    (`sup`), of each row k < K the row sum of mu^k (Lap Phi^k)^2, and the
-    maximum of Phi and Phi^0.  reports() finishes them by the rules of
-    verify_apriori's kept reductions.  |Phi| stays below the march guard's
-    1e12, so the Phi^2 sums need no prescale (spacetime_norm's)."""
+    each slice its squared gradient norm, its LinfL2 norm (`sup`), of each
+    row k < K the row sum of mu^k (Lap Phi^k)^2, and the maximum of Phi and
+    Phi^0.  reports() finishes them by the rules of verify_apriori's kept
+    reductions.  |Phi| stays below the march guard's 1e12, so the Phi^2
+    sums need no prescale (spacetime_norm's)."""
 
     def __init__(self, p: DualProblem):
         g = p.grid
         self.p = p
-        self.grad = np.empty(g.steps + 1)
+        self.grad = _gradients(g, g.steps + 1)
         self.sup = SpacetimeNorm(g, "LinfL2")
-        self.energy = np.empty(g.steps)
+        self.energy = _laplacian_energy(p)
         self.max = -np.inf
         self.phi0 = np.empty(g.size)
 
     def __call__(self, first: int, rows: np.ndarray) -> None:
-        g = self.p.grid
-        stop = first + len(rows)
-        self.grad[first:stop] = grad_sq_stack(rows, g)
-        self.sup(first, rows)
-        body = min(stop, g.steps) - first     # the rows k < K
-        if body > 0:
-            self.energy[first:first + body] = laplacian_energy_sums(
-                rows[:body], self.p.mu.data[first:first + body], g)
+        for consume in (self.grad, self.sup, self.energy):
+            consume(first, rows)
         self.max = max(self.max, float(rows.max()))
         if first == 0:
             self.phi0[...] = rows[0]
@@ -235,8 +235,8 @@ class AprioriSums:
     def reports(self) -> list:
         p = self.p
         g, mu, s = p.grid, p.mu.data, p.s.data
-        grad_sup = float(self.grad.max())
-        lap_term = quadrature_of_sums(self.energy, g)
+        grad_sup = float(self.grad.values.max())
+        lap_term = quadrature_of_sums(self.energy.values, g)
         rhs1 = quadrature(lambda a, b: s[a:b] ** 2 / mu[a:b], g, s, mu)
         lhs1 = grad_sup + lap_term
         rep1 = EstimateReport(
@@ -269,6 +269,50 @@ def verify_apriori(p: DualProblem, phi: Trajectory) -> list:
     sums = AprioriSums(p)
     feed(sums, phi.data, p.grid)
     return sums.reports()
+
+
+def _identity_report(lhs: float, rhs: float, what: str) -> EstimateReport:
+    gap = relative_gap(lhs, -rhs)
+    return EstimateReport(lhs=lhs, rhs=rhs, ratio=gap, passed=gap <= SLACK,
+                          label=f"{what} energy identity, slack={SLACK}")
+
+
+def energy_identity_case_ii(mu_x: Field, s: Trajectory) -> EstimateReport:
+    """For mu depending on x only:
+    0.5*||mu^{-1/2} Phi(0)||^2 + ||grad Phi||^2_{L2Q} = -<mu^{-1} Phi, S>.
+    One dual march streams into each term's row values; Phi is not kept."""
+    g = s.grid
+    inv_mu, sd = 1.0 / mu_x.values, s.data
+    phi0 = RowValues(1, lambda k0, k1, rows: np.sum(inv_mu * rows[0] ** 2))
+    grad = _gradients(g, g.steps)
+    pairing = RowValues(g.steps, lambda k0, k1, rows: row_sums(
+        rows * inv_mu * sd[k0:k1]))
+    mu = Trajectory.constant_in_time(g, mu_x)
+    solve_dual(DualProblem(grid=g, mu=mu, s=s), fan(phi0, grad, pairing))
+    lhs = 0.5 * g.cell_volume() * float(phi0.values[0])
+    lhs += g.tau * math.fsum(grad.values.tolist())
+    rhs = -quadrature_of_sums(pairing.values, g)
+    return _identity_report(lhs, rhs, "x-only")
+
+
+def energy_identity_case_iii(mu_t, s: Trajectory) -> EstimateReport:
+    """For mu depending on t only:
+    0.5*||grad Phi(0)||^2 + ||mu^{1/2} Lap Phi||^2_{L2Q} = <Lap Phi, S>.
+    One dual march streams into each term's row values; Phi is not kept."""
+    g = s.grid
+    mu_t = np.asarray(mu_t, dtype=np.float64)
+    if mu_t.shape != (g.steps + 1,):
+        raise ValueError(f"mu_t must have {g.steps + 1} entries")
+    mu = Trajectory(g, np.broadcast_to(mu_t[:, None], (g.steps + 1, g.size)))
+    p, sd = DualProblem(grid=g, mu=mu, s=s), s.data
+    grad0, energy = _gradients(g, 1), _laplacian_energy(p)
+    pairing = RowValues(g.steps, lambda k0, k1, rows: row_sums(
+        lap_stack(rows, g) * sd[k0:k1]))
+    solve_dual(p, fan(grad0, energy, pairing))
+    lhs = (0.5 * float(grad0.values[0])
+           + quadrature_of_sums(energy.values, g))
+    return _identity_report(lhs, quadrature_of_sums(pairing.values, g),
+                            "t-only")
 
 
 @dataclass(frozen=True)

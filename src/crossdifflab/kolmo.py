@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .torus import (Field, GhostCells, Grid, Trajectory, distinct_count,
-                    is_real, lap_array, make_grid, on_grid, per_slice,
-                    row_blocks, row_sums)
+from .torus import (Field, GhostCells, Grid, RowValues, Trajectory,
+                    distinct_count, is_real, lap_array, make_grid, on_grid,
+                    per_slice, row_blocks, row_sums)
 
 BLOWUP_LIMIT = 1e12
 CFL_SAFETY = 0.9
@@ -153,21 +153,20 @@ class RunSummary:
 
     def __init__(self, grid: Grid):
         self.min = np.inf
-        self.sums = np.empty(grid.steps + 1)
+        self.sums = RowValues(grid.steps + 1, lambda k0, k1, r: row_sums(r))
         self.last = np.empty(grid.size)
 
     def __call__(self, first: int, rows: np.ndarray) -> None:
-        stop = first + len(rows)
         self.min = min(self.min, float(rows.min()))
-        self.sums[first:stop] = row_sums(rows)
-        if stop == len(self.sums):
+        self.sums(first, rows)
+        if first + len(rows) == len(self.sums.values):
             self.last[...] = rows[-1]
 
     def report(self, p: "KolmogorovProblem", cfl_used: float,
                trajectory: Trajectory | None = None) -> SolveReport:
         return SolveReport(
             trajectory=trajectory, min_value=self.min,
-            mass_drift=(_mass_drift(self.sums, p) if p.mode == "source"
+            mass_drift=(_mass_drift(self.sums.values, p) if p.mode == "source"
                         else np.nan),
             cfl_used=cfl_used)
 
@@ -323,24 +322,24 @@ class ComparisonReport:
 
 def comparison_check(p: KolmogorovProblem, r_bar: float) -> ComparisonReport:
     """Compare a reaction solve against the reaction-free solve times e^{rt};
-    an r_bar that is no finite real number is refused before any solve."""
+    an r_bar that is no finite real number is refused before any solve.
+    Only the reference is kept; the reaction run streams into its row
+    maxima of z - ztilde*e^{rt}, which are exact."""
     if p.mode != "reaction":
         raise ValueError("comparison_check requires reaction mode")
     if not (is_real(r_bar) and -np.inf < r_bar < np.inf):
         raise ValueError(f"r_bar must be a finite real number, got {r_bar!r}")
     if p.reaction.distinct_rows().max() > r_bar:
         raise ValueError("reaction exceeds r_bar somewhere")
-    rep = solve_forward(p)
     p0 = KolmogorovProblem(grid=p.grid, mu=p.mu, z0=p.z0,
                            reaction=Trajectory.constant(p.grid, 0.0))
-    rep0 = solve_forward(p0)
-    z, z0 = rep.trajectory.data, rep0.trajectory.data
+    ref = solve_forward(p0).trajectory.data
     growth = np.exp(r_bar * p.grid.times())[:, None]
-
-    def sup(values):  # a maximum over per_slice: no third trajectory array
-        return float(per_slice(values, len(z), p.grid).max())
-    md = sup(lambda a, b: (z[a:b] - z0[a:b] * growth[a:b]).max(axis=1))
-    sup0 = sup(lambda a, b: np.abs(z0[a:b]).max(axis=1))
+    defects = RowValues(p.grid.steps + 1, lambda k0, k1, rows: (
+        rows - ref[k0:k1] * growth[k0:k1]).max(axis=1))
+    solve_forward(p, defects)
+    md = float(defects.values.max())
+    sup0 = float(max(ref.max(), -ref.min()))
     return ComparisonReport(max_defect=md,
                             rel_defect=md / sup0 if sup0 > 0 else 0.0,
                             r_bar=float(r_bar))

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import difflib
 import json
+import math
 import os
-import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -29,8 +29,8 @@ from . import skt as skt_mod
 from . import weights as weights_mod
 from .mollify import check_widths, make_kernel
 from .torus import (BlockSource, Field, Grid, Trajectory, atomic_write_text,
-                    dump_slices, dump_trajectory, is_integer, load_field,
-                    make_grid, norm, spacetime_norm)
+                    dump_slices, dump_trajectory, is_integer, is_real,
+                    load_field, make_grid, norm, spacetime_norm)
 
 
 class ConfigError(ValueError):
@@ -66,11 +66,10 @@ def _integer(value, path: str, positive: bool = False) -> int:
 
 
 def _number(value, path: str, positive: bool = False) -> float:
-    """The float config value at `path`, an int or a float.  A bool, a
-    string, None, NaN, +-inf and, when `positive`, one <= 0 are
+    """The float config value at `path`, a finite real number (is_real).
+    A bool, a string, None, NaN, +-inf and, when `positive`, one <= 0 are
     ConfigErrors, not parsed."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not abs(value) <= sys.float_info.max
+    if (not (is_real(value) and math.isfinite(value))
             or positive and not value > 0):
         what = "a finite positive number" if positive else "a finite number"
         raise ConfigError(f"{path} must be {what}, got {value!r}")
@@ -198,7 +197,7 @@ class RunConfig:
     raw: dict
     seed: int
     grid: Grid
-    compute: Callable[[], tuple]
+    compute: Callable[[Callable], tuple]
 
 
 def _build_grid(gd: dict, path: str, mu_sup_hint: float | None = None) -> Grid:

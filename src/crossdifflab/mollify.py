@@ -11,13 +11,11 @@ convolves by FFT (rfftn/irfftn), non-negative only to round-off.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .torus import (Field, Grid, atomic_write_text, dump_field, is_integer,
-                    is_real)
+from .torus import Field, Grid, is_integer, is_real
 
 N_IMAGES = 3  # wrap images per axis; enough for eps <= 0.5 to 1e-12
 # largest 1-D n convolved by the circulant matrix: up to here one
@@ -150,11 +148,3 @@ def dirac_defect(k: Kernel) -> float:
         dist2 = d1[:, None] + d1[None, :]
     return float(np.sum(dist2.reshape(-1) * k.values.values)
                  * g.cell_volume())
-
-
-def dump_kernel(path, k: Kernel) -> None:
-    """Binary dump plus a JSON sidecar describing the kernel."""
-    dump_field(path, k.values)
-    sidecar = {"eps": k.eps, "n": k.grid.n, "dim": k.grid.dim,
-               "family": "wrapped_gaussian"}
-    atomic_write_text(f"{path}.json", json.dumps(sidecar, indent=2) + "\n")

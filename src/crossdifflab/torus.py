@@ -257,8 +257,8 @@ def quadrature_of_sums(sums: np.ndarray, grid: Grid) -> float:
     """quadrature's end, on row sums its caller gathered: tau h^dim times
     the fsum_slices of the row sums of rows 0..K-1 (or of the one row that
     stands for all of them).  A march consumer that keeps each row's sum
-    (SpacetimeNorm, dual.DualityPairings) gets the bits of the quadrature
-    taken afterwards."""
+    (SpacetimeNorm, a RowValues of row_sums) gets the bits of the
+    quadrature taken afterwards."""
     return float(grid.tau * grid.cell_volume()
                  * fsum_slices(sums, grid.steps))
 
@@ -395,11 +395,6 @@ def gradient_norm_sq(f: Field) -> float:
     return float(grad_sq_stack(f.values, f.grid))
 
 
-def fourier_coefficients(f: Field) -> np.ndarray:
-    """Normalized DFT: sum_k |f_hat_k|^2 equals the squared L2 norm."""
-    return np.fft.fftn(f.reshaped()) / f.grid.size
-
-
 def _hminus1(grid: Grid):
     """The function that gives the H^-1 norms of each slice of a (m,
     grid.size) block: the root of sum_k |F_k|^2 w_k / N^2, with F the DFT
@@ -466,6 +461,22 @@ def feed(consume, data: np.ndarray, grid: Grid) -> None:
     in row_blocks: the reductions of a kept run are a streamed one's."""
     for a, b in row_blocks(len(data), grid.size):
         consume(a, data[a:b])
+
+
+class RowValues:
+    """A march consumer that keeps one value per row in the `count` slots of
+    `values`: of a block handed at `first`, `values(k0, k1, rows)` fills
+    slots k0..k1-1 from their rows, and rows outside the slots are dropped.
+    A caller that pairs row k+1 with step k hands the block at first - 1."""
+
+    def __init__(self, count: int, values):
+        self.rule, self.values = values, np.empty(count)
+
+    def __call__(self, first: int, rows: np.ndarray) -> None:
+        k0, k1 = max(first, 0), min(first + len(rows), len(self.values))
+        if k0 < k1:
+            self.values[k0:k1] = self.rule(k0, k1,
+                                           rows[k0 - first:k1 - first])
 
 
 class SpacetimeNorm:
@@ -593,43 +604,39 @@ class BlockSource:
 
 def dump_slices(path, dim: int, n: int, slices) -> None:
     """Write a .cdl dump of `slices` atomically (atomic_write): an array
-    of slices of n**dim values, written from its own buffer, or a
-    BlockSource of len(slices) slices, written as its march runs.  The file
-    is then sized first and each block written at its own offset, 13 +
+    of slices of n**dim values, written from its own buffer as one block,
+    or a BlockSource of len(slices) slices, written as its march runs.  The
+    file is sized first and each block written at its own offset, 13 +
     8*first*n**dim, so a backward march fills it from its end; a march that
     raises (NumericalBlowUp) leaves no file, and one that hands fewer rows
     than it counts is a ValueError."""
     size = n ** dim
     if not callable(slices):
-        slices = np.ascontiguousarray(slices, dtype="<f8")
-        if np.prod(slices.shape[1:]) != size:
+        data = np.ascontiguousarray(slices, dtype="<f8")
+        if np.prod(data.shape[1:]) != size:
             raise ValueError("slice length does not match dim/n")
-        slices = slices.reshape(len(slices), size)
+        data = data.reshape(len(data), size)
+        slices = BlockSource(len(data), lambda consume: consume(0, data))
+    count = len(slices)
 
-        def write(fh):
-            fh.write(HEADER.pack(MAGIC, dim, n, slices.shape[0]))
-            fh.write(slices)  # the array's own buffer, not a bytes copy
-    else:
-        count = len(slices)
+    def write(fh):
+        fh.write(HEADER.pack(MAGIC, dim, n, count))
+        fh.truncate(HEADER.size + 8 * count * size)
+        written = 0
 
-        def write(fh):
-            fh.write(HEADER.pack(MAGIC, dim, n, count))
-            fh.truncate(HEADER.size + 8 * count * size)
-            written = 0
-
-            def block(first, rows):
-                nonlocal written
-                if rows.shape[-1] != size or not (
-                        0 <= first <= count - len(rows)):
-                    raise ValueError(f"a block of {rows.shape} at slice "
-                                     f"{first} does not fit the dump")
-                fh.seek(HEADER.size + 8 * first * size)
-                fh.write(np.ascontiguousarray(rows, dtype="<f8"))
-                written += len(rows)
-            slices(block)
-            if written != count:
-                raise ValueError(f"the source handed {written} slices, "
-                                 f"not {count}")
+        def block(first, rows):
+            nonlocal written
+            if rows.shape[-1] != size or not 0 <= first <= count - len(rows):
+                raise ValueError(f"a block of {rows.shape} at slice "
+                                 f"{first} does not fit the dump")
+            fh.seek(HEADER.size + 8 * first * size)
+            # the block's own buffer, not a bytes copy
+            fh.write(np.ascontiguousarray(rows, dtype="<f8"))
+            written += len(rows)
+        slices(block)
+        if written != count:
+            raise ValueError(f"the source handed {written} slices, "
+                             f"not {count}")
 
     atomic_write(path, write)
 

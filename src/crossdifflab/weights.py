@@ -1,4 +1,6 @@
-"""Discrete maximal function, A2 weight constants, and energy identities.
+"""Discrete maximal function, A2 weight constants and the convolution
+domination constant: the harmonic-analysis toolkit of the weighted
+estimates.
 
 Discrete "balls" are centered cubes (l-infinity neighborhoods) of odd side
 2w+1 cells, w = 0 .. n/2 - 1, so the smallest ball is the center cell alone
@@ -8,17 +10,14 @@ ring sums: each ball adds the ring of cells around the previous one.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import (SLACK, DualProblem, EstimateReport, laplacian_energy_sums,
-                   relative_gap, solve_dual)
+from .dual import EstimateReport
 from .mollify import convolve_array
-from .torus import (Field, Grid, Trajectory, grad_sq_stack, lap_stack,
-                    per_slice, quadrature, quadrature_of_sums)
+from .torus import Field, Grid
 
 
 @dataclass(frozen=True)
@@ -147,10 +146,6 @@ def domination_check(f: Field, ks) -> EstimateReport:
                           label="convolution domination constant A*")
 
 
-def weighted_l2(v: np.ndarray, w: Weight) -> float:
-    return _nu_l2(v, w.values.values, w.values.grid)
-
-
 def _nu_l2(v: np.ndarray, nu: np.ndarray, grid: Grid) -> float:
     return float(np.sqrt(grid.cell_volume() * np.sum(nu * v * v)))
 
@@ -184,43 +179,3 @@ def a2_ratio_correlation(weights, trials: int = 20, seed: int = 0) -> float:
               for w in weights]
     rho, _ = spearmanr(a2, ratios)
     return float(rho)
-
-
-def energy_identity_case_ii(mu_x: Field, s: Trajectory) -> EstimateReport:
-    """For mu depending on x only:
-    0.5*||mu^{-1/2} Phi(0)||^2 + ||grad Phi||^2_{L2Q} = -<mu^{-1} Phi, S>."""
-    g = s.grid
-    mu = Trajectory.constant_in_time(g, mu_x)
-    p = DualProblem(grid=g, mu=mu, s=s)
-    phi = solve_dual(p)
-    vol = g.cell_volume()
-    inv_mu = 1.0 / mu_x.values
-    pd, sd = phi.data, s.data
-    lhs = 0.5 * vol * float(np.sum(inv_mu * pd[0] ** 2))
-    lhs += g.tau * math.fsum(grad_sq_stack(pd[:-1], g).tolist())
-    rhs = -quadrature(lambda a, b: pd[a:b] * inv_mu[None, :] * sd[a:b], g)
-    gap = relative_gap(lhs, -rhs)
-    return EstimateReport(lhs=lhs, rhs=rhs, ratio=gap, passed=gap <= SLACK,
-                          label=f"x-only energy identity, slack={SLACK}")
-
-
-def energy_identity_case_iii(mu_t, s: Trajectory) -> EstimateReport:
-    """For mu depending on t only:
-    0.5*||grad Phi(0)||^2 + ||mu^{1/2} Lap Phi||^2_{L2Q} = <Lap Phi, S>."""
-    g = s.grid
-    mu_t = np.asarray(mu_t, dtype=np.float64)
-    if mu_t.shape != (g.steps + 1,):
-        raise ValueError(f"mu_t must have {g.steps + 1} entries")
-    mu = Trajectory(g, np.broadcast_to(mu_t[:, None], (g.steps + 1, g.size)))
-    p = DualProblem(grid=g, mu=mu, s=s)
-    phi = solve_dual(p)
-    pd, sd, md = phi.data, s.data, mu.data
-    # ||grad Phi^0||^2 and ||mu^{1/2} Lap Phi||^2_{L2Q} by AprioriSums' rules
-    energy = per_slice(lambda a, b: laplacian_energy_sums(pd[a:b], md[a:b], g),
-                       g.steps, g)
-    lhs = (0.5 * float(grad_sq_stack(pd[0], g))
-           + quadrature_of_sums(energy, g))
-    rhs = quadrature(lambda a, b: lap_stack(pd[a:b], g) * sd[a:b], g)
-    gap = relative_gap(lhs, -rhs)
-    return EstimateReport(lhs=lhs, rhs=rhs, ratio=gap, passed=gap <= SLACK,
-                          label=f"t-only energy identity, slack={SLACK}")

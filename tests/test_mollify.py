@@ -2,15 +2,14 @@
 sequences."""
 
 import dataclasses
-import json
 
 import numpy as np
 import pytest
 
 from crossdifflab.mollify import (DIRECT_MAX, Kernel, check_width,
                                   check_widths, convolve, convolve_array,
-                                  dirac_defect, dump_kernel, kernel_sequence,
-                                  make_kernel, make_kernels)
+                                  dirac_defect, kernel_sequence, make_kernel,
+                                  make_kernels)
 from crossdifflab.torus import Field, integrate, make_grid
 
 
@@ -160,17 +159,6 @@ def test_convolution_paths_by_grid():
                 np.fft.rfftn(v.reshape(g.shape)) * k.fft(), s=g.shape,
                 axes=tuple(range(dim))).reshape(-1) * g.cell_volume()
         assert np.array_equal(convolve_array(v, k), expect)
-
-
-def test_dump_kernel_sidecar(tmp_path):
-    g = make_grid(1, 32, 1.0, 1)
-    k = make_kernel(g, 0.25)
-    path = tmp_path / "kern.cdl"
-    dump_kernel(path, k)
-    sidecar = json.loads((tmp_path / "kern.cdl.json").read_text())
-    assert sidecar == {"eps": 0.25, "n": 32, "dim": 1,
-                       "family": "wrapped_gaussian"}
-    assert path.exists()
 
 
 def test_kernel_fft_cached():

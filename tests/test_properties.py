@@ -471,6 +471,39 @@ def test_quadrature_ignores_blocking_order_and_layout(case):
 
 
 @PROPERTY
+@given(st.integers(1, 40), st.data())
+def test_row_values_are_the_whole_arrays_values(steps, data):
+    # K+1 rows handed in random blocks and a random order, at their own
+    # first or one row down, fill slots 0..count-1 with the values of one
+    # call on the whole array; blocks before slot 0 or past the end are
+    # dropped, and the rule sees only slots that exist
+    rows = steps + 1
+    count = data.draw(st.integers(1, rows), "count")
+    shift = data.draw(st.sampled_from((-1, 0)), "shift")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    whole = rng.standard_normal((rows, 5))
+    weight = rng.standard_normal(count)
+    calls = []
+
+    def values(k0, k1, block):
+        calls.append((k0, k1))
+        return torus.row_sums(block) * weight[k0:k1]
+    acc = torus.RowValues(count, values)
+    cuts = sorted(data.draw(st.sets(st.integers(1, rows - 1)), "cuts"))
+    handed = [(a + shift, whole[a:b])
+              for a, b in zip([0] + cuts, cuts + [rows])]
+    stray = whole[:data.draw(st.integers(1, 3), "stray")]
+    handed += [(-len(stray) - data.draw(st.integers(0, 3), "before"), stray),
+               (count + data.draw(st.integers(0, 3), "past"), stray)]
+    for i in data.draw(st.permutations(range(len(handed))), "order"):
+        acc(*handed[i])
+    assert all(0 <= k0 < k1 <= count for k0, k1 in calls)
+    filled = min(count, rows + shift)
+    assert np.array_equal(acc.values[:filled],
+                          values(0, filled, whole[-shift:filled - shift]))
+
+
+@PROPERTY
 @given(problems(long=True))
 def test_quadrature_close_to_exact_sum(case):
     # each row's np.sum is a pairwise sum (sequential in leaves of at most

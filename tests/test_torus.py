@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 
 from crossdifflab.torus import (Field, Grid, Trajectory, atomic_write,
                                 dump_field, dump_slices, dump_trajectory,
-                                fourier_coefficients, grad_sq_stack,
-                                gradient_norm_sq, integrate, lap_stack,
-                                laplacian, load_field, load_slices,
-                                make_grid, norm, spacetime_norm)
+                                grad_sq_stack, gradient_norm_sq, integrate,
+                                lap_stack, laplacian, load_field,
+                                load_slices, make_grid, norm, spacetime_norm)
 
 
 def test_grid_validation():
@@ -223,14 +222,6 @@ def test_norms_hold_across_the_float_range(dim, n, e, seed):
                 continue
             assert math.isfinite(got)
             assert abs(got - want) <= 1e-12 * want
-
-
-def test_fourier_parseval():
-    rng = np.random.default_rng(2)
-    g = make_grid(1, 32, 1.0, 1)
-    f = Field(g, rng.standard_normal(32))
-    fhat = fourier_coefficients(f)
-    assert abs(np.sum(np.abs(fhat) ** 2) - norm(f, "L2") ** 2) < 1e-12
 
 
 def test_spacetime_norms_left_endpoint():

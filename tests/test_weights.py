@@ -9,16 +9,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from crossdifflab import torus
-from crossdifflab.dual import AprioriSums, DualProblem, solve_dual
+from crossdifflab import dual, torus
+from crossdifflab.dual import (AprioriSums, DualProblem,
+                               energy_identity_case_ii,
+                               energy_identity_case_iii, solve_dual)
 from crossdifflab.kolmo import steps_for
 from crossdifflab.mollify import kernel_sequence, make_kernels
 from crossdifflab.torus import Field, Trajectory, make_grid
 from crossdifflab.weights import (Weight, a2_constant, a2_ratio_correlation,
-                                  domination_check, energy_identity_case_ii,
-                                  energy_identity_case_iii,
-                                  maximal_boundedness, maximal_function,
-                                  weighted_l2)
+                                  domination_check, maximal_boundedness,
+                                  maximal_function)
 
 
 def test_weight_must_be_positive():
@@ -152,13 +152,6 @@ def test_a2_monotone_in_contrast():
         prev = cur
 
 
-def test_weighted_l2():
-    g = make_grid(1, 16, 1.0, 1)
-    w = Weight(Field.constant(g, 4.0))
-    v = np.ones(16)
-    assert abs(weighted_l2(v, w) - 2.0) < 1e-13
-
-
 def test_maximal_boundedness_at_least_one():
     g = make_grid(1, 32, 1.0, 1)
     rep = maximal_boundedness(Weight(Field.constant(g, 1.0)), trials=5)
@@ -231,8 +224,50 @@ def test_energy_identity_t_only_takes_the_apriori_sums_bits(monkeypatch,
     phi = solve_dual(p).data
     sums = AprioriSums(p)
     torus.feed(sums, phi, g)
-    lhs = 0.5 * float(sums.grad[0]) + torus.quadrature_of_sums(sums.energy,
-                                                                g)
+    lhs = 0.5 * float(sums.grad.values[0]) + torus.quadrature_of_sums(
+        sums.energy.values, g)
     rhs = torus.quadrature(
         lambda a, b: torus.lap_stack(phi[a:b], g) * s.data[a:b], g)
     assert (rep.lhs, rep.rhs) == (lhs, rhs)
+
+
+@pytest.mark.parametrize("dim, per", [(1, 3), (2, 2), (2, None)])
+def test_energy_identity_x_only_takes_the_kept_phis_bits(monkeypatch, dim,
+                                                         per):
+    # case ii streams its dual march in blocks of `per` steps (None keeps
+    # one block); its terms have the bits of the kept Phi's reductions,
+    # taken here in the default blocks, with S white in time
+    rng = np.random.default_rng(20 + dim)
+    n, T = 16, 0.004
+    g = make_grid(dim, n, T, steps_for(dim, n, T, 3.0))
+    mu_x = Field(g, rng.uniform(0.3, 3.0, g.size))
+    s = Trajectory(g, rng.standard_normal((g.steps + 1, g.size)))
+    with monkeypatch.context() as mp:
+        if per is not None:
+            mp.setattr(torus, "STREAM_BLOCK", per * g.size)
+        rep = energy_identity_case_ii(mu_x, s)
+
+    mu = Trajectory.constant_in_time(g, mu_x)
+    phi = solve_dual(DualProblem(grid=g, mu=mu, s=s)).data
+    inv_mu = 1.0 / mu_x.values
+    lhs = 0.5 * g.cell_volume() * float(np.sum(inv_mu * phi[0] ** 2))
+    lhs += g.tau * math.fsum(torus.grad_sq_stack(phi[:-1], g).tolist())
+    rhs = -torus.quadrature(
+        lambda a, b: phi[a:b] * inv_mu[None, :] * s.data[a:b], g)
+    assert (rep.lhs, rep.rhs) == (lhs, rhs)
+
+
+def test_energy_identities_stream_their_dual_march(monkeypatch):
+    # neither identity keeps Phi: each hands solve_dual a consumer
+    consumers = []
+
+    def recorded(p, consume=None):
+        consumers.append(consume)
+        return solve_dual(p, consume)
+    monkeypatch.setattr(dual, "solve_dual", recorded)
+    rng = np.random.default_rng(4)
+    g = make_grid(1, 16, 0.004, steps_for(1, 16, 0.004, 2.0))
+    energy_identity_case_ii(Field(g, rng.uniform(0.5, 2.0, g.size)),
+                            _source(g, rng))
+    energy_identity_case_iii(np.full(g.steps + 1, 1.5), _source(g, rng))
+    assert len(consumers) == 2 and None not in consumers

@@ -25,8 +25,8 @@ from .kolmo import (KolmogorovProblem, block_products, check_inputs, fan,
 from .mollify import Kernel, convolve_array, make_kernels
 from .torus import (Field, GhostCells, Grid, RowValues, SpacetimeNorm,
                     Trajectory, feed, grad_sq_stack, lap_array, lap_stack,
-                    on_grid, quadrature, quadrature_of_sums, row_sums,
-                    spacetime_norm)
+                    on_grid, quadrature, quadrature_of_sums, row_blocks,
+                    row_sums, spacetime_norm)
 
 # the relative slack of the a-priori estimate and the energy identities
 SLACK = 0.05
@@ -54,10 +54,17 @@ class EstimateReport:
     label: str
 
 
-def solve_dual(p: DualProblem, consume=None) -> Trajectory | None:
+def solve_dual(p: DualProblem, consume=None,
+               laplacians=None) -> Trajectory | None:
     """March the problem backward over all time steps and keep Phi.  With
     `consume`, the march streams every row of Phi to it, last block first
-    (see kolmo.march), keeps none of them and returns None."""
+    (see kolmo.march), keeps none of them and returns None.
+
+    `laplacians`, when given, is a march consumer of Lap Phi^0..Lap Phi^K,
+    handed after each block of Phi, last block first.  Step k takes the
+    stencil's neighbour sum of Phi^{k+1}; times n^2 (a power of two, so
+    exact) that is lap_stack's Lap Phi^{k+1}, bit for bit.  Lap Phi^0, which
+    no step takes, is lap_stack of the Phi^0 row."""
     g = p.grid
     tau = g.tau
     # first, as in solve_forward
@@ -66,6 +73,12 @@ def solve_dual(p: DualProblem, consume=None) -> Trajectory | None:
     mu, s = on_grid(p.mu.data, g), on_grid(p.s.data, g)
     ghost = GhostCells(g)
     ghost.inner[...] = 0.0
+    # the neighbour sums of a block's steps, kept for `laplacians` (with
+    # none, every step writes the one row), and their grid-shaped rows,
+    # made once: a step takes one from a list, not a new view
+    per = row_blocks(g.steps, g.size)[0][1]
+    sums = np.empty((1 if laplacians is None else per, g.size))
+    laps = list(on_grid(sums, g)) * (per // len(sums))
 
     def tau_mu(rows, buf):   # (tau*mu^k)*n^2, two multiplies in this order
         np.multiply(rows, tau, out=buf)
@@ -78,19 +91,30 @@ def solve_dual(p: DualProblem, consume=None) -> Trajectory | None:
     # straight into the window's row of step k and then into the ghost
     # buffer, which holds Phi^{k+1} for the next step.  The blocks of steps
     # go backwards, with tau*mu^k and tau*S^k for a block at once; the
-    # stencil leaves its unscaled neighbour sum, and the block's tau*mu^k
-    # take the exact factor n^2 = 1/h^2 instead.
+    # stencil leaves its unscaled neighbour sum in the block's row of
+    # `sums`, and the block's tau*mu^k take the exact factor n^2 = 1/h^2
+    # instead.
     def advance(a, b, window):
         last = b - a - 1    # the block's new rows, last first
-        for phinew, tm, t in zip(on_grid(window, g)[last::-1],
-                                 tmu(a, b)[last::-1], ts(a, b)[last::-1]):
-            np.multiply(tm, lap_array(ghost, g, phinew, None), phinew)
+        for phinew, lap, tm, t in zip(
+                on_grid(window, g)[last::-1], laps[last::-1],
+                tmu(a, b)[last::-1], ts(a, b)[last::-1]):
+            np.multiply(tm, lap_array(ghost, g, lap, None), phinew)
             np.add(ghost.inner, phinew, phinew)
             np.subtract(phinew, t, phinew)
             ghost.inner[...] = phinew
 
+    # the block of steps first..b-1 took the sums of Phi^{first+1}..Phi^b;
+    # its rows are Phi^first..Phi^{b-1}, and Phi^K too in the first block
+    def hand(first, rows):
+        m = min(len(rows), g.steps - first)
+        laplacians(first + 1, np.multiply(sums[:m], g.n ** 2, out=sums[:m]))
+        if first == 0:
+            laplacians(0, lap_stack(rows[:1], g))
+
+    phi = keep(out) if consume is None else consume
     march(g, p.mu_sup(), np.zeros(g.size), advance,
-          keep(out) if consume is None else consume, backward=True)
+          phi if laplacians is None else fan(phi, hand), backward=True)
     return None if out is None else Trajectory(g, out)
 
 
@@ -197,22 +221,29 @@ def _gradients(grid: Grid, count: int) -> RowValues:
 
 
 def _laplacian_energy(p: DualProblem) -> RowValues:
-    """The row sums of mu^k (Lap Phi^k)^2, k < K: the summands of
-    ||mu^{1/2} Lap Phi||^2_{L2Q}, of AprioriSums and case iii."""
-    g, mu = p.grid, p.mu.data
+    """The row sums of mu^k (Lap Phi^k)^2, k < K, of the Laplacians it is
+    handed (solve_dual's `laplacians`, or feed_laplacians of a kept Phi):
+    the summands of ||mu^{1/2} Lap Phi||^2_{L2Q}, of AprioriSums and case
+    iii."""
+    mu = p.mu.data
+    return RowValues(p.grid.steps, lambda k0, k1, lp: row_sums(
+        mu[k0:k1] * lp * lp))
 
-    def values(k0, k1, rows):
-        lp = lap_stack(rows, g)
-        return row_sums(mu[k0:k1] * lp * lp)
-    return RowValues(g.steps, values)
+
+def feed_laplacians(consume, phi: np.ndarray, grid: Grid) -> None:
+    """Hand lap_stack of the rows of a kept Phi to a consumer of solve_dual's
+    `laplacians`, in row_blocks: the same values the march hands."""
+    feed(lambda first, rows: consume(first, lap_stack(rows, grid)), phi,
+         grid)
 
 
 class AprioriSums:
     """verify_apriori's reductions of a dual solution Phi of p, gathered
     from march blocks (a consumer of solve_dual's march, in any order): of
-    each slice its squared gradient norm, its LinfL2 norm (`sup`), of each
-    row k < K the row sum of mu^k (Lap Phi^k)^2, and the maximum of Phi and
-    Phi^0.  reports() finishes them by the rules of verify_apriori's kept
+    each slice its squared gradient norm, its LinfL2 norm (`sup`), and the
+    maximum of Phi and Phi^0; and `energy`, the consumer of the march's
+    `laplacians`, the row sum of mu^k (Lap Phi^k)^2 of each row k < K.
+    reports() finishes them by the rules of verify_apriori's kept
     reductions.  |Phi| stays below the march guard's 1e12, so the Phi^2
     sums need no prescale (spacetime_norm's)."""
 
@@ -226,8 +257,8 @@ class AprioriSums:
         self.phi0 = np.empty(g.size)
 
     def __call__(self, first: int, rows: np.ndarray) -> None:
-        for consume in (self.grad, self.sup, self.energy):
-            consume(first, rows)
+        self.grad(first, rows)
+        self.sup(first, rows)
         self.max = max(self.max, float(rows.max()))
         if first == 0:
             self.phi0[...] = rows[0]
@@ -262,12 +293,14 @@ def verify_apriori(p: DualProblem, phi: Trajectory) -> list:
     against ||mu^{-1/2} S||^2_{L2Q}, pass/fail with relative slack SLACK.
     Second report: ||Phi||^2_{LinfL2} against (||mu||_{L1Q}+1) times the
     same right-hand side; the measured constant is recorded, not judged.
-    The kept Phi goes through AprioriSums, as a streamed one does.
+    The kept Phi goes through AprioriSums, as a streamed one does, and its
+    Laplacians through feed_laplacians.
     """
     if phi.grid != p.grid:
         raise ValueError("grid mismatch")
     sums = AprioriSums(p)
     feed(sums, phi.data, p.grid)
+    feed_laplacians(sums.energy, phi.data, p.grid)
     return sums.reports()
 
 
@@ -306,9 +339,8 @@ def energy_identity_case_iii(mu_t, s: Trajectory) -> EstimateReport:
     mu = Trajectory(g, np.broadcast_to(mu_t[:, None], (g.steps + 1, g.size)))
     p, sd = DualProblem(grid=g, mu=mu, s=s), s.data
     grad0, energy = _gradients(g, 1), _laplacian_energy(p)
-    pairing = RowValues(g.steps, lambda k0, k1, rows: row_sums(
-        lap_stack(rows, g) * sd[k0:k1]))
-    solve_dual(p, fan(grad0, energy, pairing))
+    pairing = RowValues(g.steps, lambda k0, k1, lp: row_sums(lp * sd[k0:k1]))
+    solve_dual(p, grad0, fan(energy, pairing))
     lhs = (0.5 * float(grad0.values[0])
            + quadrature_of_sums(energy.values, g))
     return _identity_report(lhs, quadrature_of_sums(pairing.values, g),

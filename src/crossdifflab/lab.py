@@ -346,12 +346,13 @@ def _plan_dual(raw: dict, seed: int):
     with config_errors("config"):
         p = dual_mod.DualProblem(grid=grid, mu=mu, s=s)
 
-    # the run streams into its dump and verify_apriori's reductions
+    # the run streams into its dump and verify_apriori's reductions, whose
+    # Laplacian energy reads the march's own Laplacians
     def compute(write):
         sums = dual_mod.AprioriSums(p)
         write("phi.cdl", BlockSource(
             grid.steps + 1, lambda dump: dual_mod.solve_dual(
-                p, kolmo_mod.fan(sums, dump))))
+                p, kolmo_mod.fan(sums, dump), sums.energy)))
         reps = sums.reports()
         checks = {"apriori_energy": reps[0].passed}
         if s.distinct_rows().min() >= 0:

@@ -17,9 +17,10 @@ bits (distinct_count).
 
 The marches' stencil works in a ghost-cell buffer made once per march
 (GhostCells), of one slice or of a stack of slices whose rows it also
-views.  Every constant of a march's hot loop, here the stencil's centre
-weight, is a float64 0-d array made once: numpy takes a 0-d array
-operand faster than a Python float, with the same bits.
+views, and reads each neighbour as one contiguous flat range of it.
+Every constant of a march's hot loop, here the stencil's centre weight,
+is a float64 0-d array made once: numpy takes a 0-d array operand faster
+than a Python float, with the same bits.
 """
 
 from __future__ import annotations
@@ -275,19 +276,33 @@ def on_grid(v: np.ndarray, grid: Grid) -> np.ndarray:
 
 class GhostCells:
     """A ghost-cell buffer for the stencil: slices of shape `lead` +
-    grid.shape padded by one cell per side and axis, with the views the
+    grid.shape padded by one cell per side and axis, with the ranges the
     stencil reads made once.  `inner` holds the slices; per axis, `rims`
     pairs the two rim cells (0 and n+1) with their periodic sources (n and
-    1), and `neighbours` holds the views shifted by -1 and +1.  A march
-    makes one and writes each step's slice, or stack of slices, into
-    `inner`.  `pad`, when given, is the padded buffer to view instead of a
-    new one (see `rows`).  `centre` is the stencil's -2 dim, a 0-d array."""
+    1).  A march makes one and writes each step's slice, or stack of
+    slices, into `inner`.  `pad`, when given, is the padded buffer to view
+    instead of a new one (see `rows`); it must be C-contiguous, a
+    ValueError otherwise.  `centre` is the stencil's -2 dim, a 0-d array.
+
+    The stencil reads flat ranges of the buffer: `span` runs from the
+    first inner cell to the last, and `neighbours` holds it shifted by -1
+    and +1 cell along each axis, that is by -+(n+2)^(dim-1-axis) places.
+    Where `span` holds more than the inner cells (2-D slices, whose span
+    takes in the rim columns, and stacks), the sums go to `sums`, a flat
+    range of a second buffer like the first, whose inner cells `result`
+    views; the sums at rim cells, which read the buffer's corners (no
+    stencil writes them: zeros in a buffer made here), are not used.  A
+    single 1-D slice's span is its inner cells, and `sums` is None: the
+    stencil writes straight into its `out`."""
 
     def __init__(self, grid: Grid, lead: tuple = (),
                  pad: np.ndarray | None = None):
         n, dim = grid.n, grid.dim
         if pad is None:
-            pad = np.empty(lead + (n + 2,) * dim)
+            pad = np.zeros(lead + (n + 2,) * dim)
+        elif not pad.flags.c_contiguous:
+            # its flat ranges would be a copy, not a view
+            raise ValueError("the ghost-cell buffer must be C-contiguous")
         mid = slice(1, -1)
 
         def view(axis, cut):
@@ -300,8 +315,19 @@ class GhostCells:
         self.inner = pad[(...,) + (mid,) * dim]
         self.rims = [(view(ax, slice(None, None, n + 1)),
                       view(ax, slice(n, 0, 1 - n))) for ax in range(dim)]
-        self.neighbours = [view(ax, cut) for ax in range(dim)
-                           for cut in (slice(None, -2), slice(2, None))]
+        # the first inner cell is 1 + (n+2) + ... places in; the last is as
+        # far from the end
+        shifts = [(n + 2) ** (dim - 1 - ax) for ax in range(dim)]
+        lo, hi = sum(shifts), pad.size - sum(shifts)
+        flat = pad.reshape(-1)
+        self.span = flat[lo:hi]
+        self.neighbours = [flat[lo + d:hi + d] for s in shifts
+                           for d in (-s, s)]
+        self.sums = self.result = None
+        if pad.ndim > 1:
+            work = np.empty(pad.shape)
+            self.sums = work.reshape(-1)[lo:hi]
+            self.result = work[(...,) + (mid,) * dim]
 
     @functools.cached_property
     def rows(self) -> list:
@@ -316,15 +342,27 @@ def _stencil(ghost: GhostCells, grid: Grid, out: np.ndarray,
              scale) -> np.ndarray:
     """Fill the rim from `inner`, then out = scale * (-2 dim w, plus
     w[i-1], plus w[i+1], axis by axis); no multiply when scale is None.
-    The per-step calls pass `out` positionally: in a 1-D march at n = 64
-    the `out=` keywords cost about a tenth of a step."""
+    Each term is one contiguous flat range of the buffer (GhostCells), so
+    every inner value is the same sum in the same order as with shifted
+    grid views.  The per-step calls pass `out` positionally: in a 1-D
+    march at n = 64 the `out=` keywords cost about a tenth of a step."""
     for rim, source in ghost.rims:
         rim[...] = source
-    np.multiply(ghost.inner, ghost.centre, out)
+    sums = ghost.sums
+    if sums is None:        # a 1-D slice: the span is out's cells
+        np.multiply(ghost.span, ghost.centre, out)
+        for nb in ghost.neighbours:
+            np.add(out, nb, out)
+        if scale is not None:
+            np.multiply(out, scale, out)
+        return out
+    np.multiply(ghost.span, ghost.centre, sums)
     for nb in ghost.neighbours:
-        np.add(out, nb, out)
-    if scale is not None:
-        np.multiply(out, scale, out)
+        np.add(sums, nb, sums)
+    if scale is None:
+        np.copyto(out, ghost.result)
+    else:
+        np.multiply(ghost.result, scale, out)
     return out
 
 
@@ -334,8 +372,8 @@ def lap_stack(v: np.ndarray, grid: Grid) -> np.ndarray:
 
     Each value is -2 dim w, plus w[i-1], plus w[i+1], axis by axis, times
     n^2: h = 1/n with n a power of two, so that is 1/h^2 exactly.  The
-    neighbours are read as shifted views of a copy padded by one cell of
-    periodic neighbours per axis."""
+    neighbours are read as shifted flat ranges of a copy padded by one
+    cell of periodic neighbours per axis (GhostCells)."""
     out = np.empty(v.shape)
     ghost = GhostCells(grid, v.shape[:-1])
     ghost.inner[...] = on_grid(v, grid)
@@ -347,10 +385,12 @@ def lap_array(ghost: GhostCells, grid: Grid, out: np.ndarray,
               scale) -> np.ndarray:
     """The marches' per-step stencil: `scale` times the neighbour sum of
     `lap_stack`, of the march's own GhostCells with the step's slice
-    already in `inner`.  The rim is filled in place and the result, of
-    the shape of `inner`, goes to `out`.  A name of its own, so that a
-    tracer counts stencil applications per time step apart from the
-    whole-trajectory uses of `lap_stack`.
+    already in `inner`.  The rim is filled in place, each term is read as
+    a contiguous flat range of the buffer (GhostCells), and the result, of
+    the shape of `inner`, goes to `out`; nothing else is written but the
+    GhostCells' own `sums`.  A name of its own, so that a tracer counts
+    stencil applications per time step apart from the whole-trajectory
+    uses of `lap_stack`.
 
     n^2 = 1/h^2 is a power of two, so scale = tau*n^2 (a march passes it
     as a 0-d array) gives the bits of Lap(v)*tau in one multiply, and
@@ -365,18 +405,28 @@ def lap_array(ghost: GhostCells, grid: Grid, out: np.ndarray,
 def grad_sq_stack(v: np.ndarray, grid: Grid) -> np.ndarray:
     """Squared L2 norm of the forward-difference gradient of every slice,
     over per_slice (each slice's sum is its own, so the blocking does not
-    change a bit)."""
+    change a bit).  Per axis, the differences w[i+1] - w[i] go into one
+    contiguous block of the block's shape: one subtract of the block's
+    flat values s = n^(dim-1-axis) places apart, whose differences across
+    the wrap (i = n-1) a subtract of the slices w[0] and w[n-1] then
+    overwrites.  Times n: 1/h is a power of two, so that is dividing by h,
+    bit for bit."""
     flat = v.reshape(-1, grid.size)
     axes = tuple(range(-grid.dim, 0))
 
     def values(a, b):
         w = on_grid(flat[a:b], grid)
+        d = np.empty(w.shape)
+        wf, df = flat[a:b].reshape(-1), d.reshape(-1)
         total = 0.0
         for ax in axes:
-            d = np.roll(w, -1, axis=ax)
-            d -= w
-            d /= grid.h
-            d *= d
+            s = grid.n ** (-1 - ax)
+            np.subtract(wf[s:], wf[:-s], df[:-s])
+            first, last = ((..., cut) + (slice(None),) * (-1 - ax)
+                           for cut in (slice(None, 1), slice(-1, None)))
+            np.subtract(w[first], w[last], d[last])
+            np.multiply(d, grid.n, d)
+            np.multiply(d, d, d)
             total = total + d.sum(axis=axes)
         return total
     out = per_slice(values, len(flat), grid) * grid.cell_volume()

@@ -37,16 +37,15 @@ class Weight:
                              "float range: its A2 constant is not finite")
 
 
-def _add_rolls(acc: np.ndarray, a: np.ndarray, w: int, axis: int) -> None:
-    """acc += roll(a, w) + roll(a, -w) along `axis` (-1 or -2), as four
-    slice adds."""
-    tail = (slice(None),) * (-1 - axis)
-    e = a.shape[axis] - w
+def _add_rolls(acc: np.ndarray, a: np.ndarray, w: int) -> None:
+    """acc += roll(a, w) + roll(a, -w) along the second-to-last axis, as
+    four slice adds of whole rows."""
+    e = a.shape[-2] - w
     for dst, src in ((slice(w, None), slice(None, e)),
                      (slice(None, w), slice(e, None)),
                      (slice(None, e), slice(w, None)),
                      (slice(e, None), slice(None, w))):
-        acc[(..., dst, *tail)] += a[(..., src, *tail)]
+        acc[..., dst, :] += a[..., src, :]
 
 
 def _wrap_pad(v: np.ndarray, p: int, axis: int) -> np.ndarray:
@@ -66,16 +65,19 @@ def _ball_sums(v: np.ndarray, grid: Grid):
     two cells at offsets +-w.  In 2-D the ring is the rows +-w of the row
     sums over 2w+1 cells (corners included) and the columns +-w of the
     column sums over 2w-1 cells; both line sums grow by two cells a size.
-    Added values are never subtracted, so data of one sign loses nothing
-    to cancellation."""
+    The column sums are kept wrap-padded along the rows, grown from a copy
+    of v wrap-padded along both axes, so that their columns +-w are two
+    shifted reads; each sum adds the same values in the same order as
+    rolled copies would.  Added values are never subtracted, so data of
+    one sign loses nothing to cancellation."""
     n, p = grid.n, grid.n // 2
     v = v.reshape(v.shape[:-1] + grid.shape)
     flat = v.shape[:-grid.dim] + (grid.size,)
     row_pad = _wrap_pad(v, p, -1)
     row = v.copy()
     if grid.dim == 2:
-        col_pad = _wrap_pad(v, p, -2)
-        col = v.copy()
+        col_pad = _wrap_pad(row_pad, p, -2)
+        col = row_pad.copy()
         ball = v.copy()
     for w in range(1, p):
         row += row_pad[..., p - w:p - w + n]
@@ -83,8 +85,9 @@ def _ball_sums(v: np.ndarray, grid: Grid):
         if grid.dim == 1:
             yield 2 * w + 1, row.reshape(flat)
             continue
-        _add_rolls(ball, row, w, -2)
-        _add_rolls(ball, col, w, -1)
+        _add_rolls(ball, row, w)
+        ball += col[..., p - w:p - w + n]
+        ball += col[..., p + w:p + w + n]
         col += col_pad[..., p - w:p - w + n, :]
         col += col_pad[..., p + w:p + w + n, :]
         yield 2 * w + 1, ball.reshape(flat)

@@ -244,12 +244,12 @@ MARCH = settings(derandomize=True, max_examples=30, deadline=None)
 
 
 @st.composite
-def blocked_grids(draw):
-    """A 1-D or 2-D grid, a number of steps per block (STREAM_BLOCK is
-    patched to it) and a step count below, at or across a block boundary,
-    with a generator for the data."""
+def blocked_grids(draw, ns=(8, 16)):
+    """A 1-D or 2-D grid of one of the sizes `ns`, a number of steps per
+    block (STREAM_BLOCK is patched to it) and a step count below, at or
+    across a block boundary, with a generator for the data."""
     dim = draw(st.sampled_from((1, 2)))
-    n = draw(st.sampled_from((8, 16)))
+    n = draw(st.sampled_from(ns))
     per = draw(st.integers(1, 5))
     steps = draw(st.integers(1, 3 * per + 1))
     mu_hi = draw(st.floats(0.5, 3.0))
@@ -720,11 +720,38 @@ def test_streamed_dual_dump_and_reports_are_the_kept_runs(case, constant):
         phi = solve_dual(p)
         reports = dual.verify_apriori(p, phi)
         kept, streamed = _dumped(phi, BlockSource(
-            g.steps + 1, lambda dump: solve_dual(p, kolmo.fan(sums, dump))))
+            g.steps + 1, lambda dump: solve_dual(p, kolmo.fan(sums, dump),
+                                                  sums.energy)))
     assert kept == streamed
     assert _report_bits(sums.reports()) == _report_bits(reports)
     assert sums.max == phi.data.max()
     assert np.array_equal(sums.phi0, phi.data[0])
+
+
+@MARCH
+@given(blocked_grids(ns=(8, 16, 32)))
+def test_dual_march_hands_the_laplacians_of_lap_stack(case):
+    # solve_dual's `laplacians` are n^2 times the neighbour sums its steps
+    # take, and Lap Phi^0 of the Phi^0 row: lap_stack of every row of Phi,
+    # bit for bit, each handed once; the streamed AprioriSums reads them
+    # and reports the kept verify_apriori's bits
+    g, per, mu_hi, rng = case
+    p = DualProblem(grid=g, mu=_data(g, rng, 0.1, mu_hi, False),
+                    s=_data(g, rng, -1.0, 1.0, False))
+    handed, rows_handed = np.full((g.steps + 1, g.size), np.nan), []
+
+    def laplacians(first, rows):
+        rows_handed.extend(range(first, first + len(rows)))
+        handed[first:first + len(rows)] = rows
+    sums = dual.AprioriSums(p)
+    with _blocks_of(g, per):
+        assert solve_dual(p, sums, kolmo.fan(laplacians, sums.energy)) \
+            is None
+    phi = solve_dual(p)
+    assert sorted(rows_handed) == list(range(g.steps + 1))
+    assert np.array_equal(handed, lap_stack(phi.data, g))
+    assert _report_bits(sums.reports()) == _report_bits(
+        dual.verify_apriori(p, phi))
 
 
 def _blowing_source(g, rng, j, backward, written):

@@ -74,12 +74,25 @@ def _roll_laplacian(v, grid):
 
 
 @PROPERTY
-@given(problems(), st.sampled_from(((), (1,), (3,), (2, 3))))
-def test_slice_add_stencil_matches_roll(case, lead):
+@given(problems(), st.sampled_from(((), (1,), (3,), (2, 3), (0,))),
+       st.sampled_from((None, np.array(2.0 ** -9), 3.0)), st.booleans())
+def test_slice_add_stencil_matches_roll(case, lead, scale, rows):
+    # lap_stack, and lap_array of a stack's GhostCells or of its rows views
+    # at any scale, are the rolled stencil's sums, bit for bit
     grid, mu, rng = case
     data = rng.standard_normal(lead + (grid.size,))
     ref = _roll_laplacian(data, grid)
     assert np.array_equal(lap_stack(data, grid), ref)
+    sums = on_grid(ref * grid.h ** 2, grid)     # exact: h^2 = n^-2
+    ghost = GhostCells(grid, lead)
+    ghost.inner[...] = on_grid(data, grid)
+    out = np.full(sums.shape, np.nan)
+    if rows and lead:
+        for row, o in zip(ghost.rows, out):
+            lap_array(row, grid, o, scale)
+    else:
+        lap_array(ghost, grid, out, scale)
+    assert np.array_equal(out, sums if scale is None else sums * scale)
 
 
 @PROPERTY

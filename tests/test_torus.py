@@ -2,15 +2,17 @@
 
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossdifflab.torus import (Field, Grid, Trajectory, atomic_write,
-                                dump_field, dump_slices, dump_trajectory,
-                                grad_sq_stack, gradient_norm_sq, integrate,
+from crossdifflab.torus import (Field, GhostCells, Grid, Trajectory,
+                                atomic_write, dump_field, dump_slices,
+                                dump_trajectory, grad_sq_stack,
+                                gradient_norm_sq, integrate, lap_array,
                                 lap_stack, laplacian, load_field,
                                 load_slices, make_grid, norm, spacetime_norm)
 
@@ -385,22 +387,68 @@ def test_hminus1_matches_the_complex_transform(dim, n):
             <= 8 * EPS * expect)
 
 
+def _stencil_writes(ghost, g, w, scale, expect):
+    """lap_array of `ghost` holding w, into a view framed by sentinels and
+    with NaN in the buffer's corners: it returns `expect`, and only `out`
+    and the buffer's rim change, the rim to its periodic sources."""
+    dim = len(g.shape)
+    ghost.pad[...] = np.nan
+    ghost.inner[...] = w
+    want = np.pad(w, [(0, 0)] * (w.ndim - dim) + [(1, 1)] * dim, mode="wrap")
+    if dim == 2:
+        want[..., ::g.n + 1, ::g.n + 1] = np.nan     # no stencil writes them
+    frame = np.full(w.shape[:-dim] + tuple(m + 2 for m in g.shape), np.inf)
+    out = frame[(...,) + (slice(1, -1),) * dim]
+    assert lap_array(ghost, g, out, scale) is out
+    assert np.array_equal(out, expect)
+    out[...] = np.inf
+    assert (frame == np.inf).all()
+    assert np.array_equal(ghost.pad, want, equal_nan=True)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("lead", [(), (1,), (3,), (2, 3)])
+@pytest.mark.parametrize("lead", [(), (1,), (3,), (2, 3), (0,)])
 def test_lap_is_the_rolled_stencil_bit_for_bit(dim, lead):
-    # -2N w, plus w[i-1], plus w[i+1], axis by axis: the ghost-cell copy
-    # adds the same values in the same order for every slice and stack
+    # -2N w, plus w[i-1], plus w[i+1], axis by axis: the flat neighbour
+    # ranges of the ghost-cell buffer add the same values in the same
+    # order for every slice and stack, an empty one too, on the buffer and
+    # on its rows views, scaled by a float, a 0-d array or not at all; at
+    # n = 8 and at n = 2 (a stand-in grid, as Grid takes n >= 8), where
+    # the shifted ranges reach the buffer's ends
     rng = np.random.default_rng(dim)
-    g = make_grid(dim, 8, 1.0, 1)
-    v = rng.standard_normal(lead + (g.size,)) * 10.0 ** rng.uniform(
-        -6, 6, lead + (g.size,))
-    w = v.reshape(lead + g.shape)
-    ref = -2.0 * dim * w
-    for ax in range(-dim, 0):
-        ref = ref + np.roll(w, 1, axis=ax)
-        ref = ref + np.roll(w, -1, axis=ax)
-    ref = (ref / g.h ** 2).reshape(v.shape)
-    assert np.array_equal(lap_stack(v, g), ref)
+    for g in (make_grid(dim, 8, 1.0, 1),
+              SimpleNamespace(dim=dim, n=2, shape=(2,) * dim, size=2 ** dim)):
+        v = rng.standard_normal(lead + (g.size,)) * 10.0 ** rng.uniform(
+            -6, 6, lead + (g.size,))
+        w = v.reshape(lead + g.shape)
+        sums = -2.0 * dim * w
+        for ax in range(-dim, 0):
+            sums = sums + np.roll(w, 1, axis=ax)
+            sums = sums + np.roll(w, -1, axis=ax)
+        ref = sums * g.n ** 2        # n^2 = 1/h^2 exactly
+        assert np.array_equal(lap_stack(v, g), ref.reshape(v.shape))
+        for scale in (None, np.array(2.0 ** -9), 3.0):
+            expect = sums if scale is None else sums * scale
+            ghost = GhostCells(g, lead)
+            _stencil_writes(ghost, g, w, scale, expect)
+            for i, row in enumerate(ghost.rows if lead else ()):
+                before = ghost.pad.copy()
+                _stencil_writes(row, g, w[i], scale, expect[i])
+                before[i] = row.pad
+                assert np.array_equal(ghost.pad, before, equal_nan=True)
+
+
+def test_ghost_cells_refuse_a_strided_buffer():
+    # the stencil's flat ranges must be views of the buffer: of a strided
+    # one, reshape(-1) would be a copy, and the stencil would read values
+    # the march never wrote
+    g = make_grid(2, 8, 1.0, 1)
+    stack = np.zeros((4, 10, 10))
+    for pad in (stack[::2], stack[0].T, stack[:, 1:-1, 1:-1]):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            GhostCells(g, pad=pad)
+    for pad in (stack, stack[1], stack[:0]):
+        assert GhostCells(g, pad=pad).pad is pad
 
 
 def test_traj_helpers_match_per_slice():

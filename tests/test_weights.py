@@ -224,6 +224,7 @@ def test_energy_identity_t_only_takes_the_apriori_sums_bits(monkeypatch,
     phi = solve_dual(p).data
     sums = AprioriSums(p)
     torus.feed(sums, phi, g)
+    dual.feed_laplacians(sums.energy, phi, g)
     lhs = 0.5 * float(sums.grad.values[0]) + torus.quadrature_of_sums(
         sums.energy.values, g)
     rhs = torus.quadrature(
@@ -261,9 +262,9 @@ def test_energy_identities_stream_their_dual_march(monkeypatch):
     # neither identity keeps Phi: each hands solve_dual a consumer
     consumers = []
 
-    def recorded(p, consume=None):
+    def recorded(p, consume=None, laplacians=None):
         consumers.append(consume)
-        return solve_dual(p, consume)
+        return solve_dual(p, consume, laplacians)
     monkeypatch.setattr(dual, "solve_dual", recorded)
     rng = np.random.default_rng(4)
     g = make_grid(1, 16, 0.004, steps_for(1, 16, 0.004, 2.0))

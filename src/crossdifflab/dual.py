@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kolmo import (KolmogorovProblem, block_products, check_inputs, fan,
-                    keep, march, solve_forward)
+                    keep, march, solve_forward, window_rows)
 from .mollify import Kernel, convolve_array, make_kernels
 from .torus import (Field, GhostCells, Grid, RowValues, SpacetimeNorm,
                     Trajectory, feed, grad_sq_stack, lap_array, lap_stack,
@@ -94,10 +94,12 @@ def solve_dual(p: DualProblem, consume=None,
     # stencil leaves its unscaled neighbour sum in the block's row of
     # `sums`, and the block's tau*mu^k take the exact factor n^2 = 1/h^2
     # instead.
+    phis = window_rows(g)
+
     def advance(a, b, window):
         last = b - a - 1    # the block's new rows, last first
         for phinew, lap, tm, t in zip(
-                on_grid(window, g)[last::-1], laps[last::-1],
+                phis(window)[last::-1], laps[last::-1],
                 tmu(a, b)[last::-1], ts(a, b)[last::-1]):
             np.multiply(tm, lap_array(ghost, g, lap, None), phinew)
             np.add(ghost.inner, phinew, phinew)

@@ -237,20 +237,46 @@ def diffuse(z: np.ndarray, coeff, grid: Grid, out: np.ndarray,
     return np.add(z, out, out)
 
 
-def block_products(rows: np.ndarray, grid: Grid, product):
+def window_rows(grid: Grid):
+    """The rows of a march's windows for its step loop: a function
+    (window) -> the list of the window's grid-shaped rows.  The list is
+    made once for each window length, since march hands the same rows of
+    its buffer to every block of one length (all but a short last block),
+    so a step takes its row from a list, not as a new view of an array."""
+    made = {}
+
+    def rows(window):
+        count = window.shape[-2]
+        if count not in made:
+            made[count] = list(on_grid(window, grid))
+        return made[count]
+    return rows
+
+
+def block_products(rows: np.ndarray, grid: Grid, product=None):
     """The products of the march's blocks of steps with an input that does
-    not depend on the state: a function (a, b) giving product(rows[a:b],
-    buf), written into a buffer of one block made here.  When
-    distinct_count makes the rows one (a constant-in-time input), the
-    product of that one row is made once and each block is a broadcast
-    view of it, with the same bits."""
+    not depend on the state: a function (a, b) giving the rows of
+    product(rows[a:b], buf), written into a buffer of one block made here,
+    as a list made once per march (so a step takes its row from a list,
+    not as a new view); with no `product`, the rows of rows[a:b]
+    themselves.  When distinct_count makes the rows one (a constant-in-time
+    input), the product of that one row is made once and each block is a
+    list of it, with the same bits."""
+    per = row_blocks(grid.steps, grid.size)[0][1]
     if distinct_count(grid.steps, rows) == 1:
-        one = product(rows[:1], np.empty((1,) + rows.shape[1:]))
-        every = np.broadcast_to(one, (grid.steps,) + rows.shape[1:])
-        return lambda a, b: every[a:b]
-    buf = np.empty((row_blocks(grid.steps, grid.size)[0][1],)
-                   + rows.shape[1:])
-    return lambda a, b: product(rows[a:b], buf[:b - a])
+        one = rows[:1] if product is None \
+            else product(rows[:1], np.empty((1,) + rows.shape[1:]))
+        every = [one[0]] * per
+        return lambda a, b: every[:b - a]
+    if product is None:
+        return lambda a, b: rows[a:b]
+    buf = np.empty((per,) + rows.shape[1:])
+    each = list(buf)
+
+    def block(a, b):
+        product(rows[a:b], buf[:b - a])
+        return each[:b - a]
+    return block
 
 
 def solve_forward(p: KolmogorovProblem, consume=None) -> SolveReport | None:
@@ -273,15 +299,16 @@ def solve_forward(p: KolmogorovProblem, consume=None) -> SolveReport | None:
     def product(rows, buf):
         np.multiply(rows, tau, out=buf)
         return buf if source else np.exp(buf, out=buf)
-    trhs = block_products(rhs, g, product)
+    trhs, mus = block_products(rhs, g, product), block_products(mu, g)
+    zs = window_rows(g)
 
     # z^{k+1} = z^k + tau*Lap(mu^k z^k), then + tau*G^k or * exp(tau*R^k),
     # written straight into the window's row of step k+1; tau*G^k
     # (exp(tau*R^k)) for a block of steps at once, or once per march
     # (block_products)
     def advance(a, b, window):
-        z = on_grid(window, g)
-        for zk, znew, muk, t in zip(z[:-1], z[1:], mu[a:b], trhs(a, b)):
+        z = zs(window)
+        for zk, znew, muk, t in zip(z, z[1:], mus(a, b), trhs(a, b)):
             diffuse(zk, muk, g, znew, ghost, scale)
             if source:
                 np.add(znew, t, znew)

@@ -16,6 +16,7 @@ from crossdifflab.skt import (CoeffFamily, ReactionFamily, SktSpec,
                               converge_study)
 from crossdifflab.torus import (Field, Trajectory, dump_slices, load_field,
                                 load_slices, make_grid, spacetime_norm)
+from crossdifflab.weights import maximal_function
 
 MB = 2 ** 20
 
@@ -193,3 +194,16 @@ def test_verify_duality_keeps_no_trajectory():
            "grid": {"dim": 1, "n": 64, "t_final": 0.25}}
     grid = parse_config(json.dumps(raw)).grid
     assert _run_peak(raw) < _trajectory_bytes(grid)
+
+
+def test_maximal_function_peak():
+    # tracemalloc sees the buffers of every thread.  The one-thread scan
+    # held 13 n^2 doubles at its peak (|f|, Mf, the means, the row and
+    # column sums, the ball sums and both wrap pads: 6.9 MB at n = 256);
+    # the two row stripes may add at most 2 n^2 (each keeps the row sums
+    # of every row), with 0.25 MB for the rest
+    g = make_grid(2, 256, 1.0, 1)
+    f = Field(g, np.random.default_rng(12).standard_normal(g.size))
+    maximal_function(f)
+    assert _peak(lambda: maximal_function(f)) <= (13 + 2) * 8 * g.size \
+        + MB // 4

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -28,7 +29,9 @@ from crossdifflab.torus import (STREAM_BLOCK, Field, GhostCells, Trajectory,
                                 grad_sq_stack, lap_array, lap_stack,
                                 make_grid, norm, on_grid, quadrature,
                                 spacetime_norm)
-from crossdifflab.weights import _ball_sums, maximal_function
+from crossdifflab import weights
+from crossdifflab.weights import (Weight, _ball_sums, _scan_pads, a2_constant,
+                                  maximal_function)
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -548,11 +551,21 @@ def _roll_ball_sum(v, grid, w):
 @st.composite
 def ball_cases(draw):
     """A grid (dim 1 or 2, n in 8/16/32), a stack of one or two fields (the
-    A2 scan takes nu and 1/nu together) and a generator for the data."""
+    A2 scan takes nu and 1/nu together), a range lo..hi-1 of output rows
+    and a generator for the data."""
     grid = make_grid(draw(st.sampled_from((1, 2))),
                      draw(st.sampled_from((8, 16, 32))), 1.0, 1)
     lead = draw(st.sampled_from(((), (2,))))
-    return grid, lead, np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lo = draw(st.integers(0, grid.n - 1))
+    rows = (lo, draw(st.integers(lo + 1, grid.n)))
+    return (grid, lead, rows,
+            np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))))
+
+
+def _row_cells(grid, rows):
+    """The slice of the flat cells that the output rows lo..hi-1 hold."""
+    per = grid.size // grid.n
+    return slice(rows[0] * per, rows[1] * per)
 
 
 # the scan and the roll sums add the same non-negative terms in two orders;
@@ -563,26 +576,31 @@ BALL_REL = 8 * np.finfo(np.float64).eps
 @PROPERTY
 @given(ball_cases())
 def test_ball_scan_is_roll_window_sum(case):
-    grid, lead, rng = case
+    # over the whole grid and over a range of its output rows
+    grid, lead, rows, rng = case
     shape = lead + (grid.size,)
-    for data in (rng.uniform(0.0, 1.0, shape), np.abs(_spread(rng, shape))):
-        sizes = []
-        for size, sums in _ball_sums(data, grid):
-            sizes.append(size)
-            ref = _roll_ball_sum(data, grid, size // 2)
-            assert sums.shape == shape
-            assert np.all(np.abs(sums - ref) <= BALL_REL * ref)
-        assert sizes == list(range(3, grid.n, 2))
-    # small integers sum exactly in any order, so here every bit agrees
-    ints = rng.integers(0, 10, shape).astype(np.float64)
-    for size, sums in _ball_sums(ints, grid):
-        assert np.array_equal(sums, _roll_ball_sum(ints, grid, size // 2))
+    for span in ((0, grid.n), rows):
+        cells = _row_cells(grid, span)
+        for data in (rng.uniform(0.0, 1.0, shape),
+                     np.abs(_spread(rng, shape))):
+            sizes = []
+            for size, sums in _ball_sums(_scan_pads(data, grid), grid, span):
+                sizes.append(size)
+                ref = _roll_ball_sum(data, grid, size // 2)[..., cells]
+                assert sums.shape == ref.shape
+                assert np.all(np.abs(sums - ref) <= BALL_REL * ref)
+            assert sizes == list(range(3, grid.n, 2))
+        # small integers sum exactly in any order, so here every bit agrees
+        ints = rng.integers(0, 10, shape).astype(np.float64)
+        for size, sums in _ball_sums(_scan_pads(ints, grid), grid, span):
+            assert np.array_equal(
+                sums, _roll_ball_sum(ints, grid, size // 2)[..., cells])
 
 
 @PROPERTY
 @given(ball_cases())
 def test_maximal_function_is_largest_ball_mean(case):
-    grid, _, rng = case
+    grid, _, _, rng = case
     f = Field(grid, _spread(rng, grid.size))
     mf = maximal_function(f).values
     a = np.abs(f.values)
@@ -592,6 +610,49 @@ def test_maximal_function_is_largest_ball_mean(case):
         mean = _roll_ball_sum(a, grid, w) / (2 * w + 1) ** grid.dim
         np.maximum(best, mean, out=best)
     assert np.all(np.abs(mf - best) <= BALL_REL * best)
+
+
+@PROPERTY
+@given(st.sampled_from((8, 16, 32, 64)), st.integers(1, 3),
+       st.sampled_from(((), (2,))), st.integers(0, 2 ** 32 - 1))
+def test_row_stripes_give_the_scan_bits(n, stripes, lead, seed):
+    # every cell adds the same values in the same order in any stripe: the
+    # stripes' sums are the whole-grid scan's rows, and the maximal function
+    # and the A2 constant of any stripe count are a one-stripe run's, bit
+    # for bit, an ldexp-prescaled field (beyond float max / n^2) included
+    grid = make_grid(2, n, 1.0, 1)
+    rng = np.random.default_rng(seed)
+    data = np.abs(_spread(rng, lead + (grid.size,)))
+    pads = _scan_pads(data, grid)
+    spans = [(i * n // stripes, (i + 1) * n // stripes)
+             for i in range(stripes)]
+    scans = [_ball_sums(pads, grid, span) for span in spans]
+    for size, whole in _ball_sums(pads, grid):
+        for span, scan in zip(spans, scans):
+            part_size, part = next(scan)
+            assert part_size == size
+            assert np.array_equal(part, whole[..., _row_cells(grid, span)])
+    big = np.ldexp(rng.standard_normal(grid.size), 1020)
+    assert np.abs(big).max() > np.finfo(np.float64).max / grid.size
+    fields = [Field(grid, _spread(rng, grid.size)), Field(grid, big)]
+    weight = Weight(Field(grid, 10.0 ** rng.uniform(-8, 8, grid.size)))
+
+    def run():
+        return ([maximal_function(f).values for f in fields],
+                a2_constant(weight))
+    # a short switch interval interleaves the stripes' threads more often
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(weights, "STRIPES", 1)
+            (mf, big), a2 = run()
+            mp.setattr(weights, "STRIPES", stripes)
+            (mf_s, big_s), a2_s = run()
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(mf, mf_s) and np.array_equal(big, big_s)
+    assert a2.hex() == a2_s.hex()
 
 
 # what a config may hold where a kernel width belongs

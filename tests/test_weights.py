@@ -3,13 +3,14 @@
 import itertools
 import math
 import sys
+import threading
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from crossdifflab import dual, torus
+from crossdifflab import dual, torus, weights
 from crossdifflab.dual import (AprioriSums, DualProblem,
                                energy_identity_case_ii,
                                energy_identity_case_iii, solve_dual)
@@ -82,6 +83,45 @@ def test_maximal_function_near_the_float_range(dim):
                           np.ldexp(mf, 1020))
     top = maximal_function(Field.constant(g, 1e308)).values
     assert np.all(np.abs(top - 1e308) <= 1e-15 * 1e308)
+    # the prescaled scan keeps its bits on any number of row stripes
+    for stripes in (1, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(weights, "STRIPES", stripes)
+            assert np.array_equal(maximal_function(Field(g, big)).values,
+                                  np.ldexp(mf, 1020))
+
+
+@pytest.mark.parametrize("scan", ["maximal_function", "a2_constant"])
+def test_an_error_in_a_helper_stripe_is_raised_in_the_caller(monkeypatch,
+                                                             scan):
+    # the second row stripe runs on a helper thread: its error reaches the
+    # caller once every stripe is done, and no thread outlives the call
+    g = make_grid(2, 16, 1.0, 1)
+    v = np.exp(np.random.default_rng(5).standard_normal(g.size))
+    whole = weights._ball_sums
+    raised_on = []
+
+    class StripeFailed(Exception):
+        pass
+
+    def failing(pads, grid, rows=None):
+        sums = whole(pads, grid, rows)
+        if rows[0] == 0:
+            return sums
+
+        def fail():
+            yield next(sums)
+            raised_on.append(threading.current_thread())
+            raise StripeFailed(rows)
+        return fail()
+    monkeypatch.setattr(weights, "_ball_sums", failing)
+    before = threading.active_count()
+    call = {"maximal_function": lambda: maximal_function(Field(g, v)),
+            "a2_constant": lambda: a2_constant(Weight(Field(g, v)))}[scan]
+    with pytest.raises(StripeFailed, match=r"\(8, 16\)"):
+        call()
+    assert threading.active_count() == before
+    assert raised_on and raised_on[0] is not threading.main_thread()
 
 
 def test_domination_check_near_the_float_range():

@@ -93,18 +93,21 @@ def solve_dual(p: DualProblem, consume=None,
     # go backwards, with tau*mu^k and tau*S^k for a block at once; the
     # stencil leaves its unscaled neighbour sum in the block's row of
     # `sums`, and the block's tau*mu^k take the exact factor n^2 = 1/h^2
-    # instead.
+    # instead.  The buffer and the ufuncs are bound once per block, and
+    # lap_array is looked up at each call, as in solve_forward.
     phis = window_rows(g)
 
     def advance(a, b, window):
+        multiply, add, subtract = np.multiply, np.add, np.subtract
+        inner = ghost.inner
         last = b - a - 1    # the block's new rows, last first
         for phinew, lap, tm, t in zip(
                 phis(window)[last::-1], laps[last::-1],
                 tmu(a, b)[last::-1], ts(a, b)[last::-1]):
-            np.multiply(tm, lap_array(ghost, g, lap, None), phinew)
-            np.add(ghost.inner, phinew, phinew)
-            np.subtract(phinew, t, phinew)
-            ghost.inner[...] = phinew
+            multiply(tm, lap_array(ghost, g, lap, None), phinew)
+            add(inner, phinew, phinew)
+            subtract(phinew, t, phinew)
+            inner[...] = phinew
 
     # the block of steps first..b-1 took the sums of Phi^{first+1}..Phi^b;
     # its rows are Phi^first..Phi^{b-1}, and Phi^K too in the first block

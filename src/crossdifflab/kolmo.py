@@ -222,33 +222,34 @@ def march(grid: Grid, coeff_sup: float, start: np.ndarray, advance,
 
 def diffuse(z: np.ndarray, coeff, grid: Grid, out: np.ndarray,
             ghost: GhostCells, scale) -> np.ndarray:
-    """The diffusion update out = z + tau*Lap(coeff*z), with scale =
-    tau*n^2 as a 0-d array, of one slice of shape grid.shape or of a stack
-    of them along one lead axis (the species of a cross-diffusion step):
-    coeff*z goes in one multiply into the march's ghost buffer of that
-    lead, the stencil, scaled once, into `out` one slice at a time (over
-    the buffer's `rows`), and z is added in one add."""
+    """The diffusion update out = z + tau*Lap(coeff*z) of a stack of
+    slices along one lead axis (the species of a cross-diffusion step),
+    with scale = tau*n^2 as a 0-d array: coeff*z goes in one multiply into
+    the march's ghost buffer of that lead, the stencil, scaled once, into
+    `out` one slice at a time (over the buffer's `rows`), and z is added
+    in one add."""
     np.multiply(coeff, z, ghost.inner)
-    if z.ndim == grid.dim:
-        lap_array(ghost, grid, out, scale)
-    else:
-        for row, o in zip(ghost.rows, out):
-            lap_array(row, grid, o, scale)
+    for row, o in zip(ghost.rows, out):
+        lap_array(row, grid, o, scale)
     return np.add(z, out, out)
 
 
 def window_rows(grid: Grid):
     """The rows of a march's windows for its step loop: a function
-    (window) -> the list of the window's grid-shaped rows.  The list is
-    made once for each window length, since march hands the same rows of
-    its buffer to every block of one length (all but a short last block),
-    so a step takes its row from a list, not as a new view of an array."""
+    (window) -> the list of the window's rows, each the grid-shaped
+    slices of one step, with any lead axes (species) first: a window of
+    shape lead + (count, grid.size) gives count rows of shape lead +
+    grid.shape.  The list is made once for each window length, since
+    march hands the same rows of its buffer to every block of one length
+    (all but a short last block), so a step takes its row from a list,
+    not as a new view of an array."""
     made = {}
 
     def rows(window):
         count = window.shape[-2]
         if count not in made:
-            made[count] = list(on_grid(window, grid))
+            made[count] = list(np.moveaxis(on_grid(window, grid),
+                                           -grid.dim - 1, 0))
         return made[count]
     return rows
 
@@ -305,15 +306,19 @@ def solve_forward(p: KolmogorovProblem, consume=None) -> SolveReport | None:
     # z^{k+1} = z^k + tau*Lap(mu^k z^k), then + tau*G^k or * exp(tau*R^k),
     # written straight into the window's row of step k+1; tau*G^k
     # (exp(tau*R^k)) for a block of steps at once, or once per march
-    # (block_products)
+    # (block_products).  A step is its four calls: mu^k z^k into the ghost
+    # buffer, the stencil, + z^k, and + tau*G^k (* exp(tau*R^k)), with the
+    # ufuncs and the buffer bound once per block; lap_array is looked up
+    # at each call, so a tracer or a test that replaces it sees every one
     def advance(a, b, window):
+        multiply, add, inner = np.multiply, np.add, ghost.inner
+        then = add if source else multiply
         z = zs(window)
         for zk, znew, muk, t in zip(z, z[1:], mus(a, b), trhs(a, b)):
-            diffuse(zk, muk, g, znew, ghost, scale)
-            if source:
-                np.add(znew, t, znew)
-            else:
-                np.multiply(znew, t, znew)
+            multiply(muk, zk, inner)
+            lap_array(ghost, g, znew, scale)
+            add(zk, znew, znew)
+            then(znew, t, znew)
 
     cfl_used = march(g, p.mu_sup(), p.z0.values, advance,
                      consume if out is None else fan(keep(out), summary))

@@ -28,10 +28,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kolmo import diffuse, keep, march, split
+from .kolmo import diffuse, keep, march, split, window_rows
 from .mollify import convolve_array, dirac_defect, make_kernels
 from .torus import (GhostCells, Grid, SpacetimeNorm, Trajectory, is_real,
-                    on_grid, spacetime_norm)
+                    spacetime_norm)
 
 
 def _zero_d(x) -> np.ndarray:
@@ -317,11 +317,11 @@ def solve_system(spec: SktSpec, consume=None):
     out = np.empty((spec.species_count, g.steps + 1, g.size)) \
         if consume is None else None   # first, as in solve_forward
     scratch = StepScratch(spec)
+    rows = window_rows(g)   # the (I, *grid.shape) state of each step
 
     def advance(a, b, window):
-        # the (I, ...) state of each step, of grid shape
-        states = np.moveaxis(on_grid(window, g), 1, 0)
-        for state, new in zip(states[:-1], states[1:]):
+        states = rows(window)
+        for state, new in zip(states, states[1:]):
             step(spec, state, new, scratch)
 
     march(g, spec.hi_max(), np.stack([f.values for f in spec.init]),

@@ -17,10 +17,13 @@ bits (distinct_count).
 
 The marches' stencil works in a ghost-cell buffer made once per march
 (GhostCells), of one slice or of a stack of slices whose rows it also
-views, and reads each neighbour as one contiguous flat range of it.
-Every constant of a march's hot loop, here the stencil's centre weight,
-is a float64 0-d array made once: numpy takes a 0-d array operand faster
-than a Python float, with the same bits.
+views, and reads each neighbour as one contiguous flat range of it.  A
+single 1-D slice, a row view of a stack included, fills its rim by two
+scalar copies through a memoryview of the buffer, exact and cheaper than
+a numpy copy between views of 2 cells.  Every constant of a march's hot
+loop, here the stencil's centre weight, is a float64 0-d array made
+once: numpy takes a 0-d array operand faster than a Python float, with
+the same bits.
 """
 
 from __future__ import annotations
@@ -279,10 +282,11 @@ class GhostCells:
     grid.shape padded by one cell per side and axis, with the ranges the
     stencil reads made once.  `inner` holds the slices; per axis, `rims`
     pairs the two rim cells (0 and n+1) with their periodic sources (n and
-    1).  A march makes one and writes each step's slice, or stack of
-    slices, into `inner`.  `pad`, when given, is the padded buffer to view
-    instead of a new one (see `rows`); it must be C-contiguous, a
-    ValueError otherwise.  `centre` is the stencil's -2 dim, a 0-d array.
+    1), as views (none for a single 1-D slice, see `cells`).  A march
+    makes one and writes each step's slice, or stack of slices, into
+    `inner`.  `pad`, when given, is the padded buffer to view instead of
+    a new one (see `rows`); it must be C-contiguous, a ValueError
+    otherwise.  `centre` is the stencil's -2 dim, a 0-d array.
 
     The stencil reads flat ranges of the buffer: `span` runs from the
     first inner cell to the last, and `neighbours` holds it shifted by -1
@@ -293,7 +297,10 @@ class GhostCells:
     views; the sums at rim cells, which read the buffer's corners (no
     stencil writes them: zeros in a buffer made here), are not used.  A
     single 1-D slice's span is its inner cells, and `sums` is None: the
-    stencil writes straight into its `out`."""
+    stencil writes straight into its `out`, and `cells`, a memoryview of
+    the buffer, fills its rim: two scalar copies of float64 values, exact,
+    where a copy between numpy views of 2 cells costs more than a whole
+    64-cell add.  `cells` is None for 2-D slices and stacks."""
 
     def __init__(self, grid: Grid, lead: tuple = (),
                  pad: np.ndarray | None = None):
@@ -313,8 +320,6 @@ class GhostCells:
         self.grid, self.pad = grid, pad
         self.centre = np.array(-2.0 * dim)
         self.inner = pad[(...,) + (mid,) * dim]
-        self.rims = [(view(ax, slice(None, None, n + 1)),
-                      view(ax, slice(n, 0, 1 - n))) for ax in range(dim)]
         # the first inner cell is 1 + (n+2) + ... places in; the last is as
         # far from the end
         shifts = [(n + 2) ** (dim - 1 - ax) for ax in range(dim)]
@@ -323,8 +328,13 @@ class GhostCells:
         self.span = flat[lo:hi]
         self.neighbours = [flat[lo + d:hi + d] for s in shifts
                            for d in (-s, s)]
-        self.sums = self.result = None
-        if pad.ndim > 1:
+        self.sums = self.result = self.cells = None
+        if pad.ndim == 1:       # a single 1-D slice
+            self.cells, self.rims = memoryview(pad), []
+        else:
+            self.rims = [(view(ax, slice(None, None, n + 1)),
+                          view(ax, slice(n, 0, 1 - n)))
+                         for ax in range(dim)]
             work = np.empty(pad.shape)
             self.sums = work.reshape(-1)[lo:hi]
             self.result = work[(...,) + (mid,) * dim]
@@ -340,22 +350,29 @@ class GhostCells:
 
 def _stencil(ghost: GhostCells, grid: Grid, out: np.ndarray,
              scale) -> np.ndarray:
-    """Fill the rim from `inner`, then out = scale * (-2 dim w, plus
+    """Fill the rim from `inner` (a single 1-D slice by two scalar copies
+    through `cells`, see GhostCells), then out = scale * (-2 dim w, plus
     w[i-1], plus w[i+1], axis by axis); no multiply when scale is None.
     Each term is one contiguous flat range of the buffer (GhostCells), so
     every inner value is the same sum in the same order as with shifted
     grid views.  The per-step calls pass `out` positionally: in a 1-D
     march at n = 64 the `out=` keywords cost about a tenth of a step."""
+    cells = ghost.cells
+    if cells is not None:   # a 1-D slice: the span is out's cells
+        n = grid.n
+        cells[0] = cells[n]
+        cells[n + 1] = cells[1]
+        left, right = ghost.neighbours
+        multiply, add = np.multiply, np.add
+        multiply(ghost.span, ghost.centre, out)
+        add(out, left, out)
+        add(out, right, out)
+        if scale is not None:
+            multiply(out, scale, out)
+        return out
     for rim, source in ghost.rims:
         rim[...] = source
     sums = ghost.sums
-    if sums is None:        # a 1-D slice: the span is out's cells
-        np.multiply(ghost.span, ghost.centre, out)
-        for nb in ghost.neighbours:
-            np.add(out, nb, out)
-        if scale is not None:
-            np.multiply(out, scale, out)
-        return out
     np.multiply(ghost.span, ghost.centre, sums)
     for nb in ghost.neighbours:
         np.add(sums, nb, sums)

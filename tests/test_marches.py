@@ -85,6 +85,27 @@ def test_one_stencil_call_per_species_per_step(monkeypatch, dim):
     assert len(calls) == 2 * 2 * g.steps
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_window_rows_are_the_steps_with_the_species_first(dim, lead):
+    # row k of a window lead + (count, size) of the march's buffer is step
+    # k of every species, a grid-shaped view of the window; one list per
+    # window length
+    g = _grid(dim)
+    rows = kolmo.window_rows(g)
+    buf = np.arange(np.prod(lead + (4, g.size)),
+                    dtype=float).reshape(lead + (4, g.size))
+    for count in (4, 2, 4):
+        window = buf[..., :count, :]
+        got = rows(window)
+        assert len(got) == count
+        for k, row in enumerate(got):
+            assert row.shape == lead + g.shape
+            assert np.shares_memory(row, window)
+            assert np.array_equal(row, window[..., k, :].reshape(row.shape))
+    assert rows(window) is got
+
+
 def _snapshot(*arrays):
     return [a.copy() for a in arrays]
 

@@ -438,6 +438,64 @@ def test_lap_is_the_rolled_stencil_bit_for_bit(dim, lead):
                 assert np.array_equal(ghost.pad, before, equal_nan=True)
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+# finite values over the whole float range: signed zeros, subnormals and
+# normals up to 1e300, so that no term of the stencil overflows
+FINITE = st.one_of(
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1030, 1e300,
+                     -1e300)),
+    st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from((8, 16, 32, 64, 128, 256)), st.data())
+def test_1d_stencil_is_the_rolled_stencil_over_the_float_range(n, data):
+    # a single 1-D slice fills its rim by scalar copies, which must keep
+    # every bit of every value: -0.0, subnormals and NaN-free extremes
+    g = make_grid(1, n, 1.0, 1)
+    w = np.array(data.draw(st.lists(FINITE, min_size=n, max_size=n)))
+    sums = (-2.0 * w + np.roll(w, 1)) + np.roll(w, -1)
+    for scale in (None, np.array(data.draw(st.floats(-1.0, 1.0)))):
+        ghost = GhostCells(g)
+        ghost.inner[...] = w
+        out = np.full(n, np.nan)
+        assert lap_array(ghost, g, out, scale) is out
+        expect = sums if scale is None else sums * scale
+        assert np.array_equal(_bits(out), _bits(expect))
+        assert np.array_equal(_bits(ghost.pad), _bits(np.pad(w, 1, "wrap")))
+
+
+@pytest.mark.parametrize("scale", [None, np.array(2.0 ** -9)])
+def test_rows_of_a_stack_fill_only_their_own_rim(scale):
+    # each GhostCells.rows view of a (3, n+2) buffer fills its own row's
+    # rim and writes no other cell of the stack: every other byte, the
+    # sentinel bits in the other rows' rims included, stays as it was; the
+    # results are those of three buffers of one slice each
+    n = 16
+    g = make_grid(1, n, 1.0, 1)
+    rng = np.random.default_rng(29)
+    w = rng.standard_normal((3, n)) * 10.0 ** rng.uniform(-6, 6, (3, n))
+    stack = GhostCells(g, (3,))
+    stack.pad.view(np.uint64)[...] = rng.integers(
+        0, 2 ** 64, stack.pad.shape, dtype=np.uint64)
+    stack.inner[...] = w
+    for i, row in enumerate(stack.rows):
+        before = stack.pad.copy()
+        out = lap_array(row, g, np.empty(n), scale)
+        after = stack.pad.copy()
+        after[i, [0, n + 1]] = before[i, [0, n + 1]]
+        assert np.array_equal(_bits(after), _bits(before))
+        assert np.array_equal(_bits(stack.pad[i]), _bits(np.pad(w[i], 1,
+                                                                "wrap")))
+        single = GhostCells(g)
+        single.inner[...] = w[i]
+        assert np.array_equal(_bits(out), _bits(lap_array(
+            single, g, np.empty(n), scale)))
+
+
 def test_ghost_cells_refuse_a_strided_buffer():
     # the stencil's flat ranges must be views of the buffer: of a strided
     # one, reshape(-1) would be a copy, and the stencil would read values

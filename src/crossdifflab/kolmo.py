@@ -220,20 +220,6 @@ def march(grid: Grid, coeff_sup: float, start: np.ndarray, advance,
     return cfl_fraction(grid, coeff_sup)
 
 
-def diffuse(z: np.ndarray, coeff, grid: Grid, out: np.ndarray,
-            ghost: GhostCells, scale) -> np.ndarray:
-    """The diffusion update out = z + tau*Lap(coeff*z) of a stack of
-    slices along one lead axis (the species of a cross-diffusion step),
-    with scale = tau*n^2 as a 0-d array: coeff*z goes in one multiply into
-    the march's ghost buffer of that lead, the stencil, scaled once, into
-    `out` one slice at a time (over the buffer's `rows`), and z is added
-    in one add."""
-    np.multiply(coeff, z, ghost.inner)
-    for row, o in zip(ghost.rows, out):
-        lap_array(row, grid, o, scale)
-    return np.add(z, out, out)
-
-
 def window_rows(grid: Grid):
     """The rows of a march's windows for its step loop: a function
     (window) -> the list of the window's rows, each the grid-shaped

@@ -106,18 +106,21 @@ def convolve(f: Field, k: Kernel) -> Field:
     return Field(f.grid, out)
 
 
-def convolve_array(v: np.ndarray, k: Kernel) -> np.ndarray:
-    """Circular convolution of a flat array with the kernel (times h^dim):
-    one product with the kernel's circulant matrix where it has one, else
-    an rfftn, a product with the kernel FFT and an irfftn."""
+def convolve_array(v: np.ndarray, k: Kernel, out=None) -> np.ndarray:
+    """Circular convolution of a flat or grid-shaped array with the kernel
+    (times h^dim): one product with the kernel's circulant matrix where it
+    has one, else an rfftn, a product with the kernel FFT and an irfftn.
+    The result is written into `out`, a C-contiguous float64 array of v's
+    shape that does not overlap v, when one is given, and returned."""
     if k._circulant is not None:
-        return np.dot(k._circulant, v)
+        return np.dot(k._circulant, v, out)
     g = k.grid
     fv = np.fft.rfftn(v.reshape(g.shape))
     fv *= k.fft()
-    out = np.fft.irfftn(fv, s=g.shape, axes=tuple(range(g.dim)))
-    out *= g.cell_volume()
-    return out.reshape(v.shape)
+    conv = np.fft.irfftn(fv, s=g.shape, axes=tuple(range(g.dim)))
+    conv = conv.reshape(v.shape)
+    return np.multiply(conv, g.cell_volume(),
+                       out=conv if out is None else out)
 
 
 def make_kernels(grid: Grid, widths) -> list:

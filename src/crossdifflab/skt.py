@@ -15,10 +15,13 @@ species, shape (I, n^dim), and every operation that does not read another
 species runs once on the stack.  A march makes one step plan
 (StepScratch), which binds what every step looks up: the buffers, the
 relaxed species' kernels, each varying coefficient row with its family's
-evaluation body, and each reaction with its row.  The constants of the
-hot loop (tau, tau*n^2, the families' d, lo, hi, c_j, rho and s_j) are
-float64 0-d arrays made once, which numpy takes faster than Python
-floats, with the same bits.
+evaluation body, and each reaction with its row.  Each convolution,
+coefficient and reaction of a step is written into its row of the plan
+(their `out`), so a step makes no array but a family's temporaries,
+one for each term after its first.  The constants of the hot loop
+(tau, tau*n^2, the families' d, lo, hi, c_j, rho and s_j) are float64
+0-d arrays made once, which numpy takes faster than Python floats, with
+the same bits.
 """
 
 from __future__ import annotations
@@ -28,10 +31,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kolmo import diffuse, keep, march, split, window_rows
+from .kolmo import keep, march, split, window_rows
 from .mollify import convolve_array, dirac_defect, make_kernels
 from .torus import (GhostCells, Grid, SpacetimeNorm, Trajectory, is_real,
-                    spacetime_norm)
+                    lap_array, spacetime_norm)
 
 
 def _zero_d(x) -> np.ndarray:
@@ -44,13 +47,37 @@ def _zero_d(x) -> np.ndarray:
 _ONE = _zero_d(1.0)
 
 
-def _smoothed_abs(y: np.ndarray, sigma: float) -> np.ndarray:
-    """E|y + sigma*Z| for standard normal Z; equals |y| as sigma -> 0."""
+def _smoothed_abs(y: np.ndarray, sigma: float, out=None) -> np.ndarray:
+    """E|y + sigma*Z| for standard normal Z; equals |y| as sigma -> 0.
+    Written into `out` when one is given, which may be y itself."""
     if sigma == 0.0:
-        return np.abs(y)
+        return np.abs(y, out=out)
     from scipy.special import erf  # scipy loads only for sigma > 0
-    return (y * erf(y / (sigma * np.sqrt(2.0)))
-            + sigma * np.sqrt(2.0 / np.pi) * np.exp(-y ** 2 / (2 * sigma ** 2)))
+    return np.add(y * erf(y / (sigma * np.sqrt(2.0))),
+                  sigma * np.sqrt(2.0 / np.pi)
+                  * np.exp(-y ** 2 / (2 * sigma ** 2)), out=out)
+
+
+def _new_out(args) -> np.ndarray:
+    """A float64 array of the broadcast shape of `args`, for a family's
+    evaluation called without `out`."""
+    return np.empty(np.broadcast_shapes(*(np.shape(a) for a in args)))
+
+
+def _weighted_sum(c, args, out) -> np.ndarray:
+    """sum_j c_j v_j written into `out` (made when None) and returned.  It
+    starts from the first term, not from 0: one add fewer; the two differ
+    only in the sign of a zero, which d + . (or 1 + .) and the clip to
+    lo > 0 erase.  Each term after the first is one temporary."""
+    if out is None:
+        out = _new_out(args)
+    if not c:
+        out[...] = 0.0
+        return out
+    np.multiply(c[0], args[0], out=out)
+    for j in range(1, len(c)):
+        np.add(out, c[j] * args[j], out=out)
+    return out
 
 
 def _check_finite(**values) -> None:
@@ -115,47 +142,53 @@ class CoeffFamily:
         return len(self.c)
 
     def evaluate(self, args, out=None) -> np.ndarray | float:
-        """a at the smoothed densities `args` (species i+1..I), written
-        into `out` when one is given; the constant kind returns d."""
-        if self.kind == "constant":
-            return self.d
-        if len(args) != self.arity:
+        """a at the smoothed densities `args` (species i+1..I).  With
+        `out`, a float64 array of their shape that overlaps none of them,
+        a is written into it and `out` returned; without, a is a new
+        array, or d itself for the constant kind."""
+        if self.kind != "constant" and len(args) != self.arity:
             raise ValueError(
                 f"{self.kind} expects {self.arity} arguments, got {len(args)}")
         return self.body(args, out)
 
     @property
     def body(self):
-        """evaluate of a non-constant kind without its checks: the method
-        of the kind, taking (args, out) with len(args) == arity.  A march
-        looks it up once (StepScratch)."""
+        """evaluate without its check: the method of the kind, taking
+        (args, out) with len(args) == arity.  A march looks it up once
+        (StepScratch).  Each kind has this one body: it writes every
+        operation into `out`, made first when None."""
         return getattr(self, "_" + self.kind)
 
-    def _linear(self, args):
-        # sum_j c_j v_j from the first term, not from 0: one add fewer;
-        # the two differ only in the sign of a zero, which d + . (or
-        # 1 + .) and the clip to lo > 0 erase
-        c = self._c
-        lin = c[0] * args[0] if c else 0
-        for j in range(1, len(c)):
-            lin = lin + c[j] * args[j]
-        return lin
+    def _constant(self, args, out):
+        if out is None:
+            return self.d
+        out[...] = self._d
+        return out
 
-    # np.clip's result for lo <= hi, with less call overhead; `out`, when
-    # given, takes the maximum too
+    # the clip to [lo, hi] is np.clip's result for lo <= hi, with less
+    # call overhead
     def _clamped_affine(self, args, out):
-        return np.minimum(np.maximum(self._d + self._linear(args), self._lo,
-                                     out=out), self._hi, out=out)
+        out = _weighted_sum(self._c, args, out)
+        np.add(self._d, out, out=out)
+        np.maximum(out, self._lo, out=out)
+        return np.minimum(out, self._hi, out=out)
 
     def _rational_saturating(self, args, out):
-        return np.minimum(np.maximum(self._d / (_ONE + self._linear(args)),
-                                     self._lo, out=out), self._hi, out=out)
+        out = _weighted_sum(self._c, args, out)
+        np.add(_ONE, out, out=out)
+        np.divide(self._d, out, out=out)
+        np.maximum(out, self._lo, out=out)
+        return np.minimum(out, self._hi, out=out)
 
     def _kinked_affine(self, args, out):
-        raw = self._d + self.kink * _smoothed_abs(args[0] - self.pivot,
-                                                  self.sigma)
-        return np.minimum(np.maximum(raw, self._lo, out=out), self._hi,
-                          out=out)
+        if out is None:
+            out = _new_out(args)
+        np.subtract(args[0], self.pivot, out=out)
+        _smoothed_abs(out, self.sigma, out)
+        np.multiply(self.kink, out, out=out)
+        np.add(self._d, out, out=out)
+        np.maximum(out, self._lo, out=out)
+        return np.minimum(out, self._hi, out=out)
 
 
 @dataclass(frozen=True)
@@ -176,18 +209,24 @@ class ReactionFamily:
         object.__setattr__(self, "_terms", tuple(
             (j, _zero_d(sj)) for j, sj in enumerate(self.s) if sj != 0.0))
 
-    def evaluate(self, args) -> np.ndarray:
+    def evaluate(self, args, out=None) -> np.ndarray:
+        """r at the smoothed densities `args` (all species), written into
+        `out`, a float64 array of their shape that overlaps none of them,
+        when one is given, else into a new array; returns it.  Each term
+        after the first non-zero one is one temporary."""
         if len(args) != len(self.s):
             raise ValueError(
                 f"reaction expects {len(self.s)} arguments, got {len(args)}")
+        if out is None:
+            out = _new_out(args)
         terms = self._terms
         if not terms:
-            return np.full_like(np.asarray(args[0], dtype=np.float64),
-                                self.rho)
+            out[...] = self._rho
+            return out
         j, sj = terms[0]
-        out = np.subtract(self._rho, sj * args[j])
+        np.subtract(self._rho, np.multiply(sj, args[j], out=out), out=out)
         for j, sj in terms[1:]:
-            out -= sj * args[j]
+            np.subtract(out, sj * args[j], out=out)
         return out
 
 
@@ -237,27 +276,35 @@ def evaluate_coeff(spec: SktSpec, i: int, state):
 
 class StepScratch:
     """The step plan of one march of `spec`: what every step looks up,
-    bound once.  It holds its spec; the (species, kernel) pairs of the
-    relaxed species; a ghost-cell buffer with one row per species (the
-    stencil runs on its row views); the coefficient rows, whose constant
-    ones are filled here, and the varying ones bound to their family's
-    `body`, whose arity SktSpec checked; the (evaluate, row) pairs of the
-    reactions and their rows of tau*r_i; and tau and tau*n^2 as 0-d
-    arrays."""
+    bound once.  It holds its spec; the (species, kernel, row) triples of
+    the relaxed species, each row the buffer its convolution is written
+    into; the list of smoothed rows, whose relaxed entries are those
+    buffers (a step puts a local species' state row into its entry); a
+    ghost-cell buffer with one row per species (the stencil runs on its
+    row views); the coefficient rows, whose constant ones are filled here,
+    and the varying ones bound to their family's `body`, whose arity
+    SktSpec checked; the (evaluate, row) pairs of the reactions and their
+    rows, which hold r_i and then tau*r_i; and tau and tau*n^2 as 0-d
+    arrays.  Every convolution, coefficient and reaction of a step is
+    written into its row here; the only arrays a step makes are a
+    family's temporaries, one for each term after its first."""
 
     def __init__(self, spec: SktSpec):
         g = spec.grid
         self.spec, self.grid = spec, g
         self.shape = (spec.species_count,) + g.shape
-        self.species = range(spec.species_count)
-        self.kernels = [(i, k) for i, k in enumerate(spec.kernels)
+        smooth = np.empty(self.shape)
+        self.relaxed = [(i, k, row) for i, (k, row)
+                        in enumerate(zip(spec.kernels, smooth))
                         if k is not None]
+        self.local = [i for i, k in enumerate(spec.kernels) if k is None]
+        self.smoothed = list(smooth)
         self.ghost = GhostCells(g, self.shape[:1])
         self.coeff = np.empty(self.shape)
         self.varying = []   # (i, body, row) of the non-constant rows
         for i, (row, cf) in enumerate(zip(self.coeff, spec.coeffs)):
             if cf.kind == "constant":
-                row[...] = cf.d
+                cf.evaluate((), row)
             else:
                 self.varying.append((i, cf.body, row))
         self.rate = np.empty(self.shape)
@@ -277,11 +324,20 @@ def step(spec: SktSpec, state, out=None, scratch=None) -> np.ndarray:
     march hands the plan and (I, *grid.shape) arrays, which go to the
     arithmetic as they are.
 
+    The step makes its calls itself, each writing into the plan: each
+    relaxed species' convolution into its smoothed row, each varying
+    coefficient into its row, the diffusion update
+    new = u + tau*Lap(a*u) (a*u in one multiply into the ghost buffer,
+    the stencil once per species on the buffer's row views, scaled by
+    tau*n^2, and one add), and each species' reaction into its rate row.
     Every operation that does not read another species runs once on the
-    (I, ...) stack: the coefficient times state product, the add that ends
-    the diffusion update, the exp and the product with it.  Each species
-    still has its own convolution (relaxed species), coefficient, stencil
-    call and reaction, with the bits of a step species by species."""
+    (I, ...) stack: the coefficient times state product, the add that
+    ends the diffusion update, the product with tau, the exp and the
+    product with it.  So each species has its own convolution (relaxed
+    species), coefficient, stencil call and reaction, with the bits of a
+    step species by species.  `lap_array` and `convolve_array` are looked
+    up by name at every call, so a tracer or a test that replaces them
+    sees each one."""
     plan = StepScratch(spec) if scratch is None else scratch
     if plan.spec is not spec:
         raise ValueError("scratch is the StepScratch of another SktSpec: "
@@ -294,16 +350,23 @@ def step(spec: SktSpec, state, out=None, scratch=None) -> np.ndarray:
         if out is None:
             out = np.empty(state.shape)
         u, new = state.reshape(plan.shape), out.reshape(plan.shape)
-    smoothed = [u[i] for i in plan.species]
-    for i, kern in plan.kernels:
-        smoothed[i] = convolve_array(smoothed[i], kern)
+    smoothed = plan.smoothed
+    for i in plan.local:
+        smoothed[i] = u[i]
+    for i, kern, row in plan.relaxed:
+        convolve_array(u[i], kern, row)
     # u_i <- (u_i + tau*Lap(a_i u_i)) * exp(tau*r_i)
     for i, body, row in plan.varying:
         body(smoothed[i + 1:], row)
-    diffuse(u, plan.coeff, plan.grid, new, plan.ghost, plan.scale)
-    for evaluate, rate in plan.reactions:
-        np.multiply(evaluate(smoothed), plan.tau, rate)
-    np.multiply(new, np.exp(plan.rate, plan.rate), new)
+    np.multiply(plan.coeff, u, plan.ghost.inner)
+    for row, o in zip(plan.ghost.rows, new):
+        lap_array(row, plan.grid, o, plan.scale)
+    np.add(u, new, new)
+    for evaluate, row in plan.reactions:
+        evaluate(smoothed, row)
+    rate = plan.rate
+    np.multiply(rate, plan.tau, rate)
+    np.multiply(new, np.exp(rate, rate), new)
     return out
 
 

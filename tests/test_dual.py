@@ -113,6 +113,25 @@ def test_duality_pairings_refuse_another_grid():
         duality_pairings(z, q, s)
 
 
+
+def test_duality_pairings_refuse_z_or_phi_of_another_grid():
+    # p and s agree, so the pairings are made; then z, or a given Phi, on
+    # another grid is refused
+    rng = np.random.default_rng(4)
+    g = _grid()
+    mu, z0, src, s = _random_problem(g, rng)
+    p = KolmogorovProblem(grid=g, mu=mu, z0=z0, source=src)
+    z = solve_forward(p).trajectory
+    other = make_grid(1, 32, 0.02, g.steps + 1)
+    q = KolmogorovProblem(grid=other, mu=Trajectory.constant(other, 1.0),
+                          z0=Field.constant(other, 1.0),
+                          source=Trajectory.constant(other, 0.0))
+    for call in (duality_pairings, duality_residual):
+        with pytest.raises(ValueError, match="^grid mismatch$"):
+            call(z, q, Trajectory.constant(other, 1.0))
+        with pytest.raises(ValueError, match="^grid mismatch$"):
+            call(z, p, s, Trajectory.constant(other, 0.0))
+
 def _residuals(p, s):
     """The residual over the kept trajectories and the streamed one."""
     kept = duality_residual(solve_forward(p).trajectory, p, s)

@@ -1077,6 +1077,21 @@ def test_cli_bad_input_is_one_line_config_error(tmp_path, capsys, argv,
     assert named.format(**paths) in err
 
 
+
+def test_cli_eps_on_a_config_that_is_not_json(tmp_path, capsys):
+    # --eps reads the config before its one parse: a file that is not JSON
+    # is left to the parse, which names the JSON error in one line
+    text = '{"kind": "converge", '
+    cfgp = tmp_path / "bad.json"
+    cfgp.write_text(text)
+    with pytest.raises(json.JSONDecodeError) as err:
+        json.loads(text)
+    assert main(["skt-converge", "--config", str(cfgp),
+                 "--eps", "0.2,0.1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"config error: invalid JSON: {err.value}\n"
+
 def test_config_refused_at_parse_creates_no_out_directory(tmp_path, capsys):
     raw = _kolmo_raw(mu={"family": "constant", "value": -1.0})
     cfgp, out = _write(tmp_path, "k.json", raw), tmp_path / "out"

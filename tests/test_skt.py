@@ -399,3 +399,113 @@ def test_coeff_hi_may_be_unbounded_but_not_nan():
     with pytest.raises(ValueError, match="hi must not be NaN"):
         CoeffFamily("clamped_affine", 1.0, c=(1.0,), lo=0.5, hi=NAN)
     assert CoeffFamily("clamped_affine", 1.0, c=(1.0,), lo=0.5).hi == INF
+
+
+def test_spec_refuses_species_lists_of_unequal_length():
+    g = _grid()
+    spec = _two_species(g)
+    for name in ("coeffs", "reactions", "kernels", "init"):
+        with pytest.raises(ValueError, match="^species lists must have "
+                                             "equal length$"):
+            replace(spec, **{name: getattr(spec, name)[:1]})
+
+
+def _bits(a):
+    """The bits of a float64 or complex128 array, as int64."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+SENTINEL = -7.25   # no family below evaluates to it
+
+FAMILIES = {
+    "constant": CoeffFamily("constant", 1.5),
+    "clamped_affine-1": CoeffFamily("clamped_affine", 1.0, c=(1.0,),
+                                    lo=0.5, hi=2.0),
+    "clamped_affine-2": CoeffFamily("clamped_affine", 0.75, c=(0.5, -1.25),
+                                    lo=0.25, hi=3.0),
+    "clamped_affine-3": CoeffFamily("clamped_affine", 1.0,
+                                    c=(0.3, 0.7, -0.2), lo=0.5, hi=INF),
+    "rational_saturating-1": CoeffFamily("rational_saturating", 2.0,
+                                         c=(1.0,), lo=0.1, hi=3.0),
+    "rational_saturating-2": CoeffFamily("rational_saturating", 1.5,
+                                         c=(0.25, 2.0), lo=0.2, hi=1.0),
+    "rational_saturating-3": CoeffFamily("rational_saturating", 3.0,
+                                         c=(0.1, 0.6, 1.3), lo=0.3, hi=2.5),
+    "kinked_affine-sigma0": CoeffFamily("kinked_affine", 1.0, kink=2.0,
+                                        pivot=1.0, lo=0.5, hi=10.0),
+    "kinked_affine-sigma": CoeffFamily("kinked_affine", 1.0, kink=1.5,
+                                       pivot=0.8, sigma=0.3, lo=0.5,
+                                       hi=4.0),
+    "reaction-some-zero": ReactionFamily(rho=1.0, s=(0.5, 0.0, 2.0)),
+    "reaction-first-zero": ReactionFamily(rho=0.5, s=(0.0, 1.0)),
+    "reaction-all-zero": ReactionFamily(rho=0.75, s=(0.0, 0.0)),
+}
+
+
+def _arity(family):
+    return family.arity if isinstance(family, CoeffFamily) \
+        else len(family.s)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.sampled_from(((1,), (7,), (16,), (4, 4), (3, 5))),
+       st.integers(0, 2 ** 32 - 1))
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_evaluate_into_out_is_evaluate(name, shape, seed):
+    # evaluate(args, out) writes the bits of evaluate(args) into out, the
+    # middle row of a sentinel buffer, returns it, and writes nothing
+    # else: neither the rows beside it nor its arguments
+    family = FAMILIES[name]
+    rng = np.random.default_rng(seed)
+    args = list(rng.uniform(0.0, 3.0, (_arity(family),) + shape))
+    before = [a.copy() for a in args]
+    want = np.broadcast_to(family.evaluate(args), shape)
+    buf = np.full((3,) + shape, SENTINEL)
+    out = buf[1]
+    assert family.evaluate(args, out) is out
+    assert np.array_equal(_bits(out), _bits(want))
+    assert np.all(buf[0] == SENTINEL) and np.all(buf[2] == SENTINEL)
+    assert all(np.array_equal(_bits(a), _bits(b))
+               for a, b in zip(args, before))
+
+
+def _step_inputs(spec):
+    """Every array a step reads besides its state: the initial fields, the
+    kernels' values, FFTs and circulant matrices, and the families' 0-d
+    operands."""
+    arrays = [f.values for f in spec.init]
+    for k in {id(k): k for k in spec.kernels if k is not None}.values():
+        arrays += [k.values.values, k.fft()]
+        arrays += [] if k._circulant is None else [k._circulant]
+    for cf in spec.coeffs:
+        arrays += [cf._d, cf._lo, cf._hi, *cf._c]
+    for r in spec.reactions:
+        arrays += [r._rho, *(sj for _, sj in r._terms)]
+    return arrays
+
+
+@settings(MARCH, max_examples=40)
+@given(blocked_grids(),
+       st.sampled_from(("clamped_affine", "rational_saturating",
+                        "kinked_affine")),
+       st.sampled_from((None, 0.25)),
+       st.sampled_from(((1.0, 0.5), (0.0, 1.0), (0.0, 0.0))),
+       st.sampled_from((2, 3)))
+def test_a_step_leaves_its_state_kernels_and_families_unchanged(
+        case, kind, eps, s0, species):
+    # the plan writes the convolutions, coefficients and reactions into its
+    # own rows; with identity kernels the smoothed rows are the state's own
+    # rows, which a write there would corrupt.  Two steps from one state
+    # with one plan give the same bits: the plan carries nothing over
+    g, _, mu_hi, rng = case
+    spec = _skt_case(g, rng, mu_hi, kind, eps, s0, species)
+    plan = StepScratch(spec)
+    state = np.stack([f.reshaped() for f in spec.init])
+    watched = [state] + _step_inputs(spec)
+    before = [a.copy() for a in watched]
+    first, second = np.empty((2,) + state.shape)
+    assert step(spec, state, first, plan) is first
+    assert step(spec, state, second, plan) is second
+    assert np.array_equal(_bits(first), _bits(second))
+    assert all(np.array_equal(_bits(a), _bits(b))
+               for a, b in zip(watched, before))

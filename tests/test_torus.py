@@ -261,6 +261,23 @@ def test_spacetime_norms_of_data_near_the_float_range_are_finite():
             assert abs(got - 1e200 * want) <= 1e-12 * got
 
 
+
+def test_spacetime_norm_when_the_sum_of_finite_row_sums_overflows():
+    # each row sum of |x| is finite, but math.fsum of the four overflows
+    # (OverflowError): the data are prescaled by a power of two, which is
+    # exact, so the norm is that of the scaled data, scaled back
+    g = make_grid(1, 8, 1.0, 4)
+    rows = 1e307 * (1.0 - 1e-3 * np.arange(5.0))[:, None] * np.ones(g.size)
+    sums = np.abs(rows[:g.steps]).sum(axis=1)
+    assert np.all(np.isfinite(sums))
+    with pytest.raises(OverflowError):
+        math.fsum(sums.tolist())
+    got = spacetime_norm(Trajectory(g, rows), "L1Q")
+    _, e = np.frexp(rows.max())
+    want = math.ldexp(spacetime_norm(Trajectory(g, np.ldexp(rows, -e)),
+                                     "L1Q"), int(e))
+    assert math.isfinite(got) and got == want
+
 def _trajectory(g, rows, constant):
     """rows[0] as a broadcast view when `constant`, all rows otherwise."""
     if constant:
